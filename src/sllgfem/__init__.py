@@ -13,9 +13,9 @@ studies / cli (run orchestration), vtkio (snapshots).
 """
 
 from .config import SimulationConfig, load_config
-from .errors import (AssemblyError, ConfigError, InvariantViolation,
-                     MeshError, NormalizationError, SLLGError,
-                     SolverFailure, TimeMismatchError)
+from .errors import (AssemblyError, ConfigError, MeshError,
+                     NormalizationError, SLLGError, SolverFailure,
+                     TimeMismatchError)
 from .fem import (OffdiagReport, P1Space, assemble_lumped_mass,
                   assemble_stiffness, check_offdiag_condition,
                   discrete_lp_norm, interpolate_nodal, normalize_nodal)
@@ -30,11 +30,10 @@ from .rotation import (RotationField, apply_Z, assemble_rotated_stiffness,
                        compute_F_direct, compute_F_identity, cross_matrix,
                        evolve_point_rotation, evolve_step, grad_Z_apply,
                        init_rotation_field, rodrigues_exp)
-from .scheme import (DENSE_CUTOFF, NodalState, SchemeParams, SolveResult,
-                     StepSystem, TangentFrame, Trajectory, advance,
-                     assemble_step_system, build_tangent_frame,
-                     check_theta_guard, energy_inequality_gaps, run,
-                     solve_step)
+from .scheme import (NodalState, SchemeParams, SolveResult, StepSystem,
+                     TangentFrame, Trajectory, advance, assemble_step_system,
+                     build_tangent_frame, check_theta_guard,
+                     energy_inequality_gaps, run, solve_step)
 from .studies import (StudyReport, diagnostics_csv_text, run_monte_carlo,
                       run_refinement_study, run_single, run_study)
 from .vtkio import write_vtk
@@ -43,9 +42,9 @@ from .wiener import WienerPath, coarsen, sample_path
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "ConfigError", "DENSE_CUTOFF", "InvariantViolation",
-    "Mesh", "MeshError", "NodalState", "NoiseCoefficients",
-    "NoiseComponent", "NormalizationError", "OffdiagReport", "P1Space",
+    "AssemblyError", "ConfigError", "Mesh", "MeshError", "NodalState",
+    "NoiseCoefficients", "NoiseComponent", "NormalizationError",
+    "OffdiagReport", "P1Space",
     "PRESETS", "RotationField", "SchemeParams", "SimulationConfig",
     "SLLGError", "SolveResult", "SolverFailure", "StepSystem",
     "StudyReport", "TangentFrame", "TestField", "TimeMismatchError",

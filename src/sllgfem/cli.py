@@ -1,7 +1,7 @@
 """Command line entry point: `simulate <config> [overrides]`.
 
-Exit codes: 0 success, 2 invariant-suite failure, 3 solver failure,
-4 configuration error.
+Exit codes: 0 success, 2 invariant-suite failure (reported by the study,
+not raised), 3 solver failure, 4 configuration error.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigError, InvariantViolation, SolverFailure
+from .errors import ConfigError, SolverFailure
 from .studies import run_study
 
 
@@ -60,9 +60,6 @@ def main(argv=None):
     except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
-    except InvariantViolation as e:
-        print(f"invariant violation: {e}", file=sys.stderr)
-        return 2
 
     n_runs = len({(r["level"], r["seed"]) for r in report.rows
                   if r["kind"] == "run"})

@@ -11,8 +11,7 @@ Grammar (defaults in parentheses):
 
   [mesh]    dim (2) | divisions (8) | file ("") | domain_size (1.0)
   [scheme]  theta (1.0) | lambda1 (1.0) | lambda2 (1.0) | T (1.0) |
-            J (100) | solver_tol (1e-12) | solver_maxiter (2000) |
-            guard_c (2.0)
+            J (100) | solver_tol (1e-12) | guard_c (2.0)
   [noise]   preset (constant-z) | amplitude (1.0) | vectors ("")
   [initial] preset (uniform) | direction (0 0 1) | winding (1.0) |
             tilt (0.0)
@@ -44,7 +43,7 @@ _SCHEMA = {
     "mesh": {"dim": "2", "divisions": "8", "file": "", "domain_size": "1.0"},
     "scheme": {"theta": "1.0", "lambda1": "1.0", "lambda2": "1.0",
                "T": "1.0", "J": "100", "solver_tol": "1e-12",
-               "solver_maxiter": "2000", "guard_c": "2.0"},
+               "guard_c": "2.0"},
     "noise": {"preset": "constant-z", "amplitude": "1.0", "vectors": ""},
     "initial": {"preset": "uniform", "direction": "0 0 1",
                 "winding": "1.0", "tilt": "0.0"},
@@ -124,7 +123,6 @@ class SimulationConfig:
                        "lambda2": repr(self.params.lambda2),
                        "T": repr(self.params.T), "J": self.params.J,
                        "solver_tol": repr(self.params.solver_tol),
-                       "solver_maxiter": self.params.solver_maxiter,
                        "guard_c": repr(self.guard_c)},
             "noise": {"preset": self.noise_preset,
                       "amplitude": repr(self.amplitude),
@@ -258,13 +256,11 @@ def load_config(path, overrides=None):
     T = r.get_float("scheme", "T", 0.0, strict_lo=True)
     J = r.get_int("scheme", "J", 1)
     solver_tol = r.get_float("scheme", "solver_tol", 0.0, strict_lo=True)
-    solver_maxiter = r.get_int("scheme", "solver_maxiter", 1)
     guard_c = r.get_float("scheme", "guard_c", 0.0, strict_lo=True)
     if lambda1 == 0.0:
         raise ConfigError("scheme.lambda1 must be nonzero")
     params = SchemeParams(lambda1=lambda1, lambda2=lambda2, theta=theta,
-                          T=T, J=J, solver_tol=solver_tol,
-                          solver_maxiter=solver_maxiter)
+                          T=T, J=J, solver_tol=solver_tol)
 
     preset = r.get("noise", "preset")
     if preset not in PRESETS:

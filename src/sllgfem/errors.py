@@ -2,7 +2,8 @@
 
 Argument validation failures raise plain ValueError. The classes below mark
 failures that callers may want to catch and map to process exit codes:
-ConfigError -> 4, SolverFailure -> 3, InvariantViolation -> 2.
+ConfigError -> 4, SolverFailure -> 3. Exit code 2 (invariant-suite failure)
+is not an exception: studies return the failures in their report.
 """
 
 
@@ -27,20 +28,17 @@ class TimeMismatchError(SLLGError):
 
 
 class SolverFailure(SLLGError):
-    """Linear solve did not reach the requested tolerance.
+    """Linear solve failed: a singular factorization, or a relative
+    residual that is non-finite or above the requested tolerance.
 
-    Carries the achieved relative residual and the iteration count.
+    Carries the achieved relative residual (inf when no solution exists).
     """
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class ConfigError(SLLGError):
     """Configuration file is unreadable, unparseable, or out of range."""
 
-
-class InvariantViolation(SLLGError):
-    """A runtime invariant check on a computed trajectory failed."""

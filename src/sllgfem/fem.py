@@ -195,6 +195,9 @@ def interpolate_nodal(f, space: P1Space):
     f : callable
         Either vectorized, mapping an (N, dim) coordinate array to (N, 3), or
         pointwise, mapping one coordinate vector to a length-3 sequence.
+        f is called pointwise only when the array call raises TypeError or
+        ValueError or returns the wrong shape; any other exception from f
+        propagates.
     space : P1Space
 
     Returns
@@ -204,9 +207,9 @@ def interpolate_nodal(f, space: P1Space):
     x = space.mesh.vertices
     try:
         vals = np.asarray(f(x), dtype=float)
-        if vals.shape != (space.N, 3):
-            raise ValueError
-    except Exception:
+    except (TypeError, ValueError):     # a pointwise f given an array
+        vals = None
+    if vals is None or vals.shape != (space.N, 3):
         vals = np.array([f(p) for p in x], dtype=float)
     if vals.shape != (space.N, 3):
         raise ValueError(f"interpolated field has shape {vals.shape}, "

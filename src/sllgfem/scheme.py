@@ -1,9 +1,10 @@
 """The theta-linear tangent-plane scheme.
 
-One step: build an orthonormal tangent frame at every node, solve the linear
-saddle-free system for the update velocity v in the 2N-dimensional nodal
-tangent space, move m by k*v, renormalize nodally, and advance the rotation
-field along the Wiener path in lockstep.
+One step: build an orthonormal tangent frame at every node, assemble the
+nonsymmetric linear system for the update velocity v directly in the
+2N-dimensional nodal tangent space, solve it with one sparse LU
+factorization (no nonlinear iteration), move m by k*v, renormalize nodally,
+and advance the rotation field along the Wiener path in lockstep.
 
 Discrete pairings: <v, w> and <m x v, w> use the lumped nodal pairing (the
 cross term is then exactly skew, which the per-path energy chain needs) while
@@ -27,10 +28,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure, TimeMismatchError
 from .fem import normalize_nodal
-from .rotation import (assemble_rotated_stiffness, cross_matrix, evolve_step,
+from .rotation import (assemble_rotated_stiffness, evolve_step,
                        init_rotation_field)
-
-DENSE_CUTOFF = 600          # tangent unknowns at or below this use LAPACK
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class SchemeParams:
     T: float = 1.0
     J: int = 100
     solver_tol: float = 1e-12
-    solver_maxiter: int = 2000
     mu: float = dataclass_field(init=False)
     k: float = dataclass_field(init=False)
 
@@ -60,8 +58,6 @@ class SchemeParams:
             raise ValueError("J must be >= 1")
         if not self.solver_tol > 0.0:
             raise ValueError("solver_tol must be positive")
-        if self.solver_maxiter < 1:
-            raise ValueError("solver_maxiter must be >= 1")
         object.__setattr__(self, "mu", self.lambda1 ** 2 + self.lambda2 ** 2)
         object.__setattr__(self, "k", self.T / self.J)
 
@@ -126,41 +122,10 @@ class NodalState:
 class StepSystem:
     """Assembled tangent-coordinate system for one step."""
 
-    matrix: sp.csr_matrix    # (2N, 2N)
+    matrix: sp.csc_matrix    # (2N, 2N), node-major 2x2 blocks
     rhs: np.ndarray          # (2N,)
     frame: TangentFrame
     KZ: sp.csr_matrix        # rotation-twisted vector stiffness (3N, 3N)
-
-
-def _stiffness3(space):
-    # vector stiffness acting on (N,3) fields flattened node-major
-    if getattr(space, "_stiffness3", None) is None:
-        space._stiffness3 = sp.kron(space.stiffness(), sp.eye(3),
-                                    format="csr")
-    return space._stiffness3
-
-
-def _cross_block_diag(m, scale):
-    """Block-diagonal matrix of v -> scale_n * (m_n x v_n), shape (3N, 3N)."""
-    N = len(m)
-    blocks = scale[:, None, None] * cross_matrix(m)
-    base = 3 * np.arange(N)[:, None, None]
-    rows = base + np.arange(3)[None, :, None] + np.zeros((1, 1, 3), dtype=int)
-    cols = base + np.zeros((1, 3, 1), dtype=int) + np.arange(3)[None, None, :]
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(3 * N, 3 * N)).tocsr()
-
-
-def _frame_projector(frame):
-    """Sparse (3N, 2N) map from tangent coefficients to nodal vectors."""
-    tau = frame.tau
-    N = len(tau)
-    rows = (3 * np.arange(N)[:, None, None]
-            + np.arange(3)[None, None, :] + np.zeros((1, 2, 1), dtype=int))
-    cols = (2 * np.arange(N)[:, None, None]
-            + np.arange(2)[None, :, None] + np.zeros((1, 1, 3), dtype=int))
-    return sp.coo_matrix((tau.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(3 * N, 2 * N)).tocsr()
 
 
 def assemble_step_system(state, frame, field, params, space):
@@ -170,81 +135,78 @@ def assemble_step_system(state, frame, field, params, space):
     - mu k theta <grad v, grad w>; load l(w) = mu (<grad m, grad w> +
     F(t_j, m, w)), evaluated through the rotation-twisted stiffness so the
     F term is exactly the identity-form value on every basis function.
+
+    With v_n = sum_a c_(n,a) tau_(n,a), the 2x2 block (i, j) of the matrix
+    is -mu k theta K_ij tau_i tau_j^T over the nonzero pattern of K, and
+    node n's diagonal block also holds L_n (-lambda2 I + lambda1 C_n) with
+    C_n[b, a] = tau_(n,b) . (m_n x tau_(n,a)), L the lumped mass. The load
+    is rhs_(n,a) = tau_(n,a) . (mu KZ m)_n.
     """
     if field.j != state.j:
         raise TimeMismatchError(f"rotation field at index {field.j}, "
                                 f"state at index {state.j}")
+    m, tau = state.m, frame.tau
+    N = len(m)
+    K = space.stiffness().copy()
+    K.eliminate_zeros()      # exact zeros (right-angle edges) only add LU fill
     lumped = space.lumped_mass_diagonal()
-    K3 = _stiffness3(space)
+    rows = np.repeat(np.arange(N), np.diff(K.indptr))
+    blocks = tau[rows] @ tau[K.indices].transpose(0, 2, 1)
+    blocks *= (-params.mu * params.k * params.theta * K.data)[:, None, None]
+    C = np.einsum("nbc,nac->nba", tau, np.cross(m[:, None, :], tau))
+    node_blocks = lumped[:, None, None] * (params.lambda1 * C
+                                           - params.lambda2 * np.eye(2))
+    diag = np.flatnonzero(K.indices == rows)
+    blocks[diag] += node_blocks[rows[diag]]
+    A = sp.bsr_matrix((blocks, K.indices, K.indptr), shape=(2 * N, 2 * N))
     KZ = assemble_rotated_stiffness(field)
-    A3 = (-params.lambda2 * sp.diags(np.repeat(lumped, 3))
-          + _cross_block_diag(state.m, params.lambda1 * lumped)
-          - params.mu * params.k * params.theta * K3)
-    P = _frame_projector(frame)
-    rhs3 = params.mu * (KZ @ state.m.ravel())
-    A2 = (P.T @ (A3 @ P)).tocsr()
-    return StepSystem(matrix=A2, rhs=P.T @ rhs3, frame=frame, KZ=KZ)
+    load = params.mu * (KZ @ m.ravel())
+    rhs = np.einsum("nac,nc->na", tau, load.reshape(N, 3)).ravel()
+    return StepSystem(matrix=A.tocsc(), rhs=rhs, frame=frame, KZ=KZ)
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of one step solve.
+
+    `iterations` is always 0, since the solve is direct; the field stays
+    because the benchmark tracer in perfbench/ reads it.
+    """
+
     v: np.ndarray            # (N, 3), tangent at nodes by construction
     coefficients: np.ndarray
     iterations: int
     residual: float
 
 
-def solve_step(system, params, method="auto"):
+def solve_step(system, params):
     """Solve for the tangent coefficients and rebuild the nodal update v.
 
-    Dense LAPACK at or below DENSE_CUTOFF unknowns, otherwise GMRES with an
-    incomplete-LU preconditioner; a stagnating GMRES retries once with exact
-    sparse LU before raising SolverFailure.
+    One sparse LU factorization (SuperLU) of the step matrix, then a check
+    of the relative residual |A c - b| / |b| against params.solver_tol. A
+    singular factorization, a non-finite solution, or a residual above the
+    tolerance raises SolverFailure.
     """
     A, b = system.matrix, system.rhs
-    n = A.shape[0]
     tau = system.frame.tau
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        c = np.zeros(n)
+        c = np.zeros(A.shape[0])
         return SolveResult(_tangent_to_nodal(c, tau), c, 0, 0.0)
 
-    if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
-        c = np.linalg.solve(A.toarray(), b)
-        iters = 0
-    else:
-        counter = {"n": 0}
-
-        def cb(_):
-            counter["n"] += 1
-
-        try:
-            ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10.0)
-            M = spla.LinearOperator(A.shape, ilu.solve)
-        except RuntimeError:
-            M = None
-        c, _info = _gmres(A, b, params.solver_tol, params.solver_maxiter,
-                          M, cb)
-        iters = counter["n"]
-        if np.linalg.norm(A @ c - b) > params.solver_tol * bnorm:
-            c = spla.splu(A.tocsc()).solve(b)
-
-    residual = float(np.linalg.norm(A @ c - b) / bnorm)
-    if residual > params.solver_tol:
-        raise SolverFailure(f"linear solve stalled at relative residual "
-                            f"{residual:.3e} (tolerance {params.solver_tol:.3e})",
-                            residual=residual, iterations=iters)
-    return SolveResult(_tangent_to_nodal(c, tau), c, iters, residual)
-
-
-def _gmres(A, b, tol, maxiter, M, callback):
-    restart = min(200, A.shape[0])
-    kwargs = dict(M=M, restart=restart, maxiter=maxiter,
-                  callback=callback, callback_type="pr_norm")
     try:
-        return spla.gmres(A, b, rtol=tol, atol=0.0, **kwargs)
-    except TypeError:                      # older scipy spells it tol
-        return spla.gmres(A, b, tol=tol, atol=0.0, **kwargs)
+        # the pattern is symmetric (K's, in 2x2 blocks), so order on A + A^T:
+        # less fill, memory and time than the default column ordering
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as e:          # SuperLU: factor is exactly singular
+        raise SolverFailure(f"sparse LU failed: {e}", residual=np.inf)
+    c = lu.solve(b)
+    residual = float(np.linalg.norm(A @ c - b) / bnorm)
+    if not residual <= params.solver_tol:
+        raise SolverFailure(f"linear solve reached relative residual "
+                            f"{residual:.3e} (tolerance "
+                            f"{params.solver_tol:.3e})", residual=residual)
+    return SolveResult(_tangent_to_nodal(c, tau), c, 0, residual)
 
 
 def _tangent_to_nodal(c, tau):
@@ -300,8 +262,8 @@ def run(m0, params, path, coeffs, space, snapshot_hook=None):
     Returns
     -------
     Trajectory. Diagnostics rows carry: j, t, energy (at j), v_norm_sq
-    (lumped), F_value = F(t_j, m^j, v^j), solver_iters, residual,
-    grad_v_sq, tangency_max, unit_dev_max.
+    (lumped), F_value = F(t_j, m^j, v^j), residual, grad_v_sq,
+    tangency_max, unit_dev_max.
     """
     if path.J != params.J:
         raise ValueError(f"path has J = {path.J}, params J = {params.J}")
@@ -317,7 +279,6 @@ def run(m0, params, path, coeffs, space, snapshot_hook=None):
     m = normalize_nodal(m)
 
     K = space.stiffness()
-    K3 = _stiffness3(space)
     lumped = space.lumped_mass_diagonal()
     field = init_rotation_field(space, coeffs)
     J, k = params.J, params.k
@@ -338,15 +299,14 @@ def run(m0, params, path, coeffs, space, snapshot_hook=None):
         sol = solve_step(system, params)
         v = sol.v
         state.v = v
-        vflat, mflat = v.ravel(), state.m.ravel()
-        F_value = float(mflat @ (system.KZ @ vflat) - mflat @ (K3 @ vflat))
+        F_value = float(state.m.ravel() @ (system.KZ @ v.ravel())
+                        - np.sum(state.m * (K @ v)))
         diagnostics.append({
             "j": j,
             "t": j * k,
             "energy": state.energy,
             "v_norm_sq": float(np.sum(lumped * np.sum(v * v, axis=1))),
             "F_value": F_value,
-            "solver_iters": sol.iterations,
             "residual": sol.residual,
             "grad_v_sq": float(np.sum(v * (K @ v))),
             "tangency_max": float(np.abs(np.sum(v * state.m, axis=1)).max()),

@@ -42,9 +42,10 @@ from .wiener import coarsen, sample_path
 
 WORKERS_ENV = "SLLGFEM_WORKERS"
 
-# Runtime invariant-suite thresholds. Looser than the acceptance-grade
-# tolerances because iterative solves on fine meshes carry O(solver_tol)
-# tangency error; failures set CLI exit code 2.
+# Runtime invariant-suite thresholds, looser than the acceptance-grade
+# tolerances so that round-off accumulated over many steps on fine meshes
+# does not trip them; failures, including non-finite values, set CLI exit
+# code 2.
 INVARIANT_TOLS = {
     "max_unit_dev": 1e-10,
     "max_tangency": 1e-7,
@@ -96,11 +97,11 @@ def _worker_count():
 def diagnostics_csv_text(traj):
     """Per-step diagnostics in the documented schema."""
     buf = io.StringIO()
-    buf.write("j,t,energy,v_norm_sq,F_value,solver_iters,residual\n")
+    buf.write("j,t,energy,v_norm_sq,F_value,residual\n")
     for row in traj.diagnostics:
-        buf.write("%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n" % (
+        buf.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
             row["j"], row["t"], row["energy"], row["v_norm_sq"],
-            row["F_value"], row["solver_iters"], row["residual"]))
+            row["F_value"], row["residual"]))
     return buf.getvalue()
 
 
@@ -108,7 +109,7 @@ def _params_for(config, J=None):
     p = config.params
     return p if J is None or J == p.J else SchemeParams(
         lambda1=p.lambda1, lambda2=p.lambda2, theta=p.theta, T=p.T, J=J,
-        solver_tol=p.solver_tol, solver_maxiter=p.solver_maxiter)
+        solver_tol=p.solver_tol)
 
 
 class _OrthMonitor:
@@ -140,7 +141,6 @@ def _trajectory_quantities(traj, space, coeffs, path, seed):
         "max_tangency": max(r["tangency_max"] for r in diag),
         "max_energy_gap": float(gaps.max()),
         "m0_drift": traj.m0_drift,
-        "solver_iters_max": max(r["solver_iters"] for r in diag),
         "residual_max": max(r["residual"] for r in diag),
         "m_gap_l2": float(np.sqrt(errs["m_minus_mleft_sq"])),
         "unit_defect_l2": float(np.sqrt(errs["unit_defect_sq"])),
@@ -160,7 +160,7 @@ def _invariant_failures(quantities, theta, offdiag_holds, seed):
             # weighting on meshes with nonpositive stiffness off-diagonals
             continue
         val = quantities.get(name)
-        if val is not None and val > tol:
+        if val is not None and not (np.isfinite(val) and val <= tol):
             failures.append(f"seed {seed}: {name} = {val:.3e} "
                             f"exceeds {tol:.1e}")
     return failures
@@ -199,8 +199,7 @@ def _run_stream(config, stream, snapshot_dir=None):
         traj = run(m0, p, path, coeffs, space, snapshot_hook=hook)
     except SolverFailure as e:
         raise SolverFailure(f"stream {stream} (base seed {config.seed}): "
-                            f"{e}", residual=e.residual,
-                            iterations=e.iterations)
+                            f"{e}", residual=e.residual)
     quantities = _trajectory_quantities(traj, space, coeffs, path,
                                         config.seed)
     quantities["max_orth_defect"] = hook.max_defect
@@ -323,8 +322,7 @@ def run_refinement_study(config):
             except SolverFailure as e:
                 raise SolverFailure(
                     f"level {lvl} stream {stream} (base seed "
-                    f"{config.seed}): {e}", residual=e.residual,
-                    iterations=e.iterations)
+                    f"{config.seed}): {e}", residual=e.residual)
             q = _trajectory_quantities(traj, space, coeffs, path,
                                        config.seed)
             failures.extend(_invariant_failures(

@@ -47,7 +47,6 @@ def test_empty_config_gives_documented_defaults(tmp_path):
     assert cfg.params.T == 1.0
     assert cfg.params.J == 100
     assert cfg.params.solver_tol == 1e-12
-    assert cfg.params.solver_maxiter == 2000
     assert cfg.guard_c == 2.0
     assert cfg.noise_preset == "constant-z"
     assert cfg.amplitude == 1.0
@@ -61,7 +60,7 @@ def test_empty_config_gives_documented_defaults(tmp_path):
     assert cfg.out == "out"
     assert cfg.snapshots == 0
     # every key in the grammar was defaulted
-    assert len(cfg.defaulted) == 25
+    assert len(cfg.defaulted) == 24
 
 
 def test_echo_text_reparses_to_same_config(tmp_path):
@@ -101,6 +100,10 @@ def test_unknown_section_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown key scheme.gamma"):
         load_config(write_cfg(tmp_path, "[scheme]\ngamma = 2\n"))
+    cfg = write_cfg(tmp_path, "[scheme]\nsolver_maxiter = 2000\n")
+    with pytest.raises(ConfigError, match="unknown key scheme.solver_maxiter"):
+        load_config(cfg)
+    assert main([cfg]) == 4
 
 
 @pytest.mark.parametrize("text, field", [

@@ -128,6 +128,18 @@ def test_interpolate_pointwise_callback(space2):
     assert np.allclose(u[:, 0], space2.mesh.vertices[:, 0])
 
 
+def test_interpolate_propagates_callback_errors(space2):
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        raise KeyError("missing parameter")
+
+    with pytest.raises(KeyError, match="missing parameter"):
+        interpolate_nodal(f, space2)
+    assert calls == [space2.mesh.vertices.shape]     # no pointwise retry
+
+
 def test_interpolate_linear_exact_at_barycenters(space2):
     u = interpolate_nodal(lambda x: np.stack(
         [2 * x[..., 0] - x[..., 1], x[..., 1], np.zeros_like(x[..., 0])],

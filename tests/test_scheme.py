@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,9 @@ from sllgfem.fem import (P1Space, check_offdiag_condition, interpolate_nodal,
                          normalize_nodal)
 from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import make_noise
-from sllgfem.rotation import init_rotation_field
-from sllgfem.scheme import (NodalState, SchemeParams, advance,
+from sllgfem.rotation import (assemble_rotated_stiffness, cross_matrix,
+                              evolve_step, init_rotation_field)
+from sllgfem.scheme import (NodalState, SchemeParams, StepSystem, advance,
                             assemble_step_system, build_tangent_frame,
                             check_theta_guard, energy_inequality_gaps, run,
                             solve_step)
@@ -55,7 +57,6 @@ def test_params_derive_mu_and_k():
     dict(lambda1=1.0, lambda2=1.0, T=0.0),
     dict(lambda1=1.0, lambda2=1.0, J=0),
     dict(lambda1=1.0, lambda2=1.0, solver_tol=0.0),
-    dict(lambda1=1.0, lambda2=1.0, solver_maxiter=0),
 ])
 def test_params_validation(kw):
     with pytest.raises(ValueError):
@@ -162,21 +163,63 @@ def test_assembly_rejects_desynchronized_field():
                              default_params(), space)
 
 
-def test_dense_and_iterative_solves_agree():
-    # 2-triangle mesh, theta = 1, g = 0: one step via LAPACK vs GMRES
-    space = P1Space(build_structured_mesh(2, 1))
-    m = normalize_nodal(interpolate_nodal(
-        lambda x: np.stack([np.sin(x[:, 0]), 0 * x[:, 0],
-                            np.cos(x[:, 0])], axis=1), space))
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
-    params = default_params()
-    field = init_rotation_field(space, make_noise("zero"))
-    system = assemble_step_system(state, build_tangent_frame(m), field,
-                                  params, space)
-    dense = solve_step(system, params, method="dense")
-    iterative = solve_step(system, params, method="gmres")
-    np.testing.assert_allclose(iterative.v, dense.v, atol=1e-10)
-    assert np.linalg.norm(dense.v) > 0.0
+def evolved_step_inputs(dim, divisions, steps=3):
+    """A state whose m_z takes both signs, its frame, and a rotation field
+    evolved `steps` steps along spatially varying noise."""
+    space = P1Space(build_structured_mesh(dim, divisions))
+    ang = 2 * np.pi * space.mesh.vertices[:, 0]
+    m = normalize_nodal(np.stack(
+        [np.sin(ang), 0.4 * np.cos(3 * space.mesh.vertices[:, 1]),
+         np.cos(ang)], axis=1))
+    assert np.any(m[:, 2] > 0.1) and np.any(m[:, 2] < -0.1)
+    params = default_params(lambda1=1.3, lambda2=0.6, theta=0.7, J=20)
+    coeffs = make_noise("linear-gradient")
+    path = sample_path(4, coeffs.q, params.J, params.T)
+    field = init_rotation_field(space, coeffs)
+    for j in range(steps):
+        field = evolve_step(field, path.increments[j], params.k)
+    state = NodalState(j=steps, m=m, v=None, energy=np.nan)
+    return space, state, build_tangent_frame(m), field, params
+
+
+def projected_reference(space, state, frame, field, params):
+    """P^T A3 P and P^T rhs3 from the (3N, 3N) nodal-vector form, with P
+    the (3N, 2N) map from tangent coefficients to nodal vectors."""
+    lumped = space.lumped_mass_diagonal()
+    A3 = (-params.lambda2 * sp.diags(np.repeat(lumped, 3))
+          + sp.block_diag(list(params.lambda1 * lumped[:, None, None]
+                               * cross_matrix(state.m)))
+          - params.mu * params.k * params.theta
+          * sp.kron(space.stiffness(), sp.eye(3)))
+    P = sp.block_diag([t.T for t in frame.tau])
+    rhs3 = params.mu * (assemble_rotated_stiffness(field) @ state.m.ravel())
+    return (P.T @ A3 @ P).toarray(), P.T @ rhs3
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
+def test_assembly_matches_projected_nodal_system(dim, divisions):
+    space, state, frame, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(state, frame, field, params, space)
+    A_ref, rhs_ref = projected_reference(space, state, frame, field, params)
+    A = system.matrix.toarray()
+    assert A.shape == A_ref.shape == (2 * space.N, 2 * space.N)
+    np.testing.assert_allclose(A, A_ref, rtol=0,
+                               atol=1e-14 * np.abs(A_ref).max())
+    np.testing.assert_allclose(system.rhs, rhs_ref, rtol=0,
+                               atol=1e-14 * np.abs(rhs_ref).max())
+    assert np.linalg.norm(rhs_ref) > 0.0
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
+def test_lu_solution_matches_dense_solve(dim, divisions):
+    space, state, frame, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(state, frame, field, params, space)
+    sol = solve_step(system, params)
+    c = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    np.testing.assert_allclose(sol.coefficients, c, rtol=0,
+                               atol=1e-12 * np.abs(c).max())
+    assert sol.iterations == 0
+    assert sol.residual <= params.solver_tol
 
 
 def test_solution_satisfies_weak_form_against_random_tangents():
@@ -200,14 +243,39 @@ def test_solver_failure_carries_residual():
     space = space8()
     m = spiral_m0(space)
     state = NodalState(j=0, m=m, v=None, energy=np.nan)
-    params = default_params(solver_tol=1e-30, solver_maxiter=1)
+    params = default_params(solver_tol=1e-30)
     field = init_rotation_field(space, make_noise("zero"))
     system = assemble_step_system(state, build_tangent_frame(m), field,
                                   params, space)
     with pytest.raises(SolverFailure) as err:
-        solve_step(system, params, method="gmres")
+        solve_step(system, params)
     assert err.value.residual is not None
     assert err.value.residual > 1e-30
+
+
+def test_singular_system_raises_solver_failure():
+    space = space8()
+    frame = build_tangent_frame(spiral_m0(space))
+    n = 2 * space.N
+    system = StepSystem(matrix=sp.csc_matrix((n, n)), rhs=np.ones(n),
+                        frame=frame, KZ=None)
+    with pytest.raises(SolverFailure) as err:
+        solve_step(system, default_params())
+    assert err.value.residual == np.inf
+
+
+def test_non_finite_rhs_raises_solver_failure():
+    space = space8()
+    m = spiral_m0(space)
+    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    params = default_params()
+    field = init_rotation_field(space, make_noise("zero"))
+    system = assemble_step_system(state, build_tangent_frame(m), field,
+                                  params, space)
+    system.rhs[3] = np.nan
+    with pytest.raises(SolverFailure) as err:
+        solve_step(system, params)
+    assert np.isnan(err.value.residual)
 
 
 def test_update_is_tangent_at_nodes():

@@ -176,7 +176,7 @@ out = {tmp_path / "out"}
 
     with open(tmp_path / "out" / "diagnostics_seed0.csv") as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "j,t,energy,v_norm_sq,F_value,solver_iters,residual"
+    assert lines[0] == "j,t,energy,v_norm_sq,F_value,residual"
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
     # one row per step, stamped with the step's left endpoint
     assert [int(r["j"]) for r in rows] == list(range(10))
@@ -194,3 +194,12 @@ def test_invariant_failures_are_collected(tmp_path, monkeypatch):
     report = run_single(mc_config(tmp_path, "inv"))
     assert report.invariant_failures
     assert "max_tangency" in report.invariant_failures[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_invariant_quantity_fails(bad):
+    quantities = {name: 0.0 for name in studies.INVARIANT_TOLS}
+    quantities["max_tangency"] = bad
+    failures = studies._invariant_failures(quantities, theta=1.0,
+                                           offdiag_holds=True, seed=0)
+    assert len(failures) == 1 and "max_tangency" in failures[0]
