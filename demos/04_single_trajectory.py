@@ -32,9 +32,10 @@ m0 = interpolate_nodal(
                         np.cos(tilt) * np.sin(2 * np.pi * x[:, 0]),
                         np.sin(tilt) + 0 * x[:, 0]], axis=1), space)
 
-snapshots = {}
+# an observer sees every step; this one keeps only the latest rotation field
+latest = {}
 traj = run(m0, params, path, coeffs, space,
-           snapshot_hook=lambda j, m, field: snapshots.update({j: field}))
+           observers=[lambda step: latest.update(field=step.field_next)])
 
 print(" step      energy     |v|^2_lumped     F value    unit dev   tangency")
 for row in traj.diagnostics[::20]:
@@ -47,8 +48,7 @@ print(f"energy sup over the run : {traj.energy.max():.5f}")
 print(f"initial-data drift fixed: {traj.m0_drift:.2e}")
 
 os.makedirs("demo_out", exist_ok=True)
-field_T = snapshots[params.J]
-write_vtk("demo_out/final_state.vtk", space.mesh, traj.m[-1],
-          reconstruct_M(traj.m[-1], field_T),
+write_vtk("demo_out/final_state.vtk", space.mesh, traj.m,
+          reconstruct_M(traj.m, latest["field"]),
           comment="final state of the single-trajectory demo")
 print("wrote demo_out/final_state.vtk")

@@ -1,7 +1,8 @@
 """Command line entry point: `simulate <config> [overrides]`.
 
 Exit codes: 0 success, 2 invariant-suite failure (reported by the study,
-not raised), 3 solver failure, 4 configuration error.
+not raised), 3 solver failure, 4 configuration error (including an invalid
+SLLGFEM_WORKERS value).
 """
 
 from __future__ import annotations
@@ -51,12 +52,10 @@ def main(argv=None):
 
     try:
         config = load_config(args.config, overrides)
+        report = run_study(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 4
-
-    try:
-        report = run_study(config)
     except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3

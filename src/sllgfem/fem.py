@@ -229,18 +229,3 @@ def normalize_nodal(u):
         raise NormalizationError(f"zero vector at node {bad[0]}")
     return u / norms[:, None]
 
-
-def discrete_lp_norm(u, p, h, dim=2):
-    """Nodal l^p norm (h^dim sum |u(x_n)|^p)^(1/p); p = inf gives the max.
-
-    Equivalent, up to mesh-independent constants, to the continuous L^p norm
-    of the P1 field with those nodal values. `dim` is the mesh dimension the
-    scale factor h was measured on; the nodal vectors live in R^3 regardless.
-    """
-    u = np.asarray(u, dtype=float)
-    if not (p >= 1):
-        raise ValueError(f"p must be >= 1, got {p}")
-    norms = np.linalg.norm(u, axis=1)
-    if np.isinf(p):
-        return float(norms.max(initial=0.0))
-    return float((h ** dim * np.sum(norms ** p)) ** (1.0 / p))

@@ -1,4 +1,4 @@
-"""Physical-field reconstruction, time interpolants, and residual monitors.
+"""Physical-field reconstruction and the convergence monitors.
 
 The scheme computes the transformed field m; the physical magnetization is
 M = Z_t m, recovered nodally. Convergence evidence comes from three
@@ -12,6 +12,7 @@ derivative) and from the weak-form residual
 over space-time, evaluated with a midpoint rule per scheme interval and the
 left-endpoint-frozen rotation field in the F term. For an exact weak
 solution I vanishes for every smooth test field psi supported inside (0, T).
+Both monitors are observers of `scheme.run` and accumulate step by step.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TimeMismatchError
-from .rotation import evolve_step, init_rotation_field
+from .rotation import evolve_step
+from .rotation import init_rotation_field  # noqa: F401  (perfbench traces it)
 from .scheme import NodalState
 
 # 3-point Gauss-Legendre on [0, 1]; used where the time integrand is not
@@ -48,73 +50,31 @@ def reconstruct_M(state, field):
     return np.einsum("nab,nb->na", field.Z_nodes, m)
 
 
-class TrajectoryInterpolants:
-    """Time interpolants of a trajectory on [0, T].
+def interpolant_errors(space, k):
+    """Observer of `scheme.run` accumulating the three interpolant error
+    measures over the space-time cylinder, one scheme interval per step.
 
-    m_lin is piecewise linear (matches stored states bit-exactly at grid
-    times), m_left and v_const are piecewise constant and right-continuous
-    on [t_j, t_{j+1}); at t = T the left-constant interpolants return the
-    last defined value.
+    Returns (observer, errors); errors is a dict filled in as the run goes.
+    Its keys: "m_minus_mleft_sq" (squared L2 distance between the linear
+    and left-constant interpolants; exact, the integrand is quadratic in t),
+    "unit_defect_sq" (squared L2 norm of |m_lin| - 1; 3-point Gauss per
+    interval), and "v_minus_dtm_l1" (L1 distance between v and the discrete
+    time derivative; exact in t, quadrature in space).
     """
+    errors = {"m_minus_mleft_sq": 0.0, "unit_defect_sq": 0.0,
+              "v_minus_dtm_l1": 0.0}
 
-    def __init__(self, traj):
-        self.traj = traj
-        self.times = traj.times
-        self.k = traj.params.k
-
-    def _locate(self, t):
-        times = self.times
-        if t < times[0] or t > times[-1]:
-            raise ValueError(f"t = {t} outside [0, {times[-1]}]")
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        return min(j, len(times) - 2)
-
-    def m_lin(self, t):
-        j = self._locate(t)
-        if t == self.times[j]:
-            return self.traj.m[j]
-        if t == self.times[j + 1]:
-            return self.traj.m[j + 1]
-        alpha = (t - self.times[j]) / self.k
-        return (1.0 - alpha) * self.traj.m[j] + alpha * self.traj.m[j + 1]
-
-    def m_left(self, t):
-        j = self._locate(t)
-        return self.traj.m[min(j, len(self.traj.m) - 1)]
-
-    def v_const(self, t):
-        j = self._locate(t)
-        return self.traj.v[min(j, len(self.traj.v) - 1)]
-
-
-def interpolant_errors(interp, space):
-    """The three interpolant error measures over the space-time cylinder.
-
-    Returns a dict with keys "m_minus_mleft_sq" (squared L2 distance between
-    the linear and left-constant interpolants; exact, the integrand is
-    quadratic in t), "unit_defect_sq" (squared L2 norm of |m_lin| - 1;
-    3-point Gauss per interval), and "v_minus_dtm_l1" (L1 distance between
-    v and the discrete time derivative; exact in t, quadrature in space).
-    """
-    traj = interp.traj if isinstance(interp, TrajectoryInterpolants) else interp
-    k = traj.params.k
-    m, v = traj.m, traj.v
-    J = traj.J
-
-    e_gap = 0.0
-    e_unit = 0.0
-    e_l1 = 0.0
-    for j in range(J):
-        diff = m[j + 1] - m[j]
-        e_gap += (k / 3.0) * space.l2_norm_sq(diff)
+    def observe(step):
+        diff = step.m_next - step.m
+        errors["m_minus_mleft_sq"] += (k / 3.0) * space.l2_norm_sq(diff)
         for a, wgt in zip(_GAUSS_A, _GAUSS_W):
-            sample = (1.0 - a) * m[j] + a * m[j + 1]
+            sample = (1.0 - a) * step.m + a * step.m_next
             norms = np.linalg.norm(space.values_at_qp(sample), axis=-1)
-            e_unit += k * wgt * space.integrate((norms - 1.0) ** 2)
-        e_l1 += k * space.l1_norm(v[j] - diff / k)
-    return {"m_minus_mleft_sq": e_gap,
-            "unit_defect_sq": e_unit,
-            "v_minus_dtm_l1": e_l1}
+            errors["unit_defect_sq"] += (k * wgt
+                                         * space.integrate((norms - 1.0) ** 2))
+        errors["v_minus_dtm_l1"] += k * space.l1_norm(step.v - diff / k)
+
+    return observe, errors
 
 
 @dataclass(frozen=True)
@@ -194,19 +154,20 @@ def _F_general(field, space, u_qp, gu_qp, v_qp, gv_qp):
     return float(twisted - plain)
 
 
-def weak_residual(traj, space, coeffs, path, psi, params=None):
-    """Evaluate I(m_lin, psi) pathwise; psi may be one TestField or a list.
+def weak_residual(space, params, path, psi):
+    """Observer of `scheme.run` evaluating I(m_lin, psi) pathwise; psi may
+    be one TestField or a list.
 
-    The rotation field is replayed along the path (one pass for all test
-    fields); each interval uses the midpoint value of the interpolant, the
-    piecewise-constant discrete time derivative, and the interval's
-    left-endpoint rotation field in the F term.
+    Returns (observer, totals); totals holds one value per test field and is
+    filled in as the run goes. The rotation field is replayed along the path
+    in lockstep with the run, starting from the run's own field at j = 0
+    (one replay for all test fields); each interval uses the midpoint value
+    of the interpolant, the piecewise-constant discrete time derivative, and
+    the interval's left-endpoint rotation field in the F term.
     """
-    params = traj.params if params is None else params
     fields = [psi] if isinstance(psi, TestField) else list(psi)
-    T = params.T
     for f in fields:
-        if f.t0 <= 0.0 or f.t1 >= T:
+        if f.t0 <= 0.0 or f.t1 >= params.T:
             warnings.warn("test field support touches the time boundary; "
                           "the residual identity assumes psi vanishes near "
                           "0 and T", stacklevel=2)
@@ -214,12 +175,19 @@ def weak_residual(traj, space, coeffs, path, psi, params=None):
     k = params.k
     mesh = space.mesh
     qp_flat = space.quad_points.reshape(-1, mesh.dim)
-    rot = init_rotation_field(space, coeffs)
+    rot = None
     totals = np.zeros(len(fields))
-    for j in range(params.J):
-        t_mid = (j + 0.5) * k
-        m_mid = 0.5 * (traj.m[j] + traj.m[j + 1])
-        dtm = (traj.m[j + 1] - traj.m[j]) / k
+
+    def observe(step):
+        nonlocal rot
+        if step.j == 0:
+            rot = step.field
+        elif rot is None or rot.j != step.j:
+            raise TimeMismatchError(f"weak residual observer did not see "
+                                    f"every step before step {step.j}")
+        t_mid = (step.j + 0.5) * k
+        m_mid = 0.5 * (step.m + step.m_next)
+        dtm = (step.m_next - step.m) / k
         m_qp = space.values_at_qp(m_mid)                     # (c, q, 3)
         gm = space.grads_at_qp(m_mid)                        # (c, dim, 3)
         gm_qp = np.broadcast_to(gm[:, None], (mesh.n_cells, space.n_qp,
@@ -245,8 +213,9 @@ def weak_residual(traj, space, coeffs, path, psi, params=None):
             Fj = _F_general(rot, space, m_qp, gm_qp, m_x_psi, g_mxpsi)
             totals[idx] += k * (params.lambda1 * t1 - params.lambda2 * t2
                                 - params.mu * t3 - params.mu * Fj)
-        rot = evolve_step(rot, path.increments[j], k)
-    return float(totals[0]) if isinstance(psi, TestField) else totals
+        rot = evolve_step(rot, path.increments[step.j], k)
+
+    return observe, totals
 
 
 def solve_phi(lambda1, lambda2, zeta, psi):

@@ -28,8 +28,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure, TimeMismatchError
 from .fem import normalize_nodal
-from .rotation import (assemble_rotated_stiffness, evolve_step,
-                       init_rotation_field)
+from .rotation import (RotationField, assemble_rotated_stiffness,
+                       evolve_step, init_rotation_field)
 
 
 @dataclass(frozen=True)
@@ -229,25 +229,45 @@ def _dirichlet_energy(space, m):
     return float(np.sum(m * (space.stiffness() @ m)))
 
 
+@dataclass(frozen=True)
+class Step:
+    """What one step of `run` saw and produced, handed to every observer.
+
+    `m` is m^j, `v` the tangent update v^j, `m_next` the renormalized
+    m^(j+1); `field` is the rotation field at t_j that assembled the step
+    (left endpoint) and `field_next` the field at t_(j+1).
+    """
+
+    j: int
+    m: np.ndarray            # (N, 3)
+    v: np.ndarray            # (N, 3)
+    m_next: np.ndarray       # (N, 3)
+    field: RotationField
+    field_next: RotationField
+
+
 @dataclass
 class Trajectory:
-    """A full scheme run: states, updates, and per-step diagnostics."""
+    """A scheme run: the final state and the per-step scalars."""
 
     params: SchemeParams
     times: np.ndarray        # (J+1,)
-    m: np.ndarray            # (J+1, N, 3)
-    v: np.ndarray            # (J, N, 3)
+    m: np.ndarray            # (N, 3), m^J
     energy: np.ndarray       # (J+1,), |grad m^j|^2
     diagnostics: list        # one dict per step (schema in run())
     m0_drift: float
 
     @property
     def J(self):
-        return len(self.v)
+        return self.params.J
 
 
-def run(m0, params, path, coeffs, space, snapshot_hook=None):
+def run(m0, params, path, coeffs, space, observers=()):
     """Run the scheme for J steps along one Wiener path.
+
+    This is the only time loop: anything that needs the nodal states or
+    the rotation field along the way is an observer, so a trajectory is
+    walked once and memory does not grow with J.
 
     Parameters
     ----------
@@ -256,8 +276,11 @@ def run(m0, params, path, coeffs, space, snapshot_hook=None):
     path : WienerPath with J = params.J and matching step k.
     coeffs : NoiseCoefficients
     space : P1Space
-    snapshot_hook : optional callable (j, m, rotation_field) invoked after
-        every accepted state, including j = 0.
+    observers : callables, each called as observer(step) once per step,
+        j = 0, ..., J-1, in the order given, with the frozen Step record of
+        that step (see Step). The arrays and fields are the loop's own and
+        later steps read them: observers must not mutate them, and may keep
+        references to them.
 
     Returns
     -------
@@ -278,52 +301,58 @@ def run(m0, params, path, coeffs, space, snapshot_hook=None):
     drift = float(np.abs(np.linalg.norm(m, axis=1) - 1.0).max())
     m = normalize_nodal(m)
 
-    K = space.stiffness()
-    lumped = space.lumped_mass_diagonal()
     field = init_rotation_field(space, coeffs)
     J, k = params.J, params.k
 
-    ms = np.empty((J + 1, space.N, 3))
-    vs = np.empty((J, space.N, 3))
     energies = np.empty(J + 1)
-    ms[0] = m
-    energies[0] = float(np.sum(m * (K @ m)))
+    energies[0] = float(np.sum(m * (space.stiffness() @ m)))
     diagnostics = []
     state = NodalState(j=0, m=m, v=None, energy=energies[0])
-    if snapshot_hook is not None:
-        snapshot_hook(0, m, field)
 
     for j in range(J):
-        frame = build_tangent_frame(state.m)
-        system = assemble_step_system(state, frame, field, params, space)
-        sol = solve_step(system, params)
-        v = sol.v
+        v, row = _update(state, field, params, space)
         state.v = v
-        F_value = float(state.m.ravel() @ (system.KZ @ v.ravel())
-                        - np.sum(state.m * (K @ v)))
-        diagnostics.append({
-            "j": j,
-            "t": j * k,
-            "energy": state.energy,
-            "v_norm_sq": float(np.sum(lumped * np.sum(v * v, axis=1))),
-            "F_value": F_value,
-            "residual": sol.residual,
-            "grad_v_sq": float(np.sum(v * (K @ v))),
-            "tangency_max": float(np.abs(np.sum(v * state.m, axis=1)).max()),
-            "unit_dev_max": float(
-                np.abs(np.linalg.norm(state.m, axis=1) - 1.0).max()),
-        })
-        vs[j] = v
-        state = advance(state, v, params, space)
-        ms[j + 1] = state.m
-        energies[j + 1] = state.energy
-        field = evolve_step(field, path.increments[j], k)
-        if snapshot_hook is not None:
-            snapshot_hook(j + 1, state.m, field)
+        diagnostics.append(row)
+        next_state = advance(state, v, params, space)
+        energies[j + 1] = next_state.energy
+        next_field = evolve_step(field, path.increments[j], k)
+        step = Step(j=j, m=state.m, v=v, m_next=next_state.m, field=field,
+                    field_next=next_field)
+        for observe in observers:
+            observe(step)
+        del step                # frees the field at t_j before the next solve
+        state, field = next_state, next_field
 
-    return Trajectory(params=params, times=k * np.arange(J + 1), m=ms, v=vs,
+    return Trajectory(params=params, times=k * np.arange(J + 1), m=state.m,
                       energy=energies, diagnostics=diagnostics,
                       m0_drift=drift)
+
+
+def _update(state, field, params, space):
+    """Solve one step from `state`: the update v and its diagnostics row.
+
+    The frame, the step system and the factorization are freed on return,
+    before the step's observers run.
+    """
+    K = space.stiffness()
+    frame = build_tangent_frame(state.m)
+    system = assemble_step_system(state, frame, field, params, space)
+    sol = solve_step(system, params)
+    v, m = sol.v, state.m
+    F_value = float(m.ravel() @ (system.KZ @ v.ravel()) - np.sum(m * (K @ v)))
+    row = {
+        "j": state.j,
+        "t": state.j * params.k,
+        "energy": state.energy,
+        "v_norm_sq": float(np.sum(space.lumped_mass_diagonal()
+                                  * np.sum(v * v, axis=1))),
+        "F_value": F_value,
+        "residual": sol.residual,
+        "grad_v_sq": float(np.sum(v * (K @ v))),
+        "tangency_max": float(np.abs(np.sum(v * m, axis=1)).max()),
+        "unit_dev_max": float(np.abs(np.linalg.norm(m, axis=1) - 1.0).max()),
+    }
+    return v, row
 
 
 def energy_inequality_gaps(traj):

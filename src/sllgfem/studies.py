@@ -15,12 +15,14 @@ for single runs); the base seed itself is recorded in the resolved
 config echo next to the report.
 
 Monte Carlo trajectories are independent streams of the base seed; the
-worker count comes from the SLLGFEM_WORKERS environment variable and the
+worker count comes from the SLLGFEM_WORKERS environment variable (a
+positive integer, capped at the sample count and the CPU count) and the
 aggregation is order-independent, so parallel and sequential runs emit
 identical reports. Refinement studies draw the finest-level path once per
 seed and coarsen it for the coarser levels (common random numbers), then
 tabulate observed convergence orders of the interpolant errors and the
-weak-form residual.
+weak-form residual. Every monitor is an observer of the one pass `run`
+makes over a trajectory.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import ConfigError, SolverFailure
 from .fem import check_offdiag_condition
-from .reconstruct import (interpolant_errors, reconstruct_M,
-                          make_test_field, weak_residual)
-from .scheme import SchemeParams, energy_inequality_gaps, run
+from .reconstruct import (interpolant_errors, make_test_field, reconstruct_M,
+                          weak_residual)
+from .scheme import energy_inequality_gaps, run
 from .vtkio import write_vtk
 from .wiener import coarsen, sample_path
 
@@ -86,12 +88,16 @@ class StudyReport:
 
 
 def _worker_count():
+    """The requested worker count; ConfigError unless a positive integer."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV} = {raw!r} is not an integer")
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ConfigError(f"{WORKERS_ENV} = {raw!r} is not a positive "
+                          f"integer")
+    return n
 
 
 def diagnostics_csv_text(traj):
@@ -105,38 +111,20 @@ def diagnostics_csv_text(traj):
     return buf.getvalue()
 
 
-def _params_for(config, J=None):
-    p = config.params
-    return p if J is None or J == p.J else SchemeParams(
-        lambda1=p.lambda1, lambda2=p.lambda2, theta=p.theta, T=p.T, J=J,
-        solver_tol=p.solver_tol)
-
-
-class _OrthMonitor:
-    """Snapshot hook tracking the worst rotation orthogonality defect."""
-
-    def __init__(self, inner=None):
-        self.max_defect = 0.0
-        self.inner = inner
-
-    def __call__(self, j, m, field):
-        self.max_defect = max(self.max_defect, field.orthogonality_defect())
-        if self.inner is not None:
-            self.inner(j, m, field)
-
-
-def _trajectory_quantities(traj, space, coeffs, path, seed):
-    """All scalar report quantities for one trajectory."""
-    p = traj.params
+def _monitored_run(m0, params, path, coeffs, space, observers=()):
+    """One trajectory with the report's monitors attached; returns it and
+    all its scalar report quantities."""
+    errs_obs, errs = interpolant_errors(space, params.k)
+    fields = [make_test_field(i, params.T) for i in range(_N_TEST_FIELDS)]
+    residual_obs, residuals = weak_residual(space, params, path, fields)
+    traj = run(m0, params, path, coeffs, space,
+               observers=(errs_obs, residual_obs, *observers))
     diag = traj.diagnostics
-    errs = interpolant_errors(traj, space)
-    fields = [make_test_field(i, p.T) for i in range(_N_TEST_FIELDS)]
-    residuals = weak_residual(traj, space, coeffs, path, fields)
     gaps = energy_inequality_gaps(traj)
     q = {
         "final_energy": traj.energy[-1],
         "sup_energy": float(traj.energy.max()),
-        "v_time_sum": p.k * float(sum(r["v_norm_sq"] for r in diag)),
+        "v_time_sum": params.k * float(sum(r["v_norm_sq"] for r in diag)),
         "max_unit_dev": max(r["unit_dev_max"] for r in diag),
         "max_tangency": max(r["tangency_max"] for r in diag),
         "max_energy_gap": float(gaps.max()),
@@ -149,7 +137,7 @@ def _trajectory_quantities(traj, space, coeffs, path, seed):
     }
     for i, val in enumerate(residuals):
         q[f"weak_residual_{i}"] = float(val)
-    return q
+    return traj, q
 
 
 def _invariant_failures(quantities, theta, offdiag_holds, seed):
@@ -182,27 +170,33 @@ def _run_stream(config, stream, snapshot_dir=None):
     m0 = config.initial_field(space)
     offdiag = check_offdiag_condition(space)
 
-    hook = _OrthMonitor()
+    orth_defects = [0.0]            # the field at j = 0 is the identity
+    observers = [lambda step: orth_defects.append(
+        step.field_next.orthogonality_defect())]
     if snapshot_dir is not None and config.snapshots > 0:
         stride, J = config.snapshots, p.J
 
         def write_snap(j, m, field):
-            if j % stride == 0 or j == J:
-                write_vtk(os.path.join(snapshot_dir, f"snap_{j:06d}.vtk"),
-                          space.mesh, m, reconstruct_M(m, field),
-                          comment=f"step {j} seed {config.seed} "
-                                  f"stream {stream}")
+            write_vtk(os.path.join(snapshot_dir, f"snap_{j:06d}.vtk"),
+                      space.mesh, m, reconstruct_M(m, field),
+                      comment=f"step {j} seed {config.seed} stream {stream}")
 
-        hook = _OrthMonitor(inner=write_snap)
+        def snapshots(step):
+            if step.j == 0:
+                write_snap(0, step.m, step.field)
+            j = step.j + 1
+            if j % stride == 0 or j == J:
+                write_snap(j, step.m_next, step.field_next)
+
+        observers.append(snapshots)
 
     try:
-        traj = run(m0, p, path, coeffs, space, snapshot_hook=hook)
+        traj, quantities = _monitored_run(m0, p, path, coeffs, space,
+                                          observers)
     except SolverFailure as e:
         raise SolverFailure(f"stream {stream} (base seed {config.seed}): "
                             f"{e}", residual=e.residual)
-    quantities = _trajectory_quantities(traj, space, coeffs, path,
-                                        config.seed)
-    quantities["max_orth_defect"] = hook.max_defect
+    quantities["max_orth_defect"] = max(orth_defects)
     quantities["offdiag_worst"] = offdiag.worst_value
     failures = _invariant_failures(quantities, p.theta, offdiag.holds,
                                    f"{config.seed}/stream{stream}")
@@ -261,9 +255,9 @@ def run_monte_carlo(config):
     """Independent seeded trajectories; sample mean and standard error of
     the headline energy quantities. Parallel execution (SLLGFEM_WORKERS)
     yields results identical to sequential."""
+    workers = min(_worker_count(), config.samples, os.cpu_count() or 1)
     _prepare_out(config)
     tasks = [(config, stream) for stream in range(config.samples)]
-    workers = _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_worker, tasks))
@@ -278,8 +272,8 @@ def run_monte_carlo(config):
         with open(os.path.join(config.out, name), "w") as fh:
             fh.write(diag_text)
     p = config.params
-    h = config.build_mesh().h
-    rows.extend(_aggregate_rows(rows, config.mode, 0, h, p.k, p.theta))
+    rows.extend(_aggregate_rows(rows, config.mode, 0, rows[0]["h"], p.k,
+                                p.theta))
     report = StudyReport(rows=rows, invariant_failures=tuple(failures))
     report.write_csv(os.path.join(config.out, "report.csv"))
     return report
@@ -307,10 +301,10 @@ def run_refinement_study(config):
         factor = 2 ** (L - 1 - lvl)
         divs = config.divisions // factor
         J = p_fine.J // factor
-        cfg_l = _level_config(config, divs)
+        cfg_l = replace(config, divisions=divs)
         space = cfg_l.build_space()
         coeffs = cfg_l.build_noise()
-        params = _params_for(cfg_l, J=J)
+        params = replace(p_fine, J=J)
         m0 = cfg_l.initial_field(space)
         level_meta.append((space.mesh.h, params.k))
         for stream in range(config.samples):
@@ -318,13 +312,11 @@ def run_refinement_study(config):
                                     p_fine.T, stream=stream)
             path = coarsen(fine_path, factor) if factor > 1 else fine_path
             try:
-                traj = run(m0, params, path, coeffs, space)
+                _, q = _monitored_run(m0, params, path, coeffs, space)
             except SolverFailure as e:
                 raise SolverFailure(
                     f"level {lvl} stream {stream} (base seed "
                     f"{config.seed}): {e}", residual=e.residual)
-            q = _trajectory_quantities(traj, space, coeffs, path,
-                                       config.seed)
             failures.extend(_invariant_failures(
                 q, params.theta, check_offdiag_condition(space).holds,
                 f"{config.seed}/stream{stream}/level{lvl}"))
@@ -355,10 +347,6 @@ def run_refinement_study(config):
     report = StudyReport(rows=rows, invariant_failures=tuple(failures))
     report.write_csv(os.path.join(config.out, "report.csv"))
     return report
-
-
-def _level_config(config, divisions):
-    return replace(config, divisions=divisions)
 
 
 def run_study(config):

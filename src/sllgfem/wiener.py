@@ -84,17 +84,3 @@ def coarsen(path, factor):
                       seed=path.seed, level=path.level + factor.bit_length() - 1,
                       increments=increments)
 
-
-def dump_csv(path, file):
-    """Write step, t, dW_1..dW_q rows with 17 significant digits."""
-    header = "step,t," + ",".join(f"dW_{i + 1}" for i in range(path.q))
-    lines = [header]
-    for j in range(path.J):
-        vals = ",".join(f"{x:.17g}" for x in path.increments[j])
-        lines.append(f"{j},{j * path.k:.17g},{vals}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(file, "write"):
-        file.write(text)
-    else:
-        with open(file, "w", encoding="ascii") as fh:
-            fh.write(text)

@@ -31,6 +31,7 @@ from sllgfem.studies import run_refinement_study
 from sllgfem.wiener import coarsen, sample_path
 
 from test_rotation import evolve_field, pair_varying, smooth_u, smooth_v
+from test_scheme import History
 
 
 def spiral_field(space, winding=1.0, tilt=0.3):
@@ -54,15 +55,18 @@ def constraint_run():
                           J=200)
     path = sample_path(2026, coeffs.q, params.J, params.T)
     m0 = spiral_field(space)
+    history = History()
     defects = []
 
-    def watch(j, m, field):
-        defects.append(field.orthogonality_defect())
+    def watch(step):
+        if step.j == 0:
+            defects.append(step.field.orthogonality_defect())
+        defects.append(step.field_next.orthogonality_defect())
 
     t0 = time.monotonic()
-    traj = run(m0, params, path, coeffs, space, snapshot_hook=watch)
+    run(m0, params, path, coeffs, space, observers=[history, watch])
     wall = time.monotonic() - t0
-    return traj, np.array(defects), wall
+    return history, np.array(defects), wall
 
 
 @pytest.fixture(scope="module")
@@ -109,15 +113,15 @@ def _level_means(report, name):
 
 
 def test_criterion_01_nodal_sphere_constraint(constraint_run):
-    traj, _, wall = constraint_run
-    dev = np.abs(np.linalg.norm(traj.m, axis=2) - 1.0).max()
+    history, _, wall = constraint_run
+    dev = np.abs(np.linalg.norm(history.m, axis=2) - 1.0).max()
     assert dev <= 1e-12, f"worst nodal |m| deviation {dev:.3e}"
     assert wall < 30.0, f"run took {wall:.1f} s, budget 30 s"
 
 
 def test_criterion_02_update_tangency(constraint_run):
-    traj, _, _ = constraint_run
-    dots = np.abs(np.einsum("jna,jna->jn", traj.v, traj.m[:-1])).max()
+    history, _, _ = constraint_run
+    dots = np.abs(np.einsum("jna,jna->jn", history.v, history.m[:-1])).max()
     assert dots <= 1e-9, f"worst nodal v.m {dots:.3e}"
 
 
@@ -158,12 +162,14 @@ def test_criterion_05_deterministic_reduction_when_noise_off():
     coeffs = make_noise("zero")
     params = SchemeParams(lambda1=1.0, lambda2=1.0, theta=1.0, T=0.5,
                           J=50)
-    runs = [run(m0, params, sample_path(seed, 1, 50, 0.5), coeffs, space)
-            for seed in (0, 1, 2)]
+    histories = [History() for _ in range(3)]
+    runs = [run(m0, params, sample_path(seed, 1, 50, 0.5), coeffs, space,
+                observers=[history])
+            for seed, history in zip((0, 1, 2), histories)]
     assert np.all(np.diff(runs[0].energy) <= 1e-12)
-    for other in runs[1:]:
-        np.testing.assert_array_equal(runs[0].m, other.m)
-        np.testing.assert_array_equal(runs[0].v, other.v)
+    for other in histories[1:]:
+        np.testing.assert_array_equal(histories[0].m, other.m)
+        np.testing.assert_array_equal(histories[0].v, other.v)
 
 
 def test_criterion_06_load_correction_oracle_agreement():

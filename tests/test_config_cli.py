@@ -304,6 +304,14 @@ def test_cli_reports_are_reproducible(tmp_path):
             == (tmp_path / "b" / "report.csv").read_bytes())
 
 
+def test_cli_bad_worker_count_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(studies.WORKERS_ENV, "three")
+    cfg = fast_single(tmp_path, extra="mode = monte-carlo\n")
+    assert main([cfg, "--samples", "2"]) == 4
+    assert "SLLGFEM_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_monte_carlo_run_count(tmp_path, capsys):
     cfg = fast_single(tmp_path, extra="mode = monte-carlo\n")
     assert main([cfg, "--samples", "3"]) == 0

@@ -5,8 +5,8 @@ import pytest
 
 from sllgfem import (Mesh, NormalizationError, P1Space, assemble_lumped_mass,
                      assemble_stiffness, build_structured_mesh,
-                     check_offdiag_condition, discrete_lp_norm,
-                     interpolate_nodal, normalize_nodal)
+                     check_offdiag_condition, interpolate_nodal,
+                     normalize_nodal)
 
 
 @pytest.fixture(scope="module")
@@ -206,26 +206,3 @@ def test_normalization_energy_decrease(space2):
         after = np.sum(w * (K @ w))
         assert after <= before + 1e-10
 
-
-def test_discrete_lp_norm_values():
-    u = np.array([[3.0, 4.0, 0.0], [1.0, 0.0, 0.0]])
-    assert discrete_lp_norm(u, np.inf, 0.5) == 5.0
-    assert discrete_lp_norm(np.zeros((4, 3)), 2, 0.1) == 0.0
-    # p = 1: h^2 * (5 + 1)
-    assert abs(discrete_lp_norm(u, 1, 0.5) - 0.25 * 6.0) < 1e-15
-
-
-def test_discrete_lp_norm_comparable_to_l2():
-    n = 8
-    mesh = build_structured_mesh(2, n)
-    u = np.tile([1.0, 0.0, 0.0], (mesh.n_vertices, 1))
-    val = discrete_lp_norm(u, 2, mesh.h, dim=2)
-    # continuous L2 norm is 1; nodal rule with h = max diameter stays within
-    # mesh-independent constant factors (observed ratio sqrt(2)*(n+1)/n)
-    ratio = val / 1.0
-    assert 0.5 <= ratio <= 2.0
-
-
-def test_discrete_lp_norm_bad_p():
-    with pytest.raises(ValueError):
-        discrete_lp_norm(np.zeros((2, 3)), 0.5, 0.1)

@@ -1,4 +1,4 @@
-"""Reconstruction, time interpolants, weak residual, and the phi solve."""
+"""Reconstruction, interpolant errors, weak residual, and the phi solve."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,14 @@ from sllgfem.errors import TimeMismatchError
 from sllgfem.fem import P1Space, interpolate_nodal, normalize_nodal
 from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import make_noise
-from sllgfem.reconstruct import (TestField, TrajectoryInterpolants,
-                                 interpolant_errors, reconstruct_M,
-                                 solve_phi, make_test_field, weak_residual)
+from sllgfem.reconstruct import (TestField, interpolant_errors,
+                                 make_test_field, reconstruct_M, solve_phi,
+                                 weak_residual)
 from sllgfem.rotation import apply_Z, init_rotation_field, evolve_step
 from sllgfem.scheme import NodalState, SchemeParams, run
 from sllgfem.wiener import sample_path
+
+from test_scheme import History
 
 
 def space8():
@@ -30,11 +32,29 @@ def spiral_m0(space):
     return normalize_nodal(interpolate_nodal(f, space))
 
 
-def short_run(space, seed=3, J=20, preset="linear-gradient"):
-    params = SchemeParams(lambda1=1.0, lambda2=1.0, theta=1.0, T=0.4, J=J)
+def short_params(J=20):
+    return SchemeParams(lambda1=1.0, lambda2=1.0, theta=1.0, T=0.4, J=J)
+
+
+def short_inputs(J=20, seed=3, preset="linear-gradient"):
+    """Params, noise and path of a short run."""
+    params = short_params(J)
     coeffs = make_noise(preset)
-    path = sample_path(seed, coeffs.q, J, params.T)
-    return run(spiral_m0(space), params, path, coeffs, space), coeffs, path
+    return params, coeffs, sample_path(seed, coeffs.q, J, params.T)
+
+
+def short_run(space, observers, J=20):
+    params, coeffs, path = short_inputs(J)
+    return run(spiral_m0(space), params, path, coeffs, space,
+               observers=observers)
+
+
+def short_run_errors(space, J=20):
+    """Interpolant errors of a short run, with its history and params."""
+    errs_obs, errs = interpolant_errors(space, short_params(J).k)
+    history = History()
+    traj = short_run(space, [errs_obs, history], J=J)
+    return errs, history, traj
 
 
 # ---------------------------------------------------------- reconstruction
@@ -97,42 +117,13 @@ def test_reconstruct_rejects_time_mismatch():
 
 # ------------------------------------------------------------ interpolants
 
-def test_interpolants_reproduce_grid_states():
-    space = space8()
-    traj, _, _ = short_run(space)
-    interp = TrajectoryInterpolants(traj)
-    for j in (0, 5, traj.J):
-        t = traj.times[j]
-        np.testing.assert_array_equal(interp.m_lin(t), traj.m[j])
-    for j in range(traj.J):
-        t = traj.times[j]
-        np.testing.assert_array_equal(interp.m_left(t), traj.m[j])
-        np.testing.assert_array_equal(interp.v_const(t), traj.v[j])
-
-
-def test_interpolants_interior_values():
-    space = space8()
-    traj, _, _ = short_run(space)
-    interp = TrajectoryInterpolants(traj)
-    k = traj.params.k
-    t = traj.times[4] + 0.25 * k
-    expected = 0.75 * traj.m[4] + 0.25 * traj.m[5]
-    np.testing.assert_allclose(interp.m_lin(t), expected, atol=1e-15)
-    np.testing.assert_array_equal(interp.m_left(t), traj.m[4])
-    np.testing.assert_array_equal(interp.v_const(t), traj.v[4])
-    with pytest.raises(ValueError):
-        interp.m_lin(-0.1)
-    with pytest.raises(ValueError):
-        interp.m_lin(traj.times[-1] + 1e-9)
-
-
 def test_interpolant_errors_vanish_for_stationary_run():
     space = space8()
     m0 = np.tile([0.0, 1.0, 0.0], (space.N, 1))
     params = SchemeParams(lambda1=1.0, lambda2=1.0, theta=1.0, T=0.5, J=10)
-    traj = run(m0, params, sample_path(0, 1, 10, 0.5), make_noise("zero"),
-               space)
-    errs = interpolant_errors(TrajectoryInterpolants(traj), space)
+    errs_obs, errs = interpolant_errors(space, params.k)
+    run(m0, params, sample_path(0, 1, 10, 0.5), make_noise("zero"), space,
+        observers=[errs_obs])
     assert errs["m_minus_mleft_sq"] == 0.0
     assert errs["unit_defect_sq"] == 0.0
     assert errs["v_minus_dtm_l1"] == 0.0
@@ -142,25 +133,23 @@ def test_m_gap_matches_quadrature_oracle():
     # the closed form (k/3) sum |m^{j+1} - m^j|^2 must equal per-interval
     # 2-point Gauss quadrature of the quadratic integrand
     space = space8()
-    traj, _, _ = short_run(space)
-    interp = TrajectoryInterpolants(traj)
-    errs = interpolant_errors(interp, space)
+    errs, history, traj = short_run_errors(space)
+    m = history.m
     k = traj.params.k
     nodes = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
     oracle = 0.0
     for j in range(traj.J):
-        t0 = traj.times[j]
         for a in nodes:
-            diff = interp.m_lin(t0 + a * k) - interp.m_left(t0 + a * k)
+            # linear minus left-constant interpolant at t_j + a k
+            diff = (1.0 - a) * m[j] + a * m[j + 1] - m[j]
             oracle += 0.5 * k * space.l2_norm_sq(diff)
     assert errs["m_minus_mleft_sq"] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_unit_defect_matches_dense_time_sampling():
     space = space8()
-    traj, _, _ = short_run(space, J=10)
-    interp = TrajectoryInterpolants(traj)
-    errs = interpolant_errors(interp, space)
+    errs, history, traj = short_run_errors(space, J=10)
+    m = history.m
     k = traj.params.k
     ts = np.linspace(0, 1, 401)             # composite Simpson per interval
     wts = np.ones(401)
@@ -168,10 +157,9 @@ def test_unit_defect_matches_dense_time_sampling():
     wts /= wts.sum() / 1.0
     oracle = 0.0
     for j in range(traj.J):
-        t0 = traj.times[j]
         for a, wgt in zip(ts, wts):
-            m = interp.m_lin(min(t0 + a * k, traj.times[-1]))
-            norms = np.linalg.norm(space.values_at_qp(m), axis=-1)
+            m_lin = (1.0 - a) * m[j] + a * m[j + 1]
+            norms = np.linalg.norm(space.values_at_qp(m_lin), axis=-1)
             oracle += k * wgt * space.integrate((norms - 1.0) ** 2)
     # 3-point Gauss is not exact here (the integrand has a square root);
     # its defect is a few 1e-4 relative, far below the measure's own size
@@ -180,10 +168,10 @@ def test_unit_defect_matches_dense_time_sampling():
 
 def test_v_dtm_gap_matches_direct_sum():
     space = space8()
-    traj, _, _ = short_run(space)
-    errs = interpolant_errors(TrajectoryInterpolants(traj), space)
+    errs, history, traj = short_run_errors(space)
+    m, v = history.m, history.v
     k = traj.params.k
-    oracle = sum(k * space.l1_norm(traj.v[j] - (traj.m[j + 1] - traj.m[j]) / k)
+    oracle = sum(k * space.l1_norm(v[j] - (m[j + 1] - m[j]) / k)
                  for j in range(traj.J))
     assert errs["v_minus_dtm_l1"] == pytest.approx(oracle, rel=1e-14)
 
@@ -222,38 +210,60 @@ def test_weak_residual_zero_for_stationary_state():
     m0 = np.tile([0.0, 0.0, 1.0], (space.N, 1))
     params = SchemeParams(lambda1=1.0, lambda2=1.0, theta=1.0, T=1.0, J=20)
     path = sample_path(0, 1, 20, 1.0)
-    traj = run(m0, params, path, make_noise("zero"), space)
     psi = make_test_field(0, T=1.0)
-    assert weak_residual(traj, space, make_noise("zero"), path, psi) == 0.0
+    observe, residual = weak_residual(space, params, path, psi)
+    run(m0, params, path, make_noise("zero"), space, observers=[observe])
+    assert residual[0] == 0.0
 
 
 def test_weak_residual_is_linear_in_psi():
     space = space8()
-    traj, coeffs, path = short_run(space, J=25)
-    f = make_test_field(0, T=traj.params.T)
+    params, _, path = short_inputs(J=25)
+    f = make_test_field(0, T=params.T)
     neg = TestField(t0=f.t0, t1=f.t1, f1=f.f1, f2=f.f2,
                     amps=tuple(-a for a in f.amps))
-    r = weak_residual(traj, space, coeffs, path, f)
-    r_neg = weak_residual(traj, space, coeffs, path, neg)
-    assert r != 0.0
-    assert r_neg == -r
+    obs, r = weak_residual(space, params, path, f)
+    obs_neg, r_neg = weak_residual(space, params, path, neg)
+    short_run(space, [obs, obs_neg], J=25)
+    assert r[0] != 0.0
+    assert r_neg[0] == -r[0]
 
 
 def test_weak_residual_batch_matches_singles():
     space = space8()
-    traj, coeffs, path = short_run(space, J=25)
-    fields = [make_test_field(i, T=traj.params.T) for i in range(3)]
-    batch = weak_residual(traj, space, coeffs, path, fields)
-    singles = [weak_residual(traj, space, coeffs, path, f) for f in fields]
-    np.testing.assert_array_equal(batch, singles)
+    params, _, path = short_inputs(J=25)
+    fields = [make_test_field(i, T=params.T) for i in range(3)]
+    batch_obs, batch = weak_residual(space, params, path, fields)
+    singles = [weak_residual(space, params, path, f) for f in fields]
+    short_run(space, [batch_obs, *(obs for obs, _ in singles)], J=25)
+    np.testing.assert_array_equal(batch, [r[0] for _, r in singles])
+
+
+def test_weak_residual_replays_in_lockstep():
+    # the replayed rotation field must stay at the step's own index
+    space = space8()
+    params, _, path = short_inputs(J=12)
+    fields = [make_test_field(i, T=params.T) for i in range(3)]
+    observe, totals = weak_residual(space, params, path, fields)
+    seen = []
+
+    def check(step):
+        seen.append(step.j)
+        observe(step)
+
+    short_run(space, [check], J=12)
+    assert seen == list(range(12)) and np.all(totals != 0.0)
+    observe, _ = weak_residual(space, params, path, fields)
+    with pytest.raises(TimeMismatchError):
+        short_run(space, [lambda step: step.j > 0 and observe(step)], J=12)
 
 
 def test_weak_residual_warns_on_boundary_support():
     space = space8()
-    traj, coeffs, path = short_run(space, J=10)
+    params, _, path = short_inputs(J=10)
     f = TestField(t0=0.0, t1=0.3, f1=1.0, f2=1.0, amps=(1.0, 0.0, 0.0))
     with pytest.warns(UserWarning, match="boundary"):
-        weak_residual(traj, space, coeffs, path, f)
+        weak_residual(space, params, path, f)
 
 
 # ---------------------------------------------------------------- solve_phi

@@ -1,5 +1,7 @@
 """Tangent-plane theta scheme: frames, assembly, solving, stepping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -37,6 +39,27 @@ def default_params(**kw):
     base = dict(lambda1=1.0, lambda2=1.0, theta=1.0, T=0.5, J=25)
     base.update(kw)
     return SchemeParams(**base)
+
+
+class History:
+    """Observer keeping every state m^0..m^J and update v^0..v^(J-1)."""
+
+    def __init__(self):
+        self.states, self.updates = [], []
+
+    def __call__(self, step):
+        if step.j == 0:
+            self.states.append(step.m)
+        self.states.append(step.m_next)
+        self.updates.append(step.v)
+
+    @property
+    def m(self):
+        return np.array(self.states)
+
+    @property
+    def v(self):
+        return np.array(self.updates)
 
 
 # ----------------------------------------------------------- parameters
@@ -324,21 +347,25 @@ def test_zero_noise_energy_monotone_and_seed_independent():
     m0 = spiral_m0(space)
     params = default_params(J=30)
     coeffs = make_noise("zero")
-    t1 = run(m0, params, sample_path(0, 1, 30, 0.5), coeffs, space)
-    t2 = run(m0, params, sample_path(99, 1, 30, 0.5), coeffs, space)
+    h1, h2 = History(), History()
+    t1 = run(m0, params, sample_path(0, 1, 30, 0.5), coeffs, space,
+             observers=[h1])
+    run(m0, params, sample_path(99, 1, 30, 0.5), coeffs, space,
+        observers=[h2])
     assert np.all(np.diff(t1.energy) <= 1e-12)
-    np.testing.assert_array_equal(t1.m, t2.m)
-    np.testing.assert_array_equal(t1.v, t2.v)
+    np.testing.assert_array_equal(h1.m, h2.m)
+    np.testing.assert_array_equal(h1.v, h2.v)
 
 
 def test_uniform_state_is_a_fixed_point():
     space = space8()
     m0 = np.tile([1.0, 0.0, 0.0], (space.N, 1))
     params = default_params(J=10)
+    history = History()
     traj = run(m0, params, sample_path(1, 1, 10, 0.5), make_noise("zero"),
-               space)
-    assert np.all(traj.v == 0.0)
-    np.testing.assert_array_equal(traj.m[-1], m0)
+               space, observers=[history])
+    assert np.all(history.v == 0.0)
+    np.testing.assert_array_equal(traj.m, m0)
     assert traj.energy[-1] == 0.0
 
 
@@ -347,8 +374,10 @@ def test_unit_norms_and_tangency_along_stochastic_run():
     m0 = spiral_m0(space)
     params = default_params(J=40)
     coeffs = make_noise("linear-gradient")
-    traj = run(m0, params, sample_path(3, 1, 40, 0.5), coeffs, space)
-    norms = np.linalg.norm(traj.m, axis=2)
+    history = History()
+    traj = run(m0, params, sample_path(3, 1, 40, 0.5), coeffs, space,
+               observers=[history])
+    norms = np.linalg.norm(history.m, axis=2)
     assert np.abs(norms - 1.0).max() <= 1e-12
     assert max(r["tangency_max"] for r in traj.diagnostics) <= 1e-12
     assert max(r["residual"] for r in traj.diagnostics) <= params.solver_tol
@@ -372,22 +401,56 @@ def test_constant_g_run_reduces_to_deterministic():
     space = space8()
     m0 = spiral_m0(space)
     params = default_params(J=30)
-    noisy = run(m0, params, sample_path(5, 2, 30, 0.5),
-                make_noise("pair-noncommuting", amplitude=1.0), space)
-    quiet = run(m0, params, sample_path(5, 1, 30, 0.5), make_noise("zero"),
-                space)
+    noisy, quiet = History(), History()
+    run(m0, params, sample_path(5, 2, 30, 0.5),
+        make_noise("pair-noncommuting", amplitude=1.0), space,
+        observers=[noisy])
+    run(m0, params, sample_path(5, 1, 30, 0.5), make_noise("zero"), space,
+        observers=[quiet])
     np.testing.assert_allclose(noisy.m, quiet.m, atol=1e-8)
 
 
-def test_snapshot_hook_sees_every_state():
+def test_observers_see_every_step_in_order():
     space = space8()
     m0 = spiral_m0(space)
     params = default_params(J=12)
-    seen = []
-    run(m0, params, sample_path(2, 1, 12, 0.5), make_noise("zero"), space,
-        snapshot_hook=lambda j, m, field: seen.append((j, field.j)))
-    assert [s[0] for s in seen] == list(range(13))
-    assert [s[1] for s in seen] == list(range(13))
+    seen, also_seen = [], []
+    traj = run(m0, params, sample_path(2, 1, 12, 0.5),
+               make_noise("linear-gradient"), space,
+               observers=[seen.append, also_seen.append])
+    assert [step.j for step in seen] == list(range(12))
+    assert also_seen == seen
+    for j, step in enumerate(seen):
+        assert step.field.j == j
+        assert step.field_next.j == j + 1
+        if j + 1 < len(seen):
+            assert seen[j + 1].m is step.m_next
+            assert seen[j + 1].field is step.field_next
+    assert seen[-1].m_next is traj.m
+
+
+def test_memory_does_not_grow_with_steps():
+    # no observers: only O(J) scalars may accumulate, far less than a nodal
+    # field per step
+    space = P1Space(build_structured_mesh(2, 16))
+    m0 = spiral_m0(space)
+    coeffs = make_noise("linear-gradient")
+
+    def peak_bytes(J):
+        params = default_params(T=0.01 * J, J=J)
+        path = sample_path(1, coeffs.q, J, params.T)
+        tracemalloc.start()
+        try:
+            run(m0, params, path, coeffs, space)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(2)                   # caches and first-touch allocations
+    growth = (peak_bytes(128) - peak_bytes(16)) / (128 - 16)
+    half_field = space.N * 3 * 8 / 2
+    assert growth < half_field, (f"peak grows {growth:.0f} B per step "
+                                 f"(N = {space.N})")
 
 
 def test_run_rejects_mismatched_path():
@@ -406,7 +469,8 @@ def test_initial_drift_recorded_and_repaired():
     space = space8()
     m0 = spiral_m0(space) * 1.001
     params = default_params(J=5)
+    history = History()
     traj = run(m0, params, sample_path(0, 1, 5, 0.5), make_noise("zero"),
-               space)
+               space, observers=[history])
     assert traj.m0_drift == pytest.approx(1e-3, rel=1e-6)
-    assert np.abs(np.linalg.norm(traj.m[0], axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(np.linalg.norm(history.m[0], axis=1) - 1.0).max() <= 1e-12

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from sllgfem import load_config, studies
+from sllgfem import ConfigError, load_config, studies
 from sllgfem.studies import (WORKERS_ENV, run_monte_carlo,
                              run_refinement_study, run_single, run_study)
 
@@ -100,11 +100,47 @@ def test_parallel_matches_sequential(tmp_path, monkeypatch):
 
 
 def test_worker_count_env_validation(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "three")
-    with pytest.raises(ValueError, match=WORKERS_ENV):
-        studies._worker_count()
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    assert studies._worker_count() == 1
+    for bad in ("three", "0", "-5", "1.5", ""):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(ConfigError, match=WORKERS_ENV):
+            studies._worker_count()
+    monkeypatch.setenv(WORKERS_ENV, "3")
+    assert studies._worker_count() == 3
+
+
+def test_bad_worker_count_fails_before_writing(tmp_path, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "-5")
+    cfg = mc_config(tmp_path, "bad")
+    with pytest.raises(ConfigError):
+        run_monte_carlo(cfg)
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2), (None, None)])
+def test_pool_size_is_clamped(tmp_path, monkeypatch, cpus, expected):
+    # a stand-in pool that records its size and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(studies, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv(WORKERS_ENV, "64")
+    report = run_monte_carlo(mc_config(tmp_path, "clamp", samples=3))
+    # no CPU count known: one worker, so no pool at all
+    assert sizes == ([] if expected is None else [expected])
+    assert report.values("sup_energy", kind="run").size == 3
 
 
 def test_refinement_order_rows_match_level_means(refine_report):

@@ -1,12 +1,10 @@
 """Seeded Wiener-path sampling, coarsening, and distributional sanity."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy import stats
 
-from sllgfem.wiener import WienerPath, coarsen, dump_csv, sample_path
+from sllgfem.wiener import WienerPath, coarsen, sample_path
 
 
 def test_same_seed_is_bit_identical():
@@ -137,16 +135,3 @@ def test_increments_are_read_only():
     with pytest.raises(ValueError):
         p.increments[0, 0] = 1.0
 
-
-def test_dump_csv_round_trips_at_full_precision():
-    p = sample_path(6, q=2, J=5, T=1.0)
-    buf = io.StringIO()
-    dump_csv(p, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "step,t,dW_1,dW_2"
-    assert len(lines) == 6
-    row = lines[3].split(",")
-    assert int(row[0]) == 2
-    assert float(row[1]) == 2 * p.k
-    assert float(row[2]) == p.increments[2, 0]
-    assert float(row[3]) == p.increments[2, 1]
