@@ -76,7 +76,7 @@ class P1Space:
 
         self._stiffness = None
         self._lumped = None
-        self._vec_scatter = None
+        self._pair_pattern = None
 
     # cached assemblies ---------------------------------------------------
 
@@ -90,20 +90,31 @@ class P1Space:
             self._lumped = assemble_lumped_mass(self).diagonal()
         return self._lumped
 
-    def vector_block_indices(self):
-        """Row/col index arrays for scattering (3x3-blocked) cell matrices.
+    def cell_pair_pattern(self):
+        """CSR pattern of the node pairs that share a cell, and the matrix
+        that sums per-cell node-pair entries onto it.
 
-        Returns (rows, cols) each of shape (n_cells, 3(d+1), 3(d+1)) where the
-        local degree of freedom (l, b) maps to global index 3*cells[c,l] + b.
+        Returns (indptr, indices, scatter). The pattern has sorted column
+        indices. `scatter` is a 0/1 CSR matrix of shape (nnz, n_cells *
+        (d+1)**2): row s picks the local node pairs (cells[c,l],
+        cells[c,m]), flattened c-major, that fall on pattern slot s, so
+        scatter @ x sums per-pair entries x of shape (n_cells * (d+1)**2,
+        k) onto the pattern.
         """
-        if self._vec_scatter is None:
-            d1 = self.mesh.dim + 1
-            gdof = (3 * self.mesh.cells[:, :, None]
-                    + np.arange(3)[None, None, :]).reshape(-1, 3 * d1)
-            rows = np.repeat(gdof[:, :, None], 3 * d1, axis=2)
-            cols = np.transpose(rows, (0, 2, 1))
-            self._vec_scatter = (rows, cols)
-        return self._vec_scatter
+        if self._pair_pattern is None:
+            cells = self.mesh.cells.astype(np.int64)
+            keys = (cells[:, :, None] * self.N + cells[:, None, :]).ravel()
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            rows, indices = np.divmod(keys[starts], self.N)
+            indptr = np.zeros(self.N + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.N), out=indptr[1:])
+            scatter = sp.csr_matrix(
+                (np.ones(len(keys)), order, np.append(starts, len(keys))),
+                shape=(len(starts), len(keys)))
+            self._pair_pattern = (indptr, indices, scatter)
+        return self._pair_pattern
 
     # pointwise sampling ---------------------------------------------------
 

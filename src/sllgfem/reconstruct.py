@@ -67,9 +67,11 @@ def interpolant_errors(space, k):
     def observe(step):
         diff = step.m_next - step.m
         errors["m_minus_mleft_sq"] += (k / 3.0) * space.l2_norm_sq(diff)
+        m_qp = space.values_at_qp(step.m)
+        m_next_qp = space.values_at_qp(step.m_next)
         for a, wgt in zip(_GAUSS_A, _GAUSS_W):
-            sample = (1.0 - a) * step.m + a * step.m_next
-            norms = np.linalg.norm(space.values_at_qp(sample), axis=-1)
+            sample = (1.0 - a) * m_qp + a * m_next_qp
+            norms = np.linalg.norm(sample, axis=-1)
             errors["unit_defect_sq"] += (k * wgt
                                          * space.integrate((norms - 1.0) ** 2))
         errors["v_minus_dtm_l1"] += k * space.l1_norm(step.v - diff / k)
@@ -140,14 +142,19 @@ def make_test_field(index, T):
                      amps=amp_cycle[index % len(amp_cycle)])
 
 
-def _F_general(field, space, u_qp, gu_qp, v_qp, gv_qp):
+def _grad_Z(field, u_qp, gu_qp):
+    """grad(Z u) at the quadrature points, shape (n_cells, n_qp, dim, 3),
+    from the values u_qp and gradients gu_qp (n_cells, n_qp, dim, 3) of u
+    there."""
+    return (np.einsum("cqdab,cqb->cqda", field.xi_quad, u_qp)
+            + np.einsum("cqab,cqdb->cqda", field.Z_quad, gu_qp))
+
+
+def _F_general(field, space, gZu, gu_qp, v_qp, gv_qp):
     """Quadrature F for fields given by values and gradients at the
-    quadrature points; gu_qp/gv_qp have shape (n_cells, n_qp, dim, 3)."""
-    Zq, xiq = field.Z_quad, field.xi_quad
-    gZu = (np.einsum("cqdab,cqb->cqda", xiq, u_qp)
-           + np.einsum("cqab,cqdb->cqda", Zq, gu_qp))
-    gZv = (np.einsum("cqdab,cqb->cqda", xiq, v_qp)
-           + np.einsum("cqab,cqdb->cqda", Zq, gv_qp))
+    quadrature points; gZu = _grad_Z(field, u_qp, gu_qp) is passed in, so
+    a caller pairing one u with several v computes it once."""
+    gZv = _grad_Z(field, v_qp, gv_qp)
     w = space.quad_weights
     twisted = np.einsum("cq,cqda,cqda->", w, gZu, gZv)
     plain = np.einsum("cq,cqda,cqda->", w, gu_qp, gv_qp)
@@ -195,6 +202,7 @@ def weak_residual(space, params, path, psi):
         dtm_qp = space.values_at_qp(dtm)
         m_x_dtm = np.cross(m_qp, dtm_qp)
         w = space.quad_weights
+        gZm = None
         for idx, f in enumerate(fields):
             b = f.time_profile(t_mid)
             if b == 0.0:
@@ -210,7 +218,9 @@ def weak_residual(space, params, path, psi):
             t1 = np.einsum("cq,cqa,cqa->", w, m_x_dtm, m_x_psi)
             t2 = np.einsum("cq,cqa,cqa->", w, dtm_qp, m_x_psi)
             t3 = np.einsum("cq,cqda,cqda->", w, gm_qp, g_mxpsi)
-            Fj = _F_general(rot, space, m_qp, gm_qp, m_x_psi, g_mxpsi)
+            if gZm is None:         # grad(Z m_mid) serves every test field
+                gZm = _grad_Z(rot, m_qp, gm_qp)
+            Fj = _F_general(rot, space, gZm, gm_qp, m_x_psi, g_mxpsi)
             totals[idx] += k * (params.lambda1 * t1 - params.lambda2 * t2
                                 - params.mu * t3 - params.mu * Fj)
         rot = evolve_step(rot, path.increments[step.j], k)

@@ -11,7 +11,12 @@ The gradient field xi = grad Z is direction-indexed (one 3x3 matrix per
 spatial direction) and follows the linear Ito equation
 dxi = 1/2 sum_i (G_i^2 xi + H_i Z) dt + sum_i (G_i xi + I_i Z) dW_i,
 advanced by Euler-Maruyama with Z frozen at the left endpoint. Here
-I_i u = u x dg_i/dx_d per direction d, and H_i combines I_i with G_i.
+I_i u = u x dg_i/dx_d per direction d, and H_i = I_i G_i + G_i I_i. A step
+sums over the noise index before it touches xi: with
+M = 1/2 k sum_i G_i^2 + sum_i dW_i G_i and N_d = 1/2 k sum_i H_i
++ sum_i dW_i I_i, it is xi_d <- xi_d + M xi_d + N_d Z, two stacked 3x3
+matrix products per point. The drift sums are fixed by the noise
+coefficients, so they are formed once per field.
 
 F(t, u, v) = <grad(Z u), grad(Z v)> - <grad u, grad v> is the stochastic
 correction that appears as an extra load in the scheme. Two routes compute
@@ -139,24 +144,31 @@ class RotationField:
 
     def orthogonality_defect(self):
         """max over points of ||Z^T Z - I||_F."""
-        G = np.einsum("pba,pbc->pac", self.Z, self.Z)
-        G = G - np.eye(3)
+        G = np.swapaxes(self.Z, 1, 2) @ self.Z - np.eye(3)
         return float(np.sqrt(np.sum(G * G, axis=(1, 2))).max())
 
 
 def _coefficient_cache(space, coeffs):
+    """Noise coefficients at every evaluation point, in the form the steps
+    use.
+
+    "g" (q, P, 3) holds the vectors g_i and "dg" (q, P, dim, 3) their
+    derivatives dg_i/dx_d; a step contracts them with its increments and
+    builds sum_i dW_i G_i and sum_i dW_i I_i from the results. The drift
+    of xi does not depend on the increments, so only its sums over the
+    noise index are kept: "G2" (P, 3, 3) is sum_i G_i^2 and "H" (P, dim,
+    3, 3) is sum_i H_i, with H_i = I_i G_i + G_i I_i per direction.
+    """
     dim = space.mesh.dim
     points = np.vstack([space.quad_points.reshape(-1, dim),
                         space.mesh.vertices])
     g = coeffs.g_at(points)                        # (q, P, 3)
-    jac = coeffs.jac_at(points)                    # (q, P, 3, dim)
-    A = -cross_matrix(g)                           # matrix of u -> u x g
-    A2 = A @ A
-    Ii = -cross_matrix(np.moveaxis(jac, -1, 2))    # (q, P, dim, 3, 3)
-    Hi = Ii @ A[:, :, None] + A[:, :, None] @ Ii
-    Bi = 0.5 * (Ii @ A[:, :, None] - A[:, :, None] @ Ii)
-    return {"points": points, "g": g, "A": A, "A2": A2,
-            "Ii": Ii, "Hi": Hi, "Bi": Bi}
+    dg = np.moveaxis(coeffs.jac_at(points), -1, 2)  # (q, P, dim, 3)
+    G = -cross_matrix(g)                           # matrix of u -> u x g
+    Ii = -cross_matrix(dg)                         # (q, P, dim, 3, 3)
+    G2 = np.sum(G @ G, axis=0)
+    H = np.sum(Ii @ G[:, :, None] + G[:, :, None] @ Ii, axis=0)
+    return {"points": points, "g": g, "dg": dg, "G2": G2, "H": H}
 
 
 def init_rotation_field(space, coeffs):
@@ -193,11 +205,12 @@ def evolve_step(field, dW, k):
     a = np.einsum("i,ipa->pa", dW, c["g"])
     Z1 = rodrigues_exp(-a) @ field.Z
 
-    drift = 0.5 * k * (np.einsum("ipab,pdbc->pdac", c["A2"], field.xi)
-                       + np.einsum("ipdab,pbc->pdac", c["Hi"], field.Z))
-    noise = (np.einsum("i,ipab,pdbc->pdac", dW, c["A"], field.xi)
-             + np.einsum("i,ipdab,pbc->pdac", dW, c["Ii"], field.Z))
-    xi1 = field.xi + drift + noise
+    # G u = u x g = -g x u, so sum_i dW_i G_i = C(-a), likewise for I_i
+    M = 0.5 * k * c["G2"] + cross_matrix(-a)
+    N = 0.5 * k * c["H"] + cross_matrix(-np.tensordot(dW, c["dg"], 1))
+    xi1 = M[:, None] @ field.xi
+    xi1 += N @ field.Z[:, None]
+    xi1 += field.xi
     return RotationField(field.space, field.coeffs, field.j + 1, Z1, xi1, c)
 
 
@@ -252,25 +265,36 @@ def compute_F_identity(field, u, v, K=None):
 def assemble_rotated_stiffness(field):
     """Gram matrix of u -> grad(Z u) on vector P1 fields.
 
-    Returns a (3N, 3N) CSR matrix KZ with u^T KZ v equal to the quadrature
+    Returns a (3N, 3N) BSR matrix KZ, in 3x3 node blocks over the pattern
+    of node pairs that share a cell, with u^T KZ v equal to the quadrature
     value of <grad(Z u), grad(Z v)>; KZ minus the plain vector stiffness is
     the matrix of F(t_j, ., .) restricted to P1 fields.
     """
     space = field.space
     mesh = space.mesh
-    # T[c,q,d,a,l,b]: contribution of nodal dof (l,b) to grad_d(Z u)_a at qp
-    gphi_dl = np.transpose(space.grad_phi, (0, 2, 1))   # (c, dim, d1)
-    T = (space.phi_qp[None, :, None, None, :, None]
-         * field.xi_quad[:, :, :, :, None, :]
-         + gphi_dl[:, None, :, None, :, None]
-         * field.Z_quad[:, :, None, :, None, :])
-    local = np.einsum("cq,cqdalb,cqdame->clbme", space.quad_weights, T, T)
     d1 = mesh.dim + 1
-    local = local.reshape(mesh.n_cells, 3 * d1, 3 * d1)
-    rows, cols = space.vector_block_indices()
-    KZ = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                       shape=(3 * space.N, 3 * space.N))
-    return KZ.tocsr()
+    # T[l,c,q,d,a,b]: contribution of nodal dof (l,b) to grad_d(Z u)_a at
+    # qp; the local node index goes first so each T[l] is filled contiguously
+    T = np.empty((d1,) + field.xi_quad.shape)
+    for l in range(d1):
+        np.multiply(space.phi_qp[None, :, l, None, None, None],
+                    field.xi_quad, out=T[l])
+        T[l] += (space.grad_phi[:, None, l, :, None, None]
+                 * field.Z_quad[:, :, None])
+    wT = space.quad_weights[None, :, :, None, None, None] * T
+    T = T.reshape(d1, mesh.n_cells, -1, 3)
+    wT = wT.reshape(T.shape)
+    # cell Gram matrices in 3x3 node-pair blocks (c, l, m, b, e); the
+    # blocks below the diagonal are the transposes of those above it
+    blocks = np.empty((mesh.n_cells, d1, d1, 3, 3))
+    for l in range(d1):
+        for m in range(l, d1):
+            blocks[:, l, m] = np.swapaxes(T[l], 1, 2) @ wT[m]
+            blocks[:, m, l] = np.swapaxes(blocks[:, l, m], 1, 2)
+    indptr, indices, scatter = space.cell_pair_pattern()
+    data = (scatter @ blocks.reshape(-1, 9)).reshape(-1, 3, 3)
+    return sp.bsr_matrix((data, indices, indptr),
+                         shape=(3 * space.N, 3 * space.N))
 
 
 def compute_F_direct(path, coeffs, u, v, j_end, space):
@@ -294,9 +318,11 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
     v_qp, gv = space.values_at_qp(v), space.grads_at_qp(v)
     c = field._cache
     nq = field.n_quad
-    ncells, n_qp = space.mesh.n_cells, space.n_qp
-    Ii = c["Ii"][:, :nq].reshape(coeffs.q, ncells, n_qp, space.mesh.dim, 3, 3)
-    Bi = c["Bi"][:, :nq].reshape(coeffs.q, ncells, n_qp, space.mesh.dim, 3, 3)
+    shape = (coeffs.q, space.mesh.n_cells, space.n_qp, space.mesh.dim, 3, 3)
+    G = -cross_matrix(c["g"][:, :nq])[:, :, None]
+    Ii = -cross_matrix(c["dg"][:, :nq])
+    Bi = (0.5 * (Ii @ G - G @ Ii)).reshape(shape)
+    Ii = Ii.reshape(shape)
 
     acc = 0.0
     for s in range(j_end):

@@ -109,12 +109,11 @@ def build_tangent_frame(m):
 
 @dataclass
 class NodalState:
-    """Magnetization nodal vectors at step j, with the tangent update and
-    the Dirichlet energy |grad m|^2 recorded."""
+    """Magnetization nodal vectors at step j, with the Dirichlet energy
+    |grad m|^2 recorded."""
 
     j: int
     m: np.ndarray
-    v: np.ndarray | None
     energy: float
 
 
@@ -125,7 +124,7 @@ class StepSystem:
     matrix: sp.csc_matrix    # (2N, 2N), node-major 2x2 blocks
     rhs: np.ndarray          # (2N,)
     frame: TangentFrame
-    KZ: sp.csr_matrix        # rotation-twisted vector stiffness (3N, 3N)
+    KZ: sp.bsr_matrix        # rotation-twisted vector stiffness (3N, 3N)
 
 
 def assemble_step_system(state, frame, field, params, space):
@@ -222,7 +221,7 @@ def advance(state, v, params, space=None):
     """
     m_next = normalize_nodal(state.m + params.k * np.asarray(v))
     energy = _dirichlet_energy(space, m_next) if space is not None else np.nan
-    return NodalState(j=state.j + 1, m=m_next, v=None, energy=energy)
+    return NodalState(j=state.j + 1, m=m_next, energy=energy)
 
 
 def _dirichlet_energy(space, m):
@@ -307,11 +306,10 @@ def run(m0, params, path, coeffs, space, observers=()):
     energies = np.empty(J + 1)
     energies[0] = float(np.sum(m * (space.stiffness() @ m)))
     diagnostics = []
-    state = NodalState(j=0, m=m, v=None, energy=energies[0])
+    state = NodalState(j=0, m=m, energy=energies[0])
 
     for j in range(J):
         v, row = _update(state, field, params, space)
-        state.v = v
         diagnostics.append(row)
         next_state = advance(state, v, params, space)
         energies[j + 1] = next_state.energy

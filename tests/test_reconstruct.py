@@ -110,7 +110,7 @@ def test_reconstruct_round_trip():
 def test_reconstruct_rejects_time_mismatch():
     space = space8()
     field = init_rotation_field(space, make_noise("zero"))
-    state = NodalState(j=2, m=spiral_m0(space), v=None, energy=np.nan)
+    state = NodalState(j=2, m=spiral_m0(space), energy=np.nan)
     with pytest.raises(TimeMismatchError):
         reconstruct_M(state, field)
 

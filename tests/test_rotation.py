@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from sllgfem.fem import P1Space, interpolate_nodal
@@ -236,6 +237,37 @@ def test_evolve_step_rejects_bad_increments():
         evolve_step(field, np.array([0.1, 0.2]), 0.0)
 
 
+@pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])
+def test_evolve_step_matches_per_component_update(dim, divisions):
+    # reference: the step written out per noise component i, with the
+    # drift and noise matrices contracted against xi and Z one i at a time
+    space = P1Space(build_structured_mesh(dim, divisions))
+    coeffs = pair_varying()
+    path = sample_path(31, 2, 6, 0.3)
+    points = np.vstack([space.quad_points.reshape(-1, dim),
+                        space.mesh.vertices])
+    g = coeffs.g_at(points)
+    A = -cross_matrix(g)
+    Ii = -cross_matrix(np.moveaxis(coeffs.jac_at(points), -1, 2))
+    A2 = A @ A
+    Hi = Ii @ A[:, :, None] + A[:, :, None] @ Ii
+    Z = np.tile(np.eye(3), (len(points), 1, 1))
+    xi = np.zeros((len(points), dim, 3, 3))
+    field = init_rotation_field(space, coeffs)
+    k = path.k
+    for dW in path.increments:
+        drift = 0.5 * k * (np.einsum("ipab,pdbc->pdac", A2, xi)
+                           + np.einsum("ipdab,pbc->pdac", Hi, Z))
+        noise = (np.einsum("i,ipab,pdbc->pdac", dW, A, xi)
+                 + np.einsum("i,ipdab,pbc->pdac", dW, Ii, Z))
+        a = np.einsum("i,ipa->pa", dW, g)
+        Z, xi = rodrigues_exp(-a) @ Z, xi + drift + noise
+        field = evolve_step(field, dW, k)
+        assert np.abs(field.Z - Z).max() <= 1e-12 * np.abs(Z).max()
+        assert np.abs(field.xi - xi).max() <= 1e-12 * np.abs(xi).max()
+    assert np.abs(xi).max() > 0.1
+
+
 # ---------------------------------------------------------- applications
 
 def test_apply_Z_isometry_and_inverse():
@@ -400,6 +432,33 @@ def test_rotated_stiffness_matches_F_identity():
     F_matrix = via_matrix - float(np.sum(u * (K @ v)))
     assert F_matrix == pytest.approx(compute_F_identity(field, u, v, K),
                                      abs=1e-11)
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])
+def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions):
+    # reference: cell matrices by one three-operand einsum, scattered as
+    # COO triplets onto the global (3N, 3N) matrix
+    space = P1Space(build_structured_mesh(dim, divisions))
+    field = evolve_field(space, pair_varying(), sample_path(32, 2, 20, 0.5))
+    gphi_dl = np.transpose(space.grad_phi, (0, 2, 1))
+    T = (space.phi_qp[None, :, None, None, :, None]
+         * field.xi_quad[:, :, :, :, None, :]
+         + gphi_dl[:, None, :, None, :, None]
+         * field.Z_quad[:, :, None, :, None, :])
+    local = np.einsum("cq,cqdalb,cqdame->clbme", space.quad_weights, T, T)
+    d1 = dim + 1
+    gdof = (3 * space.mesh.cells[:, :, None]
+            + np.arange(3)).reshape(-1, 3 * d1)
+    rows = np.repeat(gdof[:, :, None], 3 * d1, axis=2)
+    cols = np.transpose(rows, (0, 2, 1))
+    ref = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(3 * space.N, 3 * space.N)).toarray()
+    KZ = assemble_rotated_stiffness(field)
+    assert KZ.shape == ref.shape
+    dense = KZ.toarray()
+    scale = np.abs(ref).max()
+    assert np.abs(dense - ref).max() <= 1e-12 * scale
+    assert np.abs(dense - dense.T).max() <= 1e-12 * scale
 
 
 def test_F_oracle_agreement_under_k_refinement():

@@ -142,7 +142,7 @@ def test_frame_rejects_non_unit_node():
 def test_constant_state_zero_noise_is_stationary():
     space = space8()
     m = np.tile([0.0, 0.0, 1.0], (space.N, 1))
-    state = NodalState(j=0, m=m, v=None, energy=0.0)
+    state = NodalState(j=0, m=m, energy=0.0)
     field = init_rotation_field(space, make_noise("zero"))
     params = default_params()
     system = assemble_step_system(state, build_tangent_frame(m), field,
@@ -157,7 +157,7 @@ def test_quadratic_form_is_negative_definite():
     # a(w, w) = -lambda2 |w|^2_lumped - mu k theta |grad w|^2 for tangent w
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    state = NodalState(j=0, m=m, energy=np.nan)
     frame = build_tangent_frame(m)
     field = init_rotation_field(space, make_noise("zero"))
     params = default_params(lambda1=1.3, lambda2=0.7, theta=0.8)
@@ -179,7 +179,7 @@ def test_quadratic_form_is_negative_definite():
 def test_assembly_rejects_desynchronized_field():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=3, m=m, v=None, energy=np.nan)
+    state = NodalState(j=3, m=m, energy=np.nan)
     field = init_rotation_field(space, make_noise("zero"))  # at j = 0
     with pytest.raises(TimeMismatchError):
         assemble_step_system(state, build_tangent_frame(m), field,
@@ -201,7 +201,7 @@ def evolved_step_inputs(dim, divisions, steps=3):
     field = init_rotation_field(space, coeffs)
     for j in range(steps):
         field = evolve_step(field, path.increments[j], params.k)
-    state = NodalState(j=steps, m=m, v=None, energy=np.nan)
+    state = NodalState(j=steps, m=m, energy=np.nan)
     return space, state, build_tangent_frame(m), field, params
 
 
@@ -248,7 +248,7 @@ def test_lu_solution_matches_dense_solve(dim, divisions):
 def test_solution_satisfies_weak_form_against_random_tangents():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    state = NodalState(j=0, m=m, energy=np.nan)
     frame = build_tangent_frame(m)
     params = default_params()
     field = init_rotation_field(space, make_noise("zero"))
@@ -265,7 +265,7 @@ def test_solution_satisfies_weak_form_against_random_tangents():
 def test_solver_failure_carries_residual():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    state = NodalState(j=0, m=m, energy=np.nan)
     params = default_params(solver_tol=1e-30)
     field = init_rotation_field(space, make_noise("zero"))
     system = assemble_step_system(state, build_tangent_frame(m), field,
@@ -290,7 +290,7 @@ def test_singular_system_raises_solver_failure():
 def test_non_finite_rhs_raises_solver_failure():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    state = NodalState(j=0, m=m, energy=np.nan)
     params = default_params()
     field = init_rotation_field(space, make_noise("zero"))
     system = assemble_step_system(state, build_tangent_frame(m), field,
@@ -304,7 +304,7 @@ def test_non_finite_rhs_raises_solver_failure():
 def test_update_is_tangent_at_nodes():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    state = NodalState(j=0, m=m, energy=np.nan)
     params = default_params()
     field = init_rotation_field(space, make_noise("zero"))
     system = assemble_step_system(state, build_tangent_frame(m), field,
@@ -319,7 +319,7 @@ def test_update_is_tangent_at_nodes():
 def test_advance_identity_for_zero_update():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    state = NodalState(j=0, m=m, energy=np.nan)
     nxt = advance(state, np.zeros_like(m), default_params(), space)
     assert nxt.j == 1
     np.testing.assert_allclose(nxt.m, m, atol=1e-15)
@@ -329,7 +329,7 @@ def test_advance_pythagoras_before_normalization():
     space = space8()
     m = spiral_m0(space)
     params = default_params()
-    state = NodalState(j=0, m=m, v=None, energy=np.nan)
+    state = NodalState(j=0, m=m, energy=np.nan)
     frame = build_tangent_frame(m)
     field = init_rotation_field(space, make_noise("zero"))
     sol = solve_step(assemble_step_system(state, frame, field, params,
