@@ -119,26 +119,18 @@ class P1Space:
     # pointwise sampling ---------------------------------------------------
 
     def values_at_qp(self, u):
-        """Sample a nodal field at quadrature points, shape (M, n_qp, ...)."""
-        return np.einsum("qa,ca...->cq...", self.phi_qp, u[self.mesh.cells])
+        """Sample an (N, 3) nodal field at the quadrature points, shape
+        (M, n_qp, 3)."""
+        return self.phi_qp @ u[self.mesh.cells]
 
     def grads_at_qp(self, u):
-        """Cellwise-constant gradient of a nodal field, shape (M, dim, ...)."""
-        return np.einsum("cad,ca...->cd...", self.grad_phi, u[self.mesh.cells])
+        """Cellwise-constant gradient of an (N, 3) nodal field, shape
+        (M, dim, 3)."""
+        return np.swapaxes(self.grad_phi, 1, 2) @ u[self.mesh.cells]
 
     def integrate(self, values):
         """Integrate per-quadrature-point scalars of shape (M, n_qp)."""
         return float(np.sum(self.quad_weights * values))
-
-    def l2_norm_sq(self, u):
-        """Integral of |u|^2 for a nodal vector field (exact for P1)."""
-        vals = self.values_at_qp(u)
-        return self.integrate(np.sum(vals * vals, axis=-1))
-
-    def l1_norm(self, u):
-        """Quadrature approximation of the integral of |u| (Euclidean)."""
-        vals = self.values_at_qp(u)
-        return self.integrate(np.linalg.norm(vals, axis=-1))
 
 
 def assemble_stiffness(space: P1Space):

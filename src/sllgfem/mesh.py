@@ -96,20 +96,24 @@ class Mesh:
 
     def _find_boundary(self):
         # every interior facet must be shared by exactly two cells
-        counts = {}
         d = self.dim
-        local_facets = [tuple(j for j in range(d + 1) if j != i)
+        local_facets = [[j for j in range(d + 1) if j != i]
                         for i in range(d + 1)]
-        for cell in self.cells:
-            for loc in local_facets:
-                key = tuple(sorted(int(cell[j]) for j in loc))
-                counts[key] = counts.get(key, 0) + 1
-        bad = [f for f, c in counts.items() if c > 2]
-        if bad:
-            raise MeshError(f"facet {bad[0]} shared by more than two cells")
-        boundary = sorted(f for f, c in counts.items() if c == 1)
-        facets = np.array(boundary, dtype=np.int64).reshape(len(boundary), d)
-        return facets, np.ones(len(boundary), dtype=np.int64)
+        faces = np.sort(self.cells[:, local_facets].reshape(-1, d), axis=1)
+        order = np.lexsort(faces.T[::-1])       # rows in lexicographic order
+        faces = faces[order]
+        new = np.ones(len(faces), dtype=bool)
+        new[1:] = np.any(faces[1:] != faces[:-1], axis=1)
+        starts = np.flatnonzero(new)
+        counts = np.diff(np.append(starts, len(faces)))
+        over = starts[counts > 2]
+        if over.size:
+            # report the over-shared facet met first in cell order
+            first = over[np.argmin(order[over])]
+            raise MeshError(f"facet {tuple(int(v) for v in faces[first])} "
+                            f"shared by more than two cells")
+        facets = faces[starts[counts == 1]]
+        return facets, np.ones(len(facets), dtype=np.int64)
 
 
 def _signed_measures(vertices, cells):
@@ -147,41 +151,32 @@ def build_structured_mesh(dim, divisions, domain_size=1.0):
     if dim == 2:
         xx, yy = np.meshgrid(side, side, indexing="xy")
         vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-        def vid(i, j):
-            return j * (n + 1) + i
-
-        cells = []
-        for j in range(n):
-            for i in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-                cells.append((v00, v10, v11))        # below the diagonal
-                cells.append((v00, v11, v01))        # above the diagonal
-        return Mesh(vertices, np.array(cells, dtype=np.int64))
+        # lower-left corner j (n+1) + i of square (i, j), i fastest; the
+        # triangles below and above the diagonal
+        corner = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+        local = np.array([[0, 1, n + 2], [0, n + 2, n + 1]])
+        cells = corner[:, None, None] + local
+        return Mesh(vertices, cells.reshape(-1, 3))
 
     grid = np.stack(np.meshgrid(side, side, side, indexing="ij"), axis=-1)
     vertices = grid.reshape(-1, 3)
-
-    def vid3(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
+    # vertex (i, j, k) has index stride . (i, j, k); sub-cubes in (i, j, k)
+    # order, k fastest
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    cube = np.arange(n)
+    corner = (cube[:, None, None] * stride[0] + cube[:, None] * stride[1]
+              + cube).ravel()
     unit = np.eye(3, dtype=np.int64)
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k], dtype=np.int64)
-                for perm in permutations(range(3)):
-                    # walk the cube edges in the order given by the permutation
-                    corners = [base.copy()]
-                    for axis in perm:
-                        corners.append(corners[-1] + unit[axis])
-                    ids = [vid3(*c) for c in corners]
-                    if _perm_parity(perm) < 0:
-                        ids[2], ids[3] = ids[3], ids[2]
-                    cells.append(tuple(ids))
-    return Mesh(vertices, np.array(cells, dtype=np.int64))
+    local = []
+    for perm in permutations(range(3)):
+        # walk the cube edges in the order given by the permutation
+        steps = np.vstack([np.zeros(3, dtype=np.int64), unit[list(perm)]])
+        ids = np.cumsum(steps, axis=0) @ stride
+        if _perm_parity(perm) < 0:
+            ids[[2, 3]] = ids[[3, 2]]
+        local.append(ids)
+    cells = corner[:, None, None] + np.array(local)
+    return Mesh(vertices, cells.reshape(-1, 4))
 
 
 def write_mesh_text(mesh, path):

@@ -103,11 +103,13 @@ def _worker_count():
 def diagnostics_csv_text(traj):
     """Per-step diagnostics in the documented schema."""
     buf = io.StringIO()
-    buf.write("j,t,energy,v_norm_sq,F_value,residual\n")
+    buf.write("j,t,energy,v_norm_sq,F_value,residual,grad_v_sq,"
+              "tangency_max,unit_dev_max\n")
     for row in traj.diagnostics:
-        buf.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+        buf.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
             row["j"], row["t"], row["energy"], row["v_norm_sq"],
-            row["F_value"], row["residual"]))
+            row["F_value"], row["residual"], row["grad_v_sq"],
+            row["tangency_max"], row["unit_dev_max"]))
     return buf.getvalue()
 
 

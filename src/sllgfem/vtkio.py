@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _CELL_TYPE = {2: 5, 3: 10}  # VTK_TRIANGLE, VTK_TETRA
+_VEC_ROW = "%.17g %.17g %.17g\n"
 
 
 def write_vtk(filename, mesh, m, M, comment="sllgfem snapshot"):
@@ -28,17 +29,20 @@ def write_vtk(filename, mesh, m, M, comment="sllgfem snapshot"):
         fh.write(comment.splitlines()[0][:255] + "\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n")
-        for p in pts:
-            fh.write("%.17g %.17g %.17g\n" % tuple(p))
+        fh.write(_block(_VEC_ROW, pts))
         fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (nv + 1)}\n")
-        for cell in mesh.cells:
-            fh.write(" ".join([str(nv)] + [str(int(v)) for v in cell]) + "\n")
+        fh.write(_block(" ".join(["%d"] * (nv + 1)) + "\n",
+                        np.column_stack([np.full(mesh.n_cells, nv),
+                                         mesh.cells])))
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        ct = _CELL_TYPE[mesh.dim]
-        for _ in range(mesh.n_cells):
-            fh.write(f"{ct}\n")
+        fh.write(f"{_CELL_TYPE[mesh.dim]}\n" * mesh.n_cells)
         fh.write(f"POINT_DATA {n}\n")
         for name, field in (("m", m), ("M", M)):
             fh.write(f"VECTORS {name} double\n")
-            for row in field:
-                fh.write("%.17g %.17g %.17g\n" % tuple(row))
+            fh.write(_block(_VEC_ROW, field))
+
+
+def _block(row_format, rows):
+    """All rows of a 2D array, each formatted with row_format, as one
+    string."""
+    return (row_format * len(rows)) % tuple(rows.ravel().tolist())

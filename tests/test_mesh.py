@@ -1,5 +1,7 @@
 """Mesh construction, validation, and the text round-trip."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,76 @@ def test_overshared_facet_rejected():
                          [1.0, 1.0], [-1.0, 0.5]])
     cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(MeshError, match="more than two"):
+        Mesh(vertices, cells)
+
+
+def _loop_cells(dim, n):
+    """The structured cells, built one sub-square or sub-cube at a time."""
+    if dim == 2:
+        def vid(i, j):
+            return j * (n + 1) + i
+        cells = []
+        for j in range(n):
+            for i in range(n):
+                v00, v10 = vid(i, j), vid(i + 1, j)
+                v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
+                cells += [(v00, v10, v11), (v00, v11, v01)]
+        return np.array(cells)
+
+    def vid3(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for perm in permutations(range(3)):
+                    corner = [i, j, k]
+                    ids = [vid3(*corner)]
+                    for axis in perm:
+                        corner[axis] += 1
+                        ids.append(vid3(*corner))
+                    # odd permutations: swap the last two vertices
+                    inversions = sum(perm[a] > perm[b] for a in range(3)
+                                     for b in range(a + 1, 3))
+                    if inversions % 2:
+                        ids[2], ids[3] = ids[3], ids[2]
+                    cells.append(tuple(ids))
+    return np.array(cells)
+
+
+def _loop_boundary(cells, dim):
+    """Facets owned by one cell, counted one facet tuple at a time."""
+    counts = {}
+    for cell in cells:
+        for i in range(dim + 1):
+            key = tuple(sorted(int(cell[j]) for j in range(dim + 1)
+                               if j != i))
+            counts[key] = counts.get(key, 0) + 1
+    boundary = sorted(f for f, c in counts.items() if c == 1)
+    return np.array(boundary, dtype=np.int64).reshape(len(boundary), dim)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (2, 16),
+                                   (3, 1), (3, 2), (3, 4)])
+def test_structured_mesh_matches_loop_construction(dim, n):
+    mesh = build_structured_mesh(dim, n)
+    cells = Mesh(mesh.vertices, _loop_cells(dim, n)).cells
+    assert mesh.cells.dtype == cells.dtype
+    assert np.array_equal(mesh.cells, cells)
+    facets = _loop_boundary(cells, dim)
+    assert mesh.boundary_facets.dtype == facets.dtype
+    assert np.array_equal(mesh.boundary_facets, facets)
+
+
+def test_overshared_facet_named_in_cell_order():
+    # edge (1, 2) is over-shared first in cell order, edge (0, 1) sorts first
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0],
+                         [0.0, 2.0], [0.0, 1.0], [2.0, 0.0], [-1.0, 0.5],
+                         [0.5, -1.0]])
+    cells = np.array([[1, 2, 5], [1, 2, 6], [1, 2, 3], [0, 1, 7],
+                      [0, 1, 5], [0, 1, 8]])
+    with pytest.raises(MeshError, match=r"facet \(1, 2\) shared by more"):
         Mesh(vertices, cells)
 
 

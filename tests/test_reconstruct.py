@@ -16,6 +16,7 @@ from sllgfem.rotation import apply_Z, init_rotation_field, evolve_step
 from sllgfem.scheme import NodalState, SchemeParams, run
 from sllgfem.wiener import sample_path
 
+from test_rotation import pair_varying
 from test_scheme import History
 
 
@@ -47,6 +48,17 @@ def short_run(space, observers, J=20):
     params, coeffs, path = short_inputs(J)
     return run(spiral_m0(space), params, path, coeffs, space,
                observers=observers)
+
+
+def l2_norm_sq(space, u):
+    """Integral of |u|^2 for a nodal vector field (exact for P1)."""
+    vals = space.values_at_qp(u)
+    return space.integrate(np.sum(vals * vals, axis=-1))
+
+
+def l1_norm(space, u):
+    """Quadrature value of the integral of |u| for a nodal vector field."""
+    return space.integrate(np.linalg.norm(space.values_at_qp(u), axis=-1))
 
 
 def short_run_errors(space, J=20):
@@ -142,7 +154,7 @@ def test_m_gap_matches_quadrature_oracle():
         for a in nodes:
             # linear minus left-constant interpolant at t_j + a k
             diff = (1.0 - a) * m[j] + a * m[j + 1] - m[j]
-            oracle += 0.5 * k * space.l2_norm_sq(diff)
+            oracle += 0.5 * k * l2_norm_sq(space, diff)
     assert errs["m_minus_mleft_sq"] == pytest.approx(oracle, rel=1e-12)
 
 
@@ -171,7 +183,7 @@ def test_v_dtm_gap_matches_direct_sum():
     errs, history, traj = short_run_errors(space)
     m, v = history.m, history.v
     k = traj.params.k
-    oracle = sum(k * space.l1_norm(v[j] - (m[j + 1] - m[j]) / k)
+    oracle = sum(k * l1_norm(space, v[j] - (m[j + 1] - m[j]) / k)
                  for j in range(traj.J))
     assert errs["v_minus_dtm_l1"] == pytest.approx(oracle, rel=1e-14)
 
@@ -256,6 +268,59 @@ def test_weak_residual_replays_in_lockstep():
     observe, _ = weak_residual(space, params, path, fields)
     with pytest.raises(TimeMismatchError):
         short_run(space, [lambda step: step.j > 0 and observe(step)], J=12)
+
+
+def _per_field_terms(space, params, step, f):
+    """The four terms k (lambda1 t1, -lambda2 t2, -mu t3, -mu F) of one
+    interval for one test field, written out field by field with F
+    through grad(Z v) at the quadrature points."""
+    t_mid = (step.j + 0.5) * params.k
+    mesh, field, w = space.mesh, step.field, space.quad_weights
+    qp = space.quad_points.reshape(-1, mesh.dim)
+    m_mid = 0.5 * (step.m + step.m_next)
+    m_qp = space.values_at_qp(m_mid)
+    gm = np.broadcast_to(space.grads_at_qp(m_mid)[:, None],
+                         (mesh.n_cells, space.n_qp, mesh.dim, 3))
+    dtm_qp = space.values_at_qp((step.m_next - step.m) / params.k)
+    bump = f.time_profile(t_mid)
+    psi = (bump * f.spatial(qp)).reshape(m_qp.shape)
+    gpsi = (bump * f.spatial_grad(qp)).reshape(gm.shape)
+    v = np.cross(m_qp, psi)                                   # m x psi
+    gv = np.cross(gm, psi[:, :, None]) + np.cross(m_qp[:, :, None], gpsi)
+    t1 = np.einsum("cq,cqa,cqa->", w, np.cross(m_qp, dtm_qp), v)
+    t2 = np.einsum("cq,cqa,cqa->", w, dtm_qp, v)
+    t3 = np.einsum("cq,cqda,cqda->", w, gm, gv)
+
+    def grad_Z(u, gu):
+        return (np.einsum("cqdab,cqb->cqda", field.xi_quad, u)
+                + np.einsum("cqab,cqdb->cqda", field.Z_quad, gu))
+
+    F = np.einsum("cq,cqda,cqda->", w, grad_Z(m_qp, gm), grad_Z(v, gv)) - t3
+    return params.k * np.array([params.lambda1 * t1, -params.lambda2 * t2,
+                                -params.mu * t3, -params.mu * F])
+
+
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 3)])
+@pytest.mark.parametrize("noise", ["pair-noncommuting", "linear-gradient",
+                                   "pair-varying"])
+def test_contracted_weak_residual_matches_per_field_form(dim, n, noise):
+    space = P1Space(build_structured_mesh(dim, n))
+    params = SchemeParams(lambda1=1.3, lambda2=0.7, theta=1.0, T=0.4, J=8)
+    coeffs = pair_varying() if noise == "pair-varying" else make_noise(noise)
+    path = sample_path(11, coeffs.q, params.J, params.T)
+    fields = [make_test_field(i, T=params.T) for i in range(3)]
+    observe, totals = weak_residual(space, params, path, fields)
+    steps = []
+    run(spiral_m0(space), params, path, coeffs, space,
+        observers=[observe, steps.append])
+    terms = np.array([[_per_field_terms(space, params, step, f)
+                       for step in steps] for f in fields])
+    if noise != "pair-noncommuting":    # spatially varying g: xi, F nonzero
+        assert np.abs(steps[-1].field.xi_quad).max() > 0.1
+        assert np.all(np.abs(terms[:, :, 3]).sum(axis=1) > 1e-6)
+    expected = terms.sum(axis=(1, 2))
+    scale = np.abs(terms).sum(axis=(1, 2))
+    assert np.all(np.abs(totals - expected) <= 1e-12 * scale)
 
 
 def test_weak_residual_warns_on_boundary_support():

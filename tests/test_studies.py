@@ -212,7 +212,8 @@ out = {tmp_path / "out"}
 
     with open(tmp_path / "out" / "diagnostics_seed0.csv") as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "j,t,energy,v_norm_sq,F_value,residual"
+    assert lines[0] == ("j,t,energy,v_norm_sq,F_value,residual,grad_v_sq,"
+                        "tangency_max,unit_dev_max")
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
     # one row per step, stamped with the step's left endpoint
     assert [int(r["j"]) for r in rows] == list(range(10))
@@ -220,6 +221,11 @@ out = {tmp_path / "out"}
     for r in rows:
         assert float(r["t"]) == pytest.approx(int(r["j"]) * k, abs=1e-15)
         assert abs(float(r["F_value"])) <= 1e-12      # zero noise
+        assert float(r["grad_v_sq"]) >= 0.0
+        assert (float(r["tangency_max"])
+                <= studies.INVARIANT_TOLS["max_tangency"])
+        assert (float(r["unit_dev_max"])
+                <= studies.INVARIANT_TOLS["max_unit_dev"])
     energy = np.array([float(r["energy"]) for r in rows])
     assert energy[0] > 0.0
     assert np.all(np.diff(energy) <= 1e-9)            # theta = 1, g = 0

@@ -74,3 +74,46 @@ def test_shape_mismatch_rejected(tmp_path):
     bad = np.zeros((mesh.n_vertices - 1, 3))
     with pytest.raises(ValueError):
         write_vtk(tmp_path / "x.vtk", mesh, bad, good)
+
+
+def _write_line_by_line(filename, mesh, m, M, comment):
+    """Reference writer: the documented layout, one line per write."""
+    n, nv = mesh.n_vertices, mesh.dim + 1
+    pts = np.zeros((n, 3))
+    pts[:, :mesh.dim] = mesh.vertices
+    with open(filename, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(comment + "\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {n} double\n")
+        for p in pts:
+            fh.write("%.17g %.17g %.17g\n" % tuple(p))
+        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (nv + 1)}\n")
+        for cell in mesh.cells:
+            fh.write(" ".join([str(nv)] + [str(int(v)) for v in cell]) + "\n")
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
+        for _ in range(mesh.n_cells):
+            fh.write("5\n" if mesh.dim == 2 else "10\n")
+        fh.write(f"POINT_DATA {n}\n")
+        for name, field in (("m", m), ("M", M)):
+            fh.write(f"VECTORS {name} double\n")
+            for row in field:
+                fh.write("%.17g %.17g %.17g\n" % tuple(row))
+
+
+@pytest.mark.parametrize("dim,divisions", [(2, 5), (3, 2)])
+def test_bytes_match_line_by_line_writer(tmp_path, dim, divisions):
+    mesh = build_structured_mesh(dim, divisions)
+    rng = np.random.default_rng(dim)
+    shape = (mesh.n_vertices, 3)
+    # magnitudes from 1e-300 to 1e300, both signs, and signed zeros
+    m = (rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape)
+         * 10.0 ** rng.integers(-300, 300, shape))
+    m[0] = [-0.0, 0.0, 1e-300]
+    m[1] = [1e300, -1e300, -1e-300]
+    M = rng.standard_normal(shape)
+    M[2, 1] = -0.0
+    write_vtk(tmp_path / "block.vtk", mesh, m, M, comment="snap")
+    _write_line_by_line(tmp_path / "lines.vtk", mesh, m, M, "snap")
+    assert ((tmp_path / "block.vtk").read_bytes()
+            == (tmp_path / "lines.vtk").read_bytes())
