@@ -12,8 +12,7 @@ the report is bit-identical either way.
 import os
 import textwrap
 
-from sllgfem import load_config
-from sllgfem.studies import run_monte_carlo
+from sllgfem import load_config, run_study
 
 os.makedirs("demo_out", exist_ok=True)
 with open("demo_out/mc.ini", "w") as fh:
@@ -41,7 +40,7 @@ with open("demo_out/mc.ini", "w") as fh:
         """))
 
 config = load_config("demo_out/mc.ini")
-report = run_monte_carlo(config)
+report = run_study(config)
 
 print("per-stream final energies:")
 for stream, value in enumerate(report.values("final_energy", kind="run")):

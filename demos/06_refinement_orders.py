@@ -17,8 +17,7 @@ and a finer time grid.
 import os
 import textwrap
 
-from sllgfem import load_config
-from sllgfem.studies import run_refinement_study
+from sllgfem import load_config, run_study
 
 os.makedirs("demo_out", exist_ok=True)
 with open("demo_out/refine.ini", "w") as fh:
@@ -47,7 +46,7 @@ with open("demo_out/refine.ini", "w") as fh:
         """))
 
 config = load_config("demo_out/refine.ini")
-report = run_refinement_study(config)
+report = run_study(config)
 
 quantities = ("m_gap_l2", "unit_defect_l2", "weak_residual_mean_abs")
 print(f"{'level':>5s} {'h':>9s} {'k':>9s} "

@@ -25,7 +25,7 @@ from .noise import (NoiseCoefficients, NoiseComponent, PRESETS,
                     make_noise)
 from .reconstruct import (TestField, interpolant_errors, make_test_field,
                           reconstruct_M, solve_phi, weak_residual)
-from .rotation import (RotationField, apply_Z, assemble_rotated_stiffness,
+from .rotation import (RotationField, assemble_rotated_stiffness,
                        compute_F_direct, compute_F_identity, cross_matrix,
                        evolve_point_rotation, evolve_step, grad_Z_apply,
                        init_rotation_field, rodrigues_exp)
@@ -33,8 +33,7 @@ from .scheme import (NodalState, SchemeParams, SolveResult, Step, StepSystem,
                      TangentFrame, Trajectory, advance, assemble_step_system,
                      build_tangent_frame, check_theta_guard,
                      energy_inequality_gaps, run, solve_step)
-from .studies import (StudyReport, diagnostics_csv_text, run_monte_carlo,
-                      run_refinement_study, run_single, run_study)
+from .studies import StudyReport, diagnostics_csv_text, run_study
 from .vtkio import write_vtk
 from .wiener import WienerPath, coarsen, sample_path
 
@@ -47,7 +46,7 @@ __all__ = [
     "SimulationConfig", "SLLGError", "SolveResult", "SolverFailure", "Step",
     "StepSystem", "StudyReport", "TangentFrame", "TestField",
     "TimeMismatchError", "Trajectory", "WienerPath",
-    "advance", "apply_Z", "assemble_lumped_mass",
+    "advance", "assemble_lumped_mass",
     "assemble_rotated_stiffness", "assemble_step_system",
     "assemble_stiffness", "build_structured_mesh", "build_tangent_frame",
     "check_offdiag_condition", "check_theta_guard", "coarsen",
@@ -57,8 +56,7 @@ __all__ = [
     "init_rotation_field", "interpolant_errors", "interpolate_nodal",
     "linear_gradient_component",
     "load_config", "make_noise", "normalize_nodal", "read_mesh_text",
-    "reconstruct_M", "rodrigues_exp", "run", "run_monte_carlo",
-    "run_refinement_study", "run_single", "run_study", "sample_path",
+    "reconstruct_M", "rodrigues_exp", "run", "run_study", "sample_path",
     "solve_phi", "solve_step", "make_test_field", "weak_residual",
     "write_mesh_text", "write_vtk", "__version__",
 ]

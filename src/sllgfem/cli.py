@@ -1,8 +1,10 @@
 """Command line entry point: `simulate <config> [overrides]`.
 
-Exit codes: 0 success, 2 invariant-suite failure (reported by the study,
-not raised), 3 solver failure, 4 configuration error (including an invalid
-SLLGFEM_WORKERS value).
+Loads the config, applies the overrides and hands it to
+`studies.run_study`, whatever the mode. Exit codes: 0 success, 2
+invariant-suite failure (reported by the study, not raised), 3 solver
+failure, 4 configuration error (including an invalid SLLGFEM_WORKERS
+value, in any mode).
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import TimeMismatchError
 from .rotation import evolve_step
 from .rotation import init_rotation_field  # noqa: F401  (perfbench traces it)
-from .scheme import NodalState
 
 # 3-point Gauss-Legendre on [0, 1]; used where the time integrand is not
 # polynomial (the unit-norm defect of the linear interpolant)
@@ -48,20 +47,13 @@ _GAUSS_A = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5,
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def reconstruct_M(state, field):
+def reconstruct_M(m, field):
     """M = Z m at the nodes; unit norms are preserved exactly by orthogonality.
 
-    `state` is a NodalState (time-checked against the rotation field) or a
-    bare (N, 3) nodal array (caller vouches for alignment).
+    `m` is an (N, 3) nodal array at the rotation field's time; the caller
+    vouches for the alignment.
     """
-    if isinstance(state, NodalState):
-        if state.j != field.j:
-            raise TimeMismatchError(f"state at index {state.j}, rotation "
-                                    f"field at index {field.j}")
-        m = state.m
-    else:
-        m = np.asarray(state, dtype=float)
-    return np.einsum("nab,nb->na", field.Z_nodes, m)
+    return np.einsum("nab,nb->na", field.Z_nodes, np.asarray(m, dtype=float))
 
 
 def interpolant_errors(space, k):
@@ -124,22 +116,17 @@ class TestField:
             return 0.0
         return float(np.exp(-1.0 / (s * (1.0 - s))) * np.e ** 2)
 
-    def spatial(self, points):
-        x, y = points[:, 0], points[:, 1]
-        a = self.amps
-        sx, cx = np.sin(np.pi * self.f1 * x), np.cos(np.pi * self.f1 * x)
-        sy, cy = np.sin(np.pi * self.f2 * y), np.cos(np.pi * self.f2 * y)
-        return np.column_stack([a[0] * sx * cy, a[1] * cx * sy,
-                                a[2] * sx * sy])
-
-    def spatial_grad(self, points):
-        """d Psi / dx_d, shape (P, dim, 3)."""
+    def evaluate(self, points):
+        """Psi and d Psi / dx_d at (P, dim) points: shapes (P, 3) and
+        (P, dim, 3), from one evaluation of the trigonometric factors."""
         P, dim = points.shape
         x, y = points[:, 0], points[:, 1]
         a = self.amps
         f1p, f2p = np.pi * self.f1, np.pi * self.f2
         sx, cx = np.sin(f1p * x), np.cos(f1p * x)
         sy, cy = np.sin(f2p * y), np.cos(f2p * y)
+        psi = np.column_stack([a[0] * sx * cy, a[1] * cx * sy,
+                               a[2] * sx * sy])
         g = np.zeros((P, dim, 3))
         g[:, 0, 0] = a[0] * f1p * cx * cy
         g[:, 0, 1] = -a[1] * f1p * sx * sy
@@ -147,7 +134,7 @@ class TestField:
         g[:, 1, 0] = -a[0] * f2p * sx * sy
         g[:, 1, 1] = a[1] * f2p * cx * cy
         g[:, 1, 2] = a[2] * f2p * sx * cy
-        return g
+        return psi, g
 
 
 def make_test_field(index, T):
@@ -232,8 +219,9 @@ def weak_residual(space, params, path, psi):
                 RS = _contracted_residual(rot, space, params, step.m,
                                           step.m_next)
             R, S = RS
-            value = (f.spatial(qp_flat).ravel() @ R.ravel()
-                     + f.spatial_grad(qp_flat).ravel() @ S.ravel())
+            psi_qp, grad_psi_qp = f.evaluate(qp_flat)
+            value = (psi_qp.ravel() @ R.ravel()
+                     + grad_psi_qp.ravel() @ S.ravel())
             totals[idx] += k * b * value
         rot = evolve_step(rot, path.increments[step.j], k)
 

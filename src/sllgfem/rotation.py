@@ -214,27 +214,6 @@ def evolve_step(field, dW, k):
     return RotationField(field.space, field.coeffs, field.j + 1, Z1, xi1, c)
 
 
-def apply_Z(field, u, inverse=False):
-    """Pointwise rotate a field by Z (or Z^T when inverse).
-
-    Accepts nodal fields of shape (N, 3) or quadrature-sampled fields of
-    shape (n_cells, n_qp, 3) and returns the same kind.
-    """
-    u = np.asarray(u, dtype=float)
-    m = field.space.mesh
-    if u.shape == (m.n_vertices, 3):
-        Z = field.Z_nodes
-        subscripts = "nba,nb->na" if inverse else "nab,nb->na"
-        return np.einsum(subscripts, Z, u)
-    if u.shape == (m.n_cells, field.space.n_qp, 3):
-        Z = field.Z_quad
-        subscripts = "cqba,cqb->cqa" if inverse else "cqab,cqb->cqa"
-        return np.einsum(subscripts, Z, u)
-    raise ValueError(f"field shape {u.shape} matches neither the nodes "
-                     f"({m.n_vertices}, 3) nor the quadrature points "
-                     f"({m.n_cells}, {field.space.n_qp}, 3)")
-
-
 def grad_Z_apply(field, u):
     """grad(Z u) at quadrature points by the product rule.
 

@@ -212,16 +212,16 @@ def _tangent_to_nodal(c, tau):
     return np.einsum("na,nab->nb", c.reshape(len(tau), 2), tau)
 
 
-def advance(state, v, params, space=None):
-    """Move m by k*v and renormalize nodally; returns the state at j + 1.
+def advance(state, v, params, space):
+    """Move m by k*v and renormalize nodally; returns the state at j + 1,
+    with its Dirichlet energy.
 
     Tangency makes |m + k v|^2 = 1 + k^2 |v|^2 >= 1 at every node, so the
-    normalization is always well posed. Energy is recorded when a space is
-    supplied.
+    normalization is always well posed.
     """
     m_next = normalize_nodal(state.m + params.k * np.asarray(v))
-    energy = _dirichlet_energy(space, m_next) if space is not None else np.nan
-    return NodalState(j=state.j + 1, m=m_next, energy=energy)
+    return NodalState(j=state.j + 1, m=m_next,
+                      energy=_dirichlet_energy(space, m_next))
 
 
 def _dirichlet_energy(space, m):
@@ -304,7 +304,7 @@ def run(m0, params, path, coeffs, space, observers=()):
     J, k = params.J, params.k
 
     energies = np.empty(J + 1)
-    energies[0] = float(np.sum(m * (space.stiffness() @ m)))
+    energies[0] = _dirichlet_energy(space, m)
     diagnostics = []
     state = NodalState(j=0, m=m, energy=energies[0])
 
@@ -337,7 +337,8 @@ def _update(state, field, params, space):
     system = assemble_step_system(state, frame, field, params, space)
     sol = solve_step(system, params)
     v, m = sol.v, state.m
-    F_value = float(m.ravel() @ (system.KZ @ v.ravel()) - np.sum(m * (K @ v)))
+    Kv = K @ v
+    F_value = float(m.ravel() @ (system.KZ @ v.ravel()) - np.sum(m * Kv))
     row = {
         "j": state.j,
         "t": state.j * params.k,
@@ -346,7 +347,7 @@ def _update(state, field, params, space):
                                   * np.sum(v * v, axis=1))),
         "F_value": F_value,
         "residual": sol.residual,
-        "grad_v_sq": float(np.sum(v * (K @ v))),
+        "grad_v_sq": float(np.sum(v * Kv)),
         "tangency_max": float(np.abs(np.sum(v * m, axis=1)).max()),
         "unit_dev_max": float(np.abs(np.linalg.norm(m, axis=1) - 1.0).max()),
     }

@@ -1,5 +1,12 @@
 """Study orchestration: single runs, Monte Carlo ensembles, refinement.
 
+`run_study` is the one entry point. Every mode is a list of (level,
+stream) trajectory tasks run by one function, `_trajectory`, with the
+same monitors and the same invariant suite: single mode is the task
+(0, 0), Monte Carlo the tasks (0, s), and refinement the tasks (l, s) for
+every level l. The modes differ only in that list and in how the run rows
+are aggregated.
+
 Every study is a pure function of (config, seeds): reruns produce byte-
 identical artifacts. Artifacts per study: the resolved config echo, one
 diagnostics CSV per trajectory, optional VTK snapshots (single mode), and
@@ -14,15 +21,15 @@ column holds the path stream index under the study's base seed (stream 0
 for single runs); the base seed itself is recorded in the resolved
 config echo next to the report.
 
-Monte Carlo trajectories are independent streams of the base seed; the
-worker count comes from the SLLGFEM_WORKERS environment variable (a
-positive integer, capped at the sample count and the CPU count) and the
-aggregation is order-independent, so parallel and sequential runs emit
-identical reports. Refinement studies draw the finest-level path once per
-seed and coarsen it for the coarser levels (common random numbers), then
-tabulate observed convergence orders of the interpolant errors and the
-weak-form residual. Every monitor is an observer of the one pass `run`
-makes over a trajectory.
+Monte Carlo trajectories are independent streams of the base seed.
+Refinement studies draw the finest-level path once per stream and coarsen
+it for the coarser levels (common random numbers), then tabulate observed
+convergence orders of the interpolant errors and the weak-form residual.
+In every mode the worker count comes from the SLLGFEM_WORKERS environment
+variable (a positive integer, capped at the task count and the CPU
+count), and rows and files are formed in task order after all tasks have
+run, so parallel and sequential runs emit identical reports. Every
+monitor is an observer of the one pass `run` makes over a trajectory.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -113,35 +121,6 @@ def diagnostics_csv_text(traj):
     return buf.getvalue()
 
 
-def _monitored_run(m0, params, path, coeffs, space, observers=()):
-    """One trajectory with the report's monitors attached; returns it and
-    all its scalar report quantities."""
-    errs_obs, errs = interpolant_errors(space, params.k)
-    fields = [make_test_field(i, params.T) for i in range(_N_TEST_FIELDS)]
-    residual_obs, residuals = weak_residual(space, params, path, fields)
-    traj = run(m0, params, path, coeffs, space,
-               observers=(errs_obs, residual_obs, *observers))
-    diag = traj.diagnostics
-    gaps = energy_inequality_gaps(traj)
-    q = {
-        "final_energy": traj.energy[-1],
-        "sup_energy": float(traj.energy.max()),
-        "v_time_sum": params.k * float(sum(r["v_norm_sq"] for r in diag)),
-        "max_unit_dev": max(r["unit_dev_max"] for r in diag),
-        "max_tangency": max(r["tangency_max"] for r in diag),
-        "max_energy_gap": float(gaps.max()),
-        "m0_drift": traj.m0_drift,
-        "residual_max": max(r["residual"] for r in diag),
-        "m_gap_l2": float(np.sqrt(errs["m_minus_mleft_sq"])),
-        "unit_defect_l2": float(np.sqrt(errs["unit_defect_sq"])),
-        "v_dtm_l1": errs["v_minus_dtm_l1"],
-        "weak_residual_mean_abs": float(np.mean(np.abs(residuals))),
-    }
-    for i, val in enumerate(residuals):
-        q[f"weak_residual_{i}"] = float(val)
-    return traj, q
-
-
 def _invariant_failures(quantities, theta, offdiag_holds, seed):
     failures = []
     for name, tol in INVARIANT_TOLS.items():
@@ -149,8 +128,8 @@ def _invariant_failures(quantities, theta, offdiag_holds, seed):
             # the per-step energy chain is only guaranteed for implicit
             # weighting on meshes with nonpositive stiffness off-diagonals
             continue
-        val = quantities.get(name)
-        if val is not None and not (np.isfinite(val) and val <= tol):
+        val = quantities[name]
+        if not (np.isfinite(val) and val <= tol):
             failures.append(f"seed {seed}: {name} = {val:.3e} "
                             f"exceeds {tol:.1e}")
     return failures
@@ -162,54 +141,118 @@ def _rows_from(quantities, kind, mode, level, h, k, theta, seed):
             for name, val in quantities.items()]
 
 
-def _run_stream(config, stream, snapshot_dir=None):
-    """One seeded trajectory with monitoring; returns rows, failures, and
-    the diagnostics CSV text (parent process writes all files)."""
-    space = config.build_space()
-    coeffs = config.build_noise()
-    p = config.params
-    path = sample_path(config.seed, coeffs.q, p.J, p.T, stream=stream)
-    m0 = config.initial_field(space)
-    offdiag = check_offdiag_condition(space)
 
+
+def _snapshot_writer(config, space, stream, snapshot_dir):
+    """Observer writing M = Z m as VTK at j = 0, every config.snapshots
+    steps and at j = J."""
+    stride, J = config.snapshots, config.params.J
+
+    def write_snap(j, m, field):
+        write_vtk(os.path.join(snapshot_dir, f"snap_{j:06d}.vtk"),
+                  space.mesh, m, reconstruct_M(m, field),
+                  comment=f"step {j} seed {config.seed} stream {stream}")
+
+    def snapshots(step):
+        if step.j == 0:
+            write_snap(0, step.m, step.field)
+        j = step.j + 1
+        if j % stride == 0 or j == J:
+            write_snap(j, step.m_next, step.field_next)
+
+    return snapshots
+
+
+def _trajectory(config, level, stream, snapshot_dir):
+    """One trajectory of a study, with every monitor attached.
+
+    Level `level` of a refinement study divides config.divisions and J by
+    2^(levels-1-level) and coarsens the finest-level path of `stream`;
+    the other modes have the one level 0. VTK snapshots go to
+    `snapshot_dir` when it is set and config.snapshots > 0. Returns the
+    run rows, the invariant failures and the diagnostics CSV text; the
+    calling process writes all files but the snapshots.
+    """
+    factor = (2 ** (config.levels - 1 - level)
+              if config.mode == "refinement" else 1)
+    p_fine = config.params
+    cfg = replace(config, divisions=config.divisions // factor)
+    p = replace(p_fine, J=p_fine.J // factor)
+    space = cfg.build_space()
+    coeffs = cfg.build_noise()
+    m0 = cfg.initial_field(space)
+    offdiag = check_offdiag_condition(space)
+    path = sample_path(config.seed, coeffs.q, p_fine.J, p_fine.T,
+                       stream=stream)
+    if factor > 1:
+        path = coarsen(path, factor)
+
+    errs_obs, errs = interpolant_errors(space, p.k)
+    fields = [make_test_field(i, p.T) for i in range(_N_TEST_FIELDS)]
+    residual_obs, residuals = weak_residual(space, p, path, fields)
     orth_defects = [0.0]            # the field at j = 0 is the identity
-    observers = [lambda step: orth_defects.append(
+    observers = [errs_obs, residual_obs, lambda step: orth_defects.append(
         step.field_next.orthogonality_defect())]
     if snapshot_dir is not None and config.snapshots > 0:
-        stride, J = config.snapshots, p.J
-
-        def write_snap(j, m, field):
-            write_vtk(os.path.join(snapshot_dir, f"snap_{j:06d}.vtk"),
-                      space.mesh, m, reconstruct_M(m, field),
-                      comment=f"step {j} seed {config.seed} stream {stream}")
-
-        def snapshots(step):
-            if step.j == 0:
-                write_snap(0, step.m, step.field)
-            j = step.j + 1
-            if j % stride == 0 or j == J:
-                write_snap(j, step.m_next, step.field_next)
-
-        observers.append(snapshots)
-
+        observers.append(_snapshot_writer(config, space, stream,
+                                          snapshot_dir))
     try:
-        traj, quantities = _monitored_run(m0, p, path, coeffs, space,
-                                          observers)
+        traj = run(m0, p, path, coeffs, space, observers=observers)
     except SolverFailure as e:
-        raise SolverFailure(f"stream {stream} (base seed {config.seed}): "
-                            f"{e}", residual=e.residual)
-    quantities["max_orth_defect"] = max(orth_defects)
-    quantities["offdiag_worst"] = offdiag.worst_value
-    failures = _invariant_failures(quantities, p.theta, offdiag.holds,
-                                   f"{config.seed}/stream{stream}")
-    rows = _rows_from(quantities, "run", config.mode, 0, space.mesh.h, p.k,
+        raise SolverFailure(f"level {level} stream {stream} (base seed "
+                            f"{config.seed}): {e}", residual=e.residual)
+
+    diag = traj.diagnostics
+    q = {
+        "final_energy": traj.energy[-1],
+        "sup_energy": float(traj.energy.max()),
+        "v_time_sum": p.k * float(sum(r["v_norm_sq"] for r in diag)),
+        "max_unit_dev": max(r["unit_dev_max"] for r in diag),
+        "max_tangency": max(r["tangency_max"] for r in diag),
+        "max_energy_gap": float(energy_inequality_gaps(traj).max()),
+        "m0_drift": traj.m0_drift,
+        "residual_max": max(r["residual"] for r in diag),
+        "m_gap_l2": float(np.sqrt(errs["m_minus_mleft_sq"])),
+        "unit_defect_l2": float(np.sqrt(errs["unit_defect_sq"])),
+        "v_dtm_l1": errs["v_minus_dtm_l1"],
+        "weak_residual_mean_abs": float(np.mean(np.abs(residuals))),
+    }
+    for i, val in enumerate(residuals):
+        q[f"weak_residual_{i}"] = float(val)
+    q["max_orth_defect"] = max(orth_defects)
+    q["offdiag_worst"] = offdiag.worst_value
+    failures = _invariant_failures(q, p.theta, offdiag.holds,
+                                   f"{config.seed}/stream{stream}"
+                                   f"/level{level}")
+    rows = _rows_from(q, "run", config.mode, level, space.mesh.h, p.k,
                       p.theta, stream)
     return rows, failures, diagnostics_csv_text(traj)
 
 
-def _mc_worker(args):
-    config, stream = args
-    return _run_stream(config, stream)
+_AGGREGATED = ("sup_energy", "v_time_sum", "final_energy",
+               "m_gap_l2", "unit_defect_l2", "v_dtm_l1",
+               "weak_residual_mean_abs")
+_ORDERED = ("m_gap_l2", "unit_defect_l2", "v_dtm_l1",
+            "weak_residual_mean_abs")
+
+
+def _aggregate(runs):
+    """Mean and standard error across the streams of one level for the
+    headline quantities."""
+    agg = {}
+    for name in _AGGREGATED:
+        vals = np.array([r["value"] for r in runs if r["quantity"] == name])
+        agg[f"mean:{name}"] = float(np.mean(vals))
+        if vals.size >= 2:
+            agg[f"stderr:{name}"] = float(np.std(vals, ddof=1)
+                                          / np.sqrt(vals.size))
+    return agg
+
+
+def _summary_rows(quantities, kind, like):
+    """Study-wide rows (seed -1) at the level of the run row `like`."""
+    return _rows_from(quantities, kind, like["mode"], like["level"],
+                      like["h"], like["k"], like["theta"], -1)
 
 
 def _prepare_out(config):
@@ -218,143 +261,60 @@ def _prepare_out(config):
         fh.write(config.echo_text())
 
 
-def run_single(config):
-    """One trajectory: diagnostics CSV, optional snapshots, report."""
-    _prepare_out(config)
-    rows, failures, diag_text = _run_stream(config, stream=0,
-                                            snapshot_dir=config.out)
-    with open(os.path.join(config.out,
-                           f"diagnostics_seed{config.seed}.csv"), "w") as fh:
-        fh.write(diag_text)
-    report = StudyReport(rows=rows, invariant_failures=tuple(failures))
-    report.write_csv(os.path.join(config.out, "report.csv"))
-    return report
-
-
-_AGGREGATED = ("sup_energy", "v_time_sum", "final_energy",
-               "m_gap_l2", "unit_defect_l2", "v_dtm_l1",
-               "weak_residual_mean_abs")
-
-
-def _aggregate_rows(per_run_rows, mode, level, h, k, theta):
-    """Mean and standard error across seeds for the headline quantities."""
-    out = []
-    for name in _AGGREGATED:
-        vals = np.array([r["value"] for r in per_run_rows
-                         if r["quantity"] == name and r["level"] == level])
-        if vals.size == 0:
-            continue
-        agg = {f"mean:{name}": float(np.mean(vals))}
-        if vals.size >= 2:
-            agg[f"stderr:{name}"] = float(np.std(vals, ddof=1)
-                                          / np.sqrt(vals.size))
-        out.extend(_rows_from(agg, "aggregate", mode, level, h, k, theta,
-                              -1))
-    return out
-
-
-def run_monte_carlo(config):
-    """Independent seeded trajectories; sample mean and standard error of
-    the headline energy quantities. Parallel execution (SLLGFEM_WORKERS)
-    yields results identical to sequential."""
-    workers = min(_worker_count(), config.samples, os.cpu_count() or 1)
-    _prepare_out(config)
-    tasks = [(config, stream) for stream in range(config.samples)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_worker, tasks))
-    else:
-        results = [_mc_worker(t) for t in tasks]
-
-    rows, failures = [], []
-    for stream, (run_rows, run_failures, diag_text) in enumerate(results):
-        rows.extend(run_rows)
-        failures.extend(run_failures)
-        name = f"diagnostics_seed{config.seed}_stream{stream}.csv"
-        with open(os.path.join(config.out, name), "w") as fh:
-            fh.write(diag_text)
-    p = config.params
-    rows.extend(_aggregate_rows(rows, config.mode, 0, rows[0]["h"], p.k,
-                                p.theta))
-    report = StudyReport(rows=rows, invariant_failures=tuple(failures))
-    report.write_csv(os.path.join(config.out, "report.csv"))
-    return report
-
-
-_ORDERED = ("m_gap_l2", "unit_defect_l2", "v_dtm_l1",
-            "weak_residual_mean_abs")
-
-
-def run_refinement_study(config):
-    """Common-random-numbers refinement across config.levels levels.
-
-    The config describes the finest level; level i (0 = coarsest) halves
-    divisions and J (levels-1-i) times. Each seed's finest path is drawn
-    once and coarsened downward, so per-level differences isolate the
-    discretization error. Observed orders are log2 ratios of consecutive
-    per-level means (attached to the coarser level's index).
-    """
-    _prepare_out(config)
-    L = config.levels
-    p_fine = config.params
-    rows, failures = [], []
-    level_meta = []
-    for lvl in range(L):
-        factor = 2 ** (L - 1 - lvl)
-        divs = config.divisions // factor
-        J = p_fine.J // factor
-        cfg_l = replace(config, divisions=divs)
-        space = cfg_l.build_space()
-        coeffs = cfg_l.build_noise()
-        params = replace(p_fine, J=J)
-        m0 = cfg_l.initial_field(space)
-        level_meta.append((space.mesh.h, params.k))
-        for stream in range(config.samples):
-            fine_path = sample_path(config.seed, coeffs.q, p_fine.J,
-                                    p_fine.T, stream=stream)
-            path = coarsen(fine_path, factor) if factor > 1 else fine_path
-            try:
-                _, q = _monitored_run(m0, params, path, coeffs, space)
-            except SolverFailure as e:
-                raise SolverFailure(
-                    f"level {lvl} stream {stream} (base seed "
-                    f"{config.seed}): {e}", residual=e.residual)
-            failures.extend(_invariant_failures(
-                q, params.theta, check_offdiag_condition(space).holds,
-                f"{config.seed}/stream{stream}/level{lvl}"))
-            rows.extend(_rows_from(q, "run", config.mode, lvl,
-                                   space.mesh.h, params.k, params.theta,
-                                   stream))
-        h, k = level_meta[lvl]
-        rows.extend(_aggregate_rows(
-            [r for r in rows if r["kind"] == "run"], config.mode, lvl, h, k,
-            p_fine.theta))
-
-    for lvl in range(L - 1):
-        h, k = level_meta[lvl]
-        orders = {}
-        for name in _ORDERED:
-            coarse = [r["value"] for r in rows
-                      if r["kind"] == "aggregate" and r["level"] == lvl
-                      and r["quantity"] == f"mean:{name}"]
-            fine = [r["value"] for r in rows
-                    if r["kind"] == "aggregate" and r["level"] == lvl + 1
-                    and r["quantity"] == f"mean:{name}"]
-            if coarse and fine and fine[0] > 0.0:
-                orders[f"order:{name}"] = float(np.log2(coarse[0]
-                                                        / fine[0]))
-        rows.extend(_rows_from(orders, "order", config.mode, lvl, h, k,
-                               p_fine.theta, -1))
-
-    report = StudyReport(rows=rows, invariant_failures=tuple(failures))
-    report.write_csv(os.path.join(config.out, "report.csv"))
-    return report
+def _diagnostics_name(config, level, stream):
+    tail = {"single": "",
+            "monte-carlo": f"_stream{stream}",
+            "refinement": f"_level{level}_stream{stream}"}[config.mode]
+    return f"diagnostics_seed{config.seed}{tail}.csv"
 
 
 def run_study(config):
-    """Dispatch on config.mode."""
-    if config.mode == "single":
-        return run_single(config)
-    if config.mode == "monte-carlo":
-        return run_monte_carlo(config)
-    return run_refinement_study(config)
+    """Run the study config.mode describes, write its artifacts and
+    return its report.
+
+    The tasks run in a process pool when SLLGFEM_WORKERS, the task count
+    and the CPU count all exceed 1, and in this process otherwise. Rows
+    and files follow task order: each level's run rows, then its
+    aggregate rows (not in single mode), then the refinement orders.
+    """
+    requested = _worker_count()     # a bad value fails before any write
+    levels = config.levels if config.mode == "refinement" else 1
+    streams = 1 if config.mode == "single" else config.samples
+    tasks = [(level, stream) for level in range(levels)
+             for stream in range(streams)]
+    _prepare_out(config)
+    snapshot_dir = config.out if config.mode == "single" else None
+    task = partial(_trajectory, config, snapshot_dir=snapshot_dir)
+    workers = min(requested, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, *zip(*tasks)))
+    else:
+        results = [task(level, stream) for level, stream in tasks]
+
+    by_level, failures = {}, []
+    for (level, stream), (runs, run_failures, diag_text) in zip(tasks,
+                                                                results):
+        with open(os.path.join(config.out, _diagnostics_name(
+                config, level, stream)), "w") as fh:
+            fh.write(diag_text)
+        by_level.setdefault(level, []).extend(runs)
+        failures.extend(run_failures)
+
+    rows, aggregates = [], []
+    for runs in by_level.values():
+        rows.extend(runs)
+        if config.mode != "single":
+            agg = _aggregate(runs)
+            rows.extend(_summary_rows(agg, "aggregate", runs[0]))
+            aggregates.append(agg)
+    for level in range(levels - 1):
+        coarse, fine = aggregates[level], aggregates[level + 1]
+        orders = {f"order:{name}": float(np.log2(coarse[f"mean:{name}"]
+                                                 / fine[f"mean:{name}"]))
+                  for name in _ORDERED if fine[f"mean:{name}"] > 0.0}
+        rows.extend(_summary_rows(orders, "order", by_level[level][0]))
+
+    report = StudyReport(rows=rows, invariant_failures=tuple(failures))
+    report.write_csv(os.path.join(config.out, "report.csv"))
+    return report

@@ -27,7 +27,7 @@ from sllgfem.reconstruct import solve_phi
 from sllgfem.rotation import (compute_F_direct, compute_F_identity,
                               evolve_point_rotation, rodrigues_exp)
 from sllgfem.scheme import SchemeParams, energy_inequality_gaps, run
-from sllgfem.studies import run_refinement_study
+from sllgfem.studies import run_study
 from sllgfem.wiener import coarsen, sample_path
 
 from test_rotation import evolve_field, pair_varying, smooth_u, smooth_v
@@ -102,7 +102,7 @@ out = {tmp / "out"}
 """)
     cfg = load_config(str(cfg_path))
     t0 = time.monotonic()
-    report = run_refinement_study(cfg)
+    report = run_study(cfg)
     wall = time.monotonic() - t0
     return report, wall
 

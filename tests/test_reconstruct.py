@@ -12,11 +12,11 @@ from sllgfem.noise import make_noise
 from sllgfem.reconstruct import (TestField, interpolant_errors,
                                  make_test_field, reconstruct_M, solve_phi,
                                  weak_residual)
-from sllgfem.rotation import apply_Z, init_rotation_field, evolve_step
-from sllgfem.scheme import NodalState, SchemeParams, run
+from sllgfem.rotation import init_rotation_field, evolve_step
+from sllgfem.scheme import SchemeParams, run
 from sllgfem.wiener import sample_path
 
-from test_rotation import pair_varying
+from test_rotation import evolve_field, pair_varying, small_space
 from test_scheme import History
 
 
@@ -115,16 +115,35 @@ def test_reconstruct_round_trip():
     for j in range(path.J):
         field = evolve_step(field, path.increments[j], path.k)
     m = spiral_m0(space)
-    back = apply_Z(field, reconstruct_M(m, field), inverse=True)
+    back = np.einsum("nba,nb->na", field.Z_nodes, reconstruct_M(m, field))
     np.testing.assert_allclose(back, m, atol=1e-12)
 
 
-def test_reconstruct_rejects_time_mismatch():
-    space = space8()
-    field = init_rotation_field(space, make_noise("zero"))
-    state = NodalState(j=2, m=spiral_m0(space), energy=np.nan)
-    with pytest.raises(TimeMismatchError):
-        reconstruct_M(state, field)
+def test_reconstruct_M_isometry_and_inverse():
+    space = small_space()
+    path = sample_path(10, 2, 60, 1.0)
+    field = evolve_field(space, pair_varying(), path)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        u = rng.standard_normal((space.N, 3))
+        Zu = reconstruct_M(u, field)
+        np.testing.assert_allclose(np.linalg.norm(Zu, axis=1),
+                                   np.linalg.norm(u, axis=1), atol=1e-12)
+    u = rng.standard_normal((space.N, 3))
+    back = np.einsum("nba,nb->na", field.Z_nodes, reconstruct_M(u, field))
+    np.testing.assert_allclose(back, u, atol=1e-12)
+
+
+def test_reconstruct_M_cross_product_homomorphism():
+    space = small_space()
+    path = sample_path(12, 2, 60, 1.0)
+    field = evolve_field(space, pair_varying(), path)
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        u, v = rng.standard_normal((2, space.N, 3))
+        lhs = reconstruct_M(np.cross(u, v), field)
+        rhs = np.cross(reconstruct_M(u, field), reconstruct_M(v, field))
+        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 # ------------------------------------------------------------ interpolants
@@ -205,13 +224,13 @@ def test_field_spatial_gradient_matches_finite_differences():
     f = make_test_field(1, T=1.0)
     rng = np.random.default_rng(8)
     x = rng.uniform(0.1, 0.9, size=(30, 2))
-    g = f.spatial_grad(x)
+    _, g = f.evaluate(x)
     eps = 1e-6
     for d in range(2):
         xp, xm = x.copy(), x.copy()
         xp[:, d] += eps
         xm[:, d] -= eps
-        fd = (f.spatial(xp) - f.spatial(xm)) / (2 * eps)
+        fd = (f.evaluate(xp)[0] - f.evaluate(xm)[0]) / (2 * eps)
         np.testing.assert_allclose(g[:, d, :], fd, atol=1e-7)
 
 
@@ -283,8 +302,9 @@ def _per_field_terms(space, params, step, f):
                          (mesh.n_cells, space.n_qp, mesh.dim, 3))
     dtm_qp = space.values_at_qp((step.m_next - step.m) / params.k)
     bump = f.time_profile(t_mid)
-    psi = (bump * f.spatial(qp)).reshape(m_qp.shape)
-    gpsi = (bump * f.spatial_grad(qp)).reshape(gm.shape)
+    psi_qp, grad_psi_qp = f.evaluate(qp)
+    psi = (bump * psi_qp).reshape(m_qp.shape)
+    gpsi = (bump * grad_psi_qp).reshape(gm.shape)
     v = np.cross(m_qp, psi)                                   # m x psi
     gv = np.cross(gm, psi[:, :, None]) + np.cross(m_qp[:, :, None], gpsi)
     t1 = np.einsum("cq,cqa,cqa->", w, np.cross(m_qp, dtm_qp), v)

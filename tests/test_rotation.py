@@ -9,7 +9,7 @@ from sllgfem.fem import P1Space, interpolate_nodal
 from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import (NoiseComponent, NoiseCoefficients, make_noise)
 from sllgfem.rotation import (
-    apply_Z, assemble_rotated_stiffness, compute_F_direct,
+    assemble_rotated_stiffness, compute_F_direct,
     compute_F_identity, cross_matrix, evolve_point_rotation, evolve_step,
     grad_Z_apply, init_rotation_field, rodrigues_exp)
 from sllgfem.wiener import coarsen, sample_path
@@ -269,40 +269,6 @@ def test_evolve_step_matches_per_component_update(dim, divisions):
 
 
 # ---------------------------------------------------------- applications
-
-def test_apply_Z_isometry_and_inverse():
-    space = small_space()
-    path = sample_path(10, 2, 60, 1.0)
-    field = evolve_field(space, pair_varying(), path)
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        u = rng.standard_normal((space.N, 3))
-        Zu = apply_Z(field, u)
-        np.testing.assert_allclose(np.linalg.norm(Zu, axis=1),
-                                   np.linalg.norm(u, axis=1), atol=1e-12)
-    u = rng.standard_normal((space.N, 3))
-    np.testing.assert_allclose(apply_Z(field, apply_Z(field, u),
-                                       inverse=True), u, atol=1e-12)
-
-
-def test_apply_Z_cross_product_homomorphism():
-    space = small_space()
-    path = sample_path(12, 2, 60, 1.0)
-    field = evolve_field(space, pair_varying(), path)
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        u, v = rng.standard_normal((2, space.N, 3))
-        lhs = apply_Z(field, np.cross(u, v))
-        rhs = np.cross(apply_Z(field, u), apply_Z(field, v))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-def test_apply_Z_shape_mismatch_rejected():
-    space = small_space()
-    field = init_rotation_field(space, make_noise("zero"))
-    with pytest.raises(ValueError):
-        apply_Z(field, np.zeros((space.N + 1, 3)))
-
 
 def test_grad_Z_apply_at_time_zero_is_plain_gradient():
     space = small_space()

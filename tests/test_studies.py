@@ -3,13 +3,13 @@ refinement order rows, and the artifact files."""
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sllgfem import ConfigError, load_config, studies
-from sllgfem.studies import (WORKERS_ENV, run_monte_carlo,
-                             run_refinement_study, run_single, run_study)
+from sllgfem.studies import WORKERS_ENV, run_study
 
 
 def make_config(tmp_path, text, name="run.ini"):
@@ -40,6 +40,35 @@ out = {tmp_path / out}
 """, name=f"{out}.ini")
 
 
+def tiny_config(tmp_path, out, mode):
+    """A study of each mode small enough to run twice in a test; the
+    refinement ladder is 2/4/8 divisions with J = 2/4/8."""
+    if mode == "refinement":
+        return make_config(tmp_path, f"""\
+[mesh]
+divisions = 8
+
+[scheme]
+J = 8
+T = 0.1
+
+[noise]
+preset = linear-gradient
+
+[initial]
+preset = spiral
+tilt = 0.3
+
+[run]
+mode = refinement
+levels = 3
+samples = 2
+out = {tmp_path / out}
+""", name=f"{out}.ini")
+    cfg = mc_config(tmp_path, out)
+    return cfg if mode == "monte-carlo" else replace(cfg, mode=mode)
+
+
 @pytest.fixture(scope="module")
 def refine_report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("refine")
@@ -65,12 +94,12 @@ samples = 2
 seed = 5
 out = {tmp / "out"}
 """)
-    return cfg, run_refinement_study(cfg)
+    return cfg, run_study(cfg)
 
 
 def test_zero_noise_ensemble_has_zero_spread(tmp_path):
     # g = 0 makes every stream the same trajectory, whatever its path
-    report = run_monte_carlo(mc_config(tmp_path, "zero", preset="zero"))
+    report = run_study(mc_config(tmp_path, "zero", preset="zero"))
     runs = report.values("sup_energy", kind="run")
     assert np.ptp(runs) == 0.0
     assert report.values("stderr:sup_energy", kind="aggregate")[0] == 0.0
@@ -78,7 +107,7 @@ def test_zero_noise_ensemble_has_zero_spread(tmp_path):
 
 
 def test_aggregate_rows_are_exact_means(tmp_path):
-    report = run_monte_carlo(mc_config(tmp_path, "mc"))
+    report = run_study(mc_config(tmp_path, "mc"))
     for name in studies._AGGREGATED:
         runs = report.values(name, kind="run")
         assert runs.size == 3
@@ -91,11 +120,12 @@ def test_aggregate_rows_are_exact_means(tmp_path):
                if r["kind"] == "aggregate")
 
 
-def test_parallel_matches_sequential(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["monte-carlo", "refinement"])
+def test_parallel_matches_sequential(tmp_path, monkeypatch, mode):
     monkeypatch.setenv(WORKERS_ENV, "1")
-    seq = run_monte_carlo(mc_config(tmp_path, "seq"))
+    seq = run_study(tiny_config(tmp_path, "seq", mode))
     monkeypatch.setenv(WORKERS_ENV, "2")
-    par = run_monte_carlo(mc_config(tmp_path, "par"))
+    par = run_study(tiny_config(tmp_path, "par", mode))
     assert par.csv_text() == seq.csv_text()
 
 
@@ -108,16 +138,21 @@ def test_worker_count_env_validation(monkeypatch):
     assert studies._worker_count() == 3
 
 
-def test_bad_worker_count_fails_before_writing(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["single", "monte-carlo", "refinement"])
+def test_bad_worker_count_fails_before_writing(tmp_path, monkeypatch, mode):
     monkeypatch.setenv(WORKERS_ENV, "-5")
-    cfg = mc_config(tmp_path, "bad")
+    cfg = tiny_config(tmp_path, "bad", mode)
     with pytest.raises(ConfigError):
-        run_monte_carlo(cfg)
+        run_study(cfg)
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2), (None, None)])
-def test_pool_size_is_clamped(tmp_path, monkeypatch, cpus, expected):
+@pytest.mark.parametrize("mode, cpus, expected, trajectories", [
+    ("monte-carlo", 8, 3, 3), ("monte-carlo", 2, 2, 3),
+    ("monte-carlo", None, None, 3), ("refinement", 8, 6, 6)],
+    ids=["8-3", "2-2", "None-None", "refinement-8-6"])
+def test_pool_size_is_clamped(tmp_path, monkeypatch, mode, cpus, expected,
+                              trajectories):
     # a stand-in pool that records its size and maps in this process
     sizes = []
 
@@ -131,16 +166,16 @@ def test_pool_size_is_clamped(tmp_path, monkeypatch, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(studies, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
     monkeypatch.setenv(WORKERS_ENV, "64")
-    report = run_monte_carlo(mc_config(tmp_path, "clamp", samples=3))
+    report = run_study(tiny_config(tmp_path, "clamp", mode))
     # no CPU count known: one worker, so no pool at all
     assert sizes == ([] if expected is None else [expected])
-    assert report.values("sup_energy", kind="run").size == 3
+    assert report.values("sup_energy", kind="run").size == trajectories
 
 
 def test_refinement_order_rows_match_level_means(refine_report):
@@ -233,9 +268,25 @@ out = {tmp_path / "out"}
 
 def test_invariant_failures_are_collected(tmp_path, monkeypatch):
     monkeypatch.setitem(studies.INVARIANT_TOLS, "max_tangency", -1.0)
-    report = run_single(mc_config(tmp_path, "inv"))
+    report = run_study(tiny_config(tmp_path, "inv", "single"))
     assert report.invariant_failures
     assert "max_tangency" in report.invariant_failures[0]
+
+
+def test_refinement_checks_orthogonality_and_writes_diagnostics(
+        tmp_path, monkeypatch):
+    monkeypatch.setitem(studies.INVARIANT_TOLS, "max_orth_defect", -1.0)
+    cfg = tiny_config(tmp_path, "orth", "refinement")
+    report = run_study(cfg)
+    assert report.values("max_orth_defect", kind="run").size == 6
+    assert report.values("offdiag_worst", kind="run").size == 6
+    assert any("max_orth_defect" in msg
+               for msg in report.invariant_failures)
+    names = sorted(p.name for p in (tmp_path / "orth").iterdir()
+                   if p.name.startswith("diagnostics_"))
+    assert names == [f"diagnostics_seed{cfg.seed}_level{lvl}_stream{s}.csv"
+                     for lvl in range(cfg.levels)
+                     for s in range(cfg.samples)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
