@@ -30,7 +30,7 @@ from .rotation import (RotationField, assemble_rotated_stiffness,
                        evolve_point_rotation, evolve_step, grad_Z_apply,
                        init_rotation_field, rodrigues_exp)
 from .scheme import (NodalState, SchemeParams, SolveResult, Step, StepSystem,
-                     TangentFrame, Trajectory, advance, assemble_step_system,
+                     Trajectory, advance, assemble_step_system,
                      build_tangent_frame, check_theta_guard,
                      energy_inequality_gaps, run, solve_step)
 from .studies import StudyReport, diagnostics_csv_text, run_study
@@ -44,7 +44,7 @@ __all__ = [
     "NodalState", "NoiseCoefficients", "NoiseComponent", "NormalizationError",
     "OffdiagReport", "P1Space", "PRESETS", "RotationField", "SchemeParams",
     "SimulationConfig", "SLLGError", "SolveResult", "SolverFailure", "Step",
-    "StepSystem", "StudyReport", "TangentFrame", "TestField",
+    "StepSystem", "StudyReport", "TestField",
     "TimeMismatchError", "Trajectory", "WienerPath",
     "advance", "assemble_lumped_mass",
     "assemble_rotated_stiffness", "assemble_step_system",

@@ -1,9 +1,11 @@
 """Command line entry point: `simulate <config> [overrides]`.
 
 Loads the config, applies the overrides and hands it to
-`studies.run_study`, whatever the mode. Exit codes: 0 success, 2
-invariant-suite failure (reported by the study, not raised), 3 solver
-failure, 4 configuration error (including an invalid SLLGFEM_WORKERS
+`studies.run_study`, whatever the mode. Flag values are passed to
+`load_config` as text, so they are validated like the config values they
+replace. Exit codes: 0 success, 2 invariant-suite failure (reported by the
+study, not raised), 3 solver failure, 4 configuration error (a usage
+error, a rejected config or flag value, or an invalid SLLGFEM_WORKERS
 value, in any mode).
 """
 
@@ -16,9 +18,25 @@ from .config import load_config
 from .errors import ConfigError, SolverFailure
 from .studies import run_study
 
+# flag -> (config key it overrides, metavar, help note)
+FLAGS = {
+    "theta": ("scheme.theta", "X", ""),
+    "seed": ("run.seed", "N", ""),
+    "samples": ("run.samples", "N", " (Monte Carlo / refinement)"),
+    "levels": ("run.levels", "N", " (refinement)"),
+    "out": ("run.out", "DIR", ""),
+    "snapshots": ("run.snapshots", "STRIDE", " (0 disables VTK output)"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="simulate",
         description="Run a stochastic LLG finite element study described "
                     "by a sectioned text config (see the README for the "
@@ -26,33 +44,18 @@ def build_parser():
                     "and outputs all come from the config; the flags below "
                     "override individual fields.")
     p.add_argument("config", help="path to the config file")
-    p.add_argument("--theta", type=float, metavar="X",
-                   help="override scheme.theta")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="override run.seed")
-    p.add_argument("--samples", type=int, metavar="N",
-                   help="override run.samples (Monte Carlo / refinement)")
-    p.add_argument("--levels", type=int, metavar="N",
-                   help="override run.levels (refinement)")
-    p.add_argument("--out", metavar="DIR", help="override run.out")
-    p.add_argument("--snapshots", type=int, metavar="STRIDE",
-                   help="override run.snapshots (0 disables VTK output)")
+    for flag, (key, metavar, note) in FLAGS.items():
+        p.add_argument(f"--{flag}", metavar=metavar,
+                       help=f"override {key}{note}")
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    overrides = {}
-    for name, val in (("scheme.theta", args.theta),
-                      ("run.seed", args.seed),
-                      ("run.samples", args.samples),
-                      ("run.levels", args.levels),
-                      ("run.out", args.out),
-                      ("run.snapshots", args.snapshots)):
-        if val is not None:
-            overrides[name] = repr(val) if isinstance(val, float) else str(val)
-
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {key: getattr(args, flag)
+                     for flag, (key, _, _) in FLAGS.items()
+                     if getattr(args, flag) is not None}
         config = load_config(args.config, overrides)
         report = run_study(config)
     except ConfigError as e:

@@ -1,28 +1,13 @@
 """Run configuration: a small sectioned text format, fully validated.
 
 The format is INI-style (hand-editable, diff-able): sections [mesh],
-[scheme], [noise], [initial], [run]; every key has a documented default,
-and the resolved configuration (defaults filled in) can be echoed back as
-text that parses to the same config. Range violations and the weak-
+[scheme], [noise], [initial], [run]. `KEYS` below declares every key once:
+the `SimulationConfig` field it fills, its default and its parser. The
+README's "Config format" section is the prose grammar. The resolved
+configuration (defaults filled in) is echoed back as text that parses to
+the same config. Bad values, cross-key violations and the weak-
 implicitness step-size guard are reported as ConfigError, which the CLI
 maps to exit code 4.
-
-Grammar (defaults in parentheses):
-
-  [mesh]    dim (2) | divisions (8) | file ("") | domain_size (1.0)
-  [scheme]  theta (1.0) | lambda1 (1.0) | lambda2 (1.0) | T (1.0) |
-            J (100) | solver_tol (1e-12) | guard_c (2.0)
-  [noise]   preset (constant-z) | amplitude (1.0) | vectors ("")
-  [initial] preset (uniform) | direction (0 0 1) | winding (1.0) |
-            tilt (0.0)
-  [run]     mode (single) | seed (0) | samples (4) | levels (3) |
-            out (out) | snapshots (0)
-
-`vectors` overrides the noise preset with explicit constant vectors,
-semicolon-separated ("0 0 1; 1 0 0" gives q = 2). Initial presets:
-"uniform" (constant `direction`, normalized) and "spiral" (unit field
-winding `winding` times around the z-axis along x_1, lifted out of the
-plane by the constant angle `tilt`).
 """
 
 from __future__ import annotations
@@ -30,6 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field as dataclass_field
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,20 +25,124 @@ from .mesh import build_structured_mesh, read_mesh_text
 from .noise import PRESETS, make_noise
 from .scheme import SchemeParams, check_theta_guard
 
-_SCHEMA = {
-    "mesh": {"dim": "2", "divisions": "8", "file": "", "domain_size": "1.0"},
-    "scheme": {"theta": "1.0", "lambda1": "1.0", "lambda2": "1.0",
-               "T": "1.0", "J": "100", "solver_tol": "1e-12",
-               "guard_c": "2.0"},
-    "noise": {"preset": "constant-z", "amplitude": "1.0", "vectors": ""},
-    "initial": {"preset": "uniform", "direction": "0 0 1",
-                "winding": "1.0", "tilt": "0.0"},
-    "run": {"mode": "single", "seed": "0", "samples": "4", "levels": "3",
-            "out": "out", "snapshots": "0"},
+
+def _number(kind, lo=None, hi=None, strict=False, nonzero=False):
+    """An int or finite float in [lo, hi] ((lo, hi] if strict)."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(name, raw):
+        try:
+            val = kind(raw)
+        except ValueError:
+            raise ConfigError(f"{name} = {raw!r} is not {noun}")
+        if not np.isfinite(val):
+            raise ConfigError(f"{name} = {raw!r} is not finite")
+        if strict and val <= lo:
+            raise ConfigError(f"{name} = {val} must be > {lo}")
+        if (not strict and lo is not None and val < lo) or (
+                hi is not None and val > hi):
+            raise ConfigError(f"{name} = {val} out of range "
+                              f"[{lo}, {'inf' if hi is None else hi}]")
+        if nonzero and val == 0:
+            raise ConfigError(f"{name} must be nonzero")
+        return val
+    return parse
+
+
+def _choice(*options):
+    def parse(name, raw):
+        if raw not in options:
+            kind = name.partition(".")[2]
+            raise ConfigError(f"{name} = {raw!r}; known {kind}s: "
+                              f"{', '.join(options)}")
+        return raw
+    return parse
+
+
+def _text(name, raw):
+    return raw
+
+
+def _triple(where, raw):
+    toks = raw.split()
+    if len(toks) != 3:
+        raise ConfigError(f"{where} must have exactly 3 components")
+    try:
+        vec = tuple(float(t) for t in toks)
+    except ValueError:
+        raise ConfigError(f"{where} is not numeric")
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"{where} is not finite")
+    return vec
+
+
+def _direction(name, raw):
+    vec = _triple(f"{name} = {raw!r}", raw)
+    if not any(vec):
+        raise ConfigError(f"{name} must be nonzero")
+    return vec
+
+
+def _vectors(name, raw):
+    """Semicolon-separated constant 3-vectors; empty gives ()."""
+    if not raw:
+        return ()
+    return tuple(_triple(f"{name} entry {part.strip()!r}", part)
+                 for part in raw.split(";"))
+
+
+# section -> key -> (SimulationConfig field, default text, parser). Fields
+# under `params.` are the SchemeParams arguments.
+KEYS = {
+    "mesh": {
+        "dim": ("dim", "2", _number(int, 2, 3)),
+        "divisions": ("divisions", "8", _number(int, 1)),
+        "file": ("mesh_file", "", _text),
+        "domain_size": ("domain_size", "1.0",
+                        _number(float, 0.0, strict=True)),
+    },
+    "scheme": {
+        "theta": ("params.theta", "1.0", _number(float, 0.0, 1.0)),
+        "lambda1": ("params.lambda1", "1.0", _number(float, nonzero=True)),
+        "lambda2": ("params.lambda2", "1.0",
+                    _number(float, 0.0, strict=True)),
+        "T": ("params.T", "1.0", _number(float, 0.0, strict=True)),
+        "J": ("params.J", "100", _number(int, 1)),
+        "solver_tol": ("params.solver_tol", "1e-12",
+                       _number(float, 0.0, strict=True)),
+        "guard_c": ("guard_c", "2.0", _number(float, 0.0, strict=True)),
+    },
+    "noise": {
+        "preset": ("noise_preset", "constant-z", _choice(*PRESETS)),
+        "amplitude": ("amplitude", "1.0", _number(float)),
+        "vectors": ("vectors", "", _vectors),
+    },
+    "initial": {
+        "preset": ("initial_preset", "uniform", _choice("uniform", "spiral")),
+        "direction": ("direction", "0 0 1", _direction),
+        "winding": ("winding", "1.0", _number(float)),
+        "tilt": ("tilt", "0.0", _number(float)),
+    },
+    "run": {
+        "mode": ("mode", "single",
+                 _choice("single", "monte-carlo", "refinement")),
+        "seed": ("seed", "0", _number(int, 0)),
+        "samples": ("samples", "4", _number(int, 1)),
+        "levels": ("levels", "3", _number(int, 1)),
+        "out": ("out", "out", _text),
+        "snapshots": ("snapshots", "0", _number(int, 0)),
+    },
 }
 
-_MODES = ("single", "monte-carlo", "refinement")
-_INITIAL_PRESETS = ("uniform", "spiral")
+
+def _echo(val):
+    """Text of a parsed value that parses back to the same value."""
+    if isinstance(val, float):
+        return repr(val)
+    if isinstance(val, tuple):
+        sep = "; " if val and isinstance(val[0], tuple) else " "
+        return sep.join(_echo(v) for v in val)
+    return str(val)
 
 
 @dataclass(frozen=True)
@@ -96,11 +186,7 @@ class SimulationConfig:
     def initial_field(self, space):
         if self.initial_preset == "uniform":
             d = np.asarray(self.direction, dtype=float)
-            nrm = np.linalg.norm(d)
-            if nrm == 0.0:
-                raise ConfigError("initial.direction must be nonzero")
-            d = d / nrm
-            return np.tile(d, (space.N, 1))
+            return np.tile(d / np.linalg.norm(d), (space.N, 1))
         w, tilt = self.winding, self.tilt
         ca, sa = np.cos(tilt), np.sin(tilt)
 
@@ -114,100 +200,14 @@ class SimulationConfig:
     def echo_text(self):
         """The resolved config as sectioned text; reparses to this config."""
         buf = io.StringIO()
-        values = {
-            "mesh": {"dim": self.dim, "divisions": self.divisions,
-                     "file": self.mesh_file,
-                     "domain_size": repr(self.domain_size)},
-            "scheme": {"theta": repr(self.params.theta),
-                       "lambda1": repr(self.params.lambda1),
-                       "lambda2": repr(self.params.lambda2),
-                       "T": repr(self.params.T), "J": self.params.J,
-                       "solver_tol": repr(self.params.solver_tol),
-                       "guard_c": repr(self.guard_c)},
-            "noise": {"preset": self.noise_preset,
-                      "amplitude": repr(self.amplitude),
-                      "vectors": "; ".join(
-                          " ".join(repr(c) for c in v)
-                          for v in self.vectors)},
-            "initial": {"preset": self.initial_preset,
-                        "direction": " ".join(repr(c)
-                                              for c in self.direction),
-                        "winding": repr(self.winding),
-                        "tilt": repr(self.tilt)},
-            "run": {"mode": self.mode, "seed": self.seed,
-                    "samples": self.samples, "levels": self.levels,
-                    "out": self.out, "snapshots": self.snapshots},
-        }
         defaulted = set(self.defaulted)
-        for section, keys in values.items():
+        for section, keys in KEYS.items():
             buf.write(f"[{section}]\n")
-            for key, val in keys.items():
+            for key, (field, _, _) in keys.items():
                 mark = "  # default" if f"{section}.{key}" in defaulted else ""
-                buf.write(f"{key} = {val}{mark}\n")
+                buf.write(f"{key} = {_echo(attrgetter(field)(self))}{mark}\n")
             buf.write("\n")
         return buf.getvalue()
-
-
-class _Reader:
-    """Typed key extraction with field-naming errors and default tracking."""
-
-    def __init__(self, parser):
-        self.parser = parser
-        self.defaulted = []
-
-    def get(self, section, key):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        self.defaulted.append(f"{section}.{key}")
-        return _SCHEMA[section][key]
-
-    def get_int(self, section, key, lo=None, hi=None):
-        raw = self.get(section, key)
-        try:
-            val = int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key} = {raw!r} is not an integer")
-        self._check_range(section, key, val, lo, hi)
-        return val
-
-    def get_float(self, section, key, lo=None, hi=None, strict_lo=False):
-        raw = self.get(section, key)
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key} = {raw!r} is not a number")
-        if not np.isfinite(val):
-            raise ConfigError(f"{section}.{key} = {raw!r} is not finite")
-        if strict_lo and lo is not None and val <= lo:
-            raise ConfigError(f"{section}.{key} = {val} must be > {lo}")
-        self._check_range(section, key, val, None if strict_lo else lo, hi)
-        return val
-
-    @staticmethod
-    def _check_range(section, key, val, lo, hi):
-        if lo is not None and val < lo:
-            raise ConfigError(f"{section}.{key} = {val} out of range "
-                              f"[{lo}, {'inf' if hi is None else hi}]")
-        if hi is not None and val > hi:
-            raise ConfigError(f"{section}.{key} = {val} out of range "
-                              f"[{lo}, {hi}]")
-
-
-def _parse_vectors(raw):
-    if not raw:
-        return ()
-    vecs = []
-    for part in raw.split(";"):
-        toks = part.split()
-        if len(toks) != 3:
-            raise ConfigError(f"noise.vectors entry {part.strip()!r} must "
-                              "have exactly 3 components")
-        try:
-            vecs.append(tuple(float(t) for t in toks))
-        except ValueError:
-            raise ConfigError(f"noise.vectors entry {part.strip()!r} is "
-                              "not numeric")
-    return tuple(vecs)
 
 
 def load_config(path, overrides=None):
@@ -216,7 +216,8 @@ def load_config(path, overrides=None):
     `overrides` maps "section.key" to replacement string values (applied
     before validation, so overridden values face the same checks). Raises
     ConfigError on parse errors (with line information), unknown sections
-    or keys, range violations, and step-size guard violations.
+    or keys, bad values, cross-key violations and step-size guard
+    violations.
     """
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
@@ -230,102 +231,61 @@ def load_config(path, overrides=None):
         raise ConfigError(f"config parse error: {e}")
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if key not in KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
 
     for name, value in (overrides or {}).items():
         section, _, key = name.partition(".")
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if key not in KEYS.get(section, {}):
             raise ConfigError(f"unknown override {name!r}")
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, str(value))
 
-    r = _Reader(parser)
-    dim = r.get_int("mesh", "dim", 2, 3)
-    divisions = r.get_int("mesh", "divisions", 1)
-    mesh_file = r.get("mesh", "file")
-    domain_size = r.get_float("mesh", "domain_size", 0.0, strict_lo=True)
+    values, defaulted = {}, []
+    for section, keys in KEYS.items():
+        for key, (field, default, parse) in keys.items():
+            name = f"{section}.{key}"
+            if parser.has_option(section, key):
+                raw = parser.get(section, key).strip()
+            else:
+                raw = default
+                defaulted.append(name)
+            values[field] = parse(name, raw)
+    params = {f.partition(".")[2]: values.pop(f)
+              for f in list(values) if f.startswith("params.")}
+    cfg = SimulationConfig(params=SchemeParams(**params),
+                           defaulted=tuple(defaulted), **values)
 
-    theta = r.get_float("scheme", "theta", 0.0, 1.0)
-    lambda1 = r.get_float("scheme", "lambda1")
-    lambda2 = r.get_float("scheme", "lambda2", 0.0, strict_lo=True)
-    T = r.get_float("scheme", "T", 0.0, strict_lo=True)
-    J = r.get_int("scheme", "J", 1)
-    solver_tol = r.get_float("scheme", "solver_tol", 0.0, strict_lo=True)
-    guard_c = r.get_float("scheme", "guard_c", 0.0, strict_lo=True)
-    if lambda1 == 0.0:
-        raise ConfigError("scheme.lambda1 must be nonzero")
-    params = SchemeParams(lambda1=lambda1, lambda2=lambda2, theta=theta,
-                          T=T, J=J, solver_tol=solver_tol)
-
-    preset = r.get("noise", "preset")
-    if preset not in PRESETS:
-        raise ConfigError(f"noise.preset = {preset!r}; known presets: "
-                          f"{', '.join(PRESETS)}")
-    amplitude = r.get_float("noise", "amplitude")
-    vectors = _parse_vectors(r.get("noise", "vectors"))
-
-    initial_preset = r.get("initial", "preset")
-    if initial_preset not in _INITIAL_PRESETS:
-        raise ConfigError(f"initial.preset = {initial_preset!r}; known: "
-                          f"{', '.join(_INITIAL_PRESETS)}")
-    raw_dir = r.get("initial", "direction")
-    try:
-        direction = tuple(float(t) for t in raw_dir.split())
-    except ValueError:
-        raise ConfigError(f"initial.direction = {raw_dir!r} is not numeric")
-    if len(direction) != 3:
-        raise ConfigError("initial.direction must have 3 components")
-    winding = r.get_float("initial", "winding")
-    tilt = r.get_float("initial", "tilt")
-
-    mode = r.get("run", "mode")
-    if mode not in _MODES:
-        raise ConfigError(f"run.mode = {mode!r}; known modes: "
-                          f"{', '.join(_MODES)}")
-    seed = r.get_int("run", "seed", 0)
-    samples = r.get_int("run", "samples", 1)
-    levels = r.get_int("run", "levels", 1)
-    out = r.get("run", "out")
-    snapshots = r.get_int("run", "snapshots", 0)
-
-    if mode == "monte-carlo" and samples < 2:
-        raise ConfigError(f"run.samples = {samples}; monte-carlo mode needs "
-                          "at least 2")
-    if mode == "refinement":
-        if levels < 3:
-            raise ConfigError(f"run.levels = {levels}; refinement mode "
+    if cfg.mode == "monte-carlo" and cfg.samples < 2:
+        raise ConfigError(f"run.samples = {cfg.samples}; monte-carlo mode "
+                          "needs at least 2")
+    if cfg.mode == "refinement":
+        if cfg.levels < 3:
+            raise ConfigError(f"run.levels = {cfg.levels}; refinement mode "
                               "needs at least 3")
-        factor = 2 ** (levels - 1)
-        if mesh_file:
+        factor = 2 ** (cfg.levels - 1)
+        if cfg.mesh_file:
             raise ConfigError("refinement mode requires a structured mesh "
                               "(mesh.file is set)")
-        if divisions % factor or J % factor:
-            raise ConfigError(f"refinement with {levels} levels needs "
+        if cfg.divisions % factor or cfg.params.J % factor:
+            raise ConfigError(f"refinement with {cfg.levels} levels needs "
                               f"mesh.divisions and scheme.J divisible by "
-                              f"{factor}; got {divisions} and {J}")
+                              f"{factor}; got {cfg.divisions} and "
+                              f"{cfg.params.J}")
 
-    cfg = SimulationConfig(
-        dim=dim, divisions=divisions, mesh_file=mesh_file,
-        domain_size=domain_size, params=params, guard_c=guard_c,
-        noise_preset=preset, amplitude=amplitude, vectors=vectors,
-        initial_preset=initial_preset, direction=direction, winding=winding,
-        tilt=tilt, mode=mode, seed=seed, samples=samples, levels=levels,
-        out=out, snapshots=snapshots, defaulted=tuple(r.defaulted))
-
-    if mesh_file:
+    if cfg.mesh_file:
         h = cfg.build_mesh().h
     else:
-        h = np.sqrt(dim) * domain_size / divisions
-    ok, bound = check_theta_guard(params, h, guard_c)
+        h = np.sqrt(cfg.dim) * cfg.domain_size / cfg.divisions
+    ok, bound = check_theta_guard(cfg.params, h, cfg.guard_c)
     if not ok:
         raise ConfigError(
-            f"scheme.theta = {theta} needs time steps k <= {bound:.6g} "
-            f"(k = O(h^2) stability guard for theta < 1/2, k = O(h) at "
-            f"theta = 1/2); got k = {params.k:.6g}. Increase scheme.J, "
-            "refine less, or raise theta.")
+            f"scheme.theta = {cfg.params.theta} needs time steps "
+            f"k <= {bound:.6g} (k = O(h^2) stability guard for theta < 1/2, "
+            f"k = O(h) at theta = 1/2); got k = {cfg.params.k:.6g}. "
+            "Increase scheme.J, refine less, or raise theta.")
     return cfg

@@ -2,8 +2,9 @@
 
 Argument validation failures raise plain ValueError. The classes below mark
 failures that callers may want to catch and map to process exit codes:
-ConfigError -> 4, SolverFailure -> 3. Exit code 2 (invariant-suite failure)
-is not an exception: studies return the failures in their report.
+ConfigError -> 4 (the CLI raises it for its usage errors too),
+SolverFailure -> 3. Exit code 2 (invariant-suite failure) is not an
+exception: studies return the failures in their report.
 """
 
 

@@ -43,7 +43,6 @@ class Mesh:
     volumes : (M,) array of positive cell measures.
     h : float, largest cell diameter.
     boundary_facets : (B, dim) int array of facets owned by exactly one cell.
-    facet_markers : (B,) int array, all 1 (single boundary region).
     """
 
     def __init__(self, vertices, cells):
@@ -73,7 +72,7 @@ class Mesh:
         self.vertices = vertices
         self.cells = cells
         self.volumes = vols
-        self.boundary_facets, self.facet_markers = self._find_boundary()
+        self.boundary_facets = self._find_boundary()
 
         edges = vertices[cells]                      # (M, dim+1, dim)
         diam = 0.0
@@ -112,8 +111,7 @@ class Mesh:
             first = over[np.argmin(order[over])]
             raise MeshError(f"facet {tuple(int(v) for v in faces[first])} "
                             f"shared by more than two cells")
-        facets = faces[starts[counts == 1]]
-        return facets, np.ones(len(facets), dtype=np.int64)
+        return faces[starts[counts == 1]]
 
 
 def _signed_measures(vertices, cells):

@@ -74,15 +74,9 @@ def check_theta_guard(params, h, guard_c=2.0):
     return params.k <= bound, bound
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Per node, an orthonormal pair spanning the plane orthogonal to m."""
-
-    tau: np.ndarray          # (N, 2, 3)
-
-
 def build_tangent_frame(m):
-    """Deterministic orthonormal tangent pairs via a Householder reflection.
+    """Per node, an orthonormal pair tau (N, 2, 3) spanning the plane
+    orthogonal to m, built by a Householder reflection.
 
     The reflector w = m + sign(m_z) e3 maps e3 to -sign(m_z) m, so its images
     of e1 and e2 span the tangent plane; |w|^2 = 2 + 2|m_z| never degenerates,
@@ -104,7 +98,7 @@ def build_tangent_frame(m):
         coef = 2.0 * w[:, a] / wsq
         tau[:, a, :] = -coef[:, None] * w
         tau[:, a, a] += 1.0
-    return TangentFrame(tau)
+    return tau
 
 
 @dataclass
@@ -123,11 +117,11 @@ class StepSystem:
 
     matrix: sp.csc_matrix    # (2N, 2N), node-major 2x2 blocks
     rhs: np.ndarray          # (2N,)
-    frame: TangentFrame
+    tau: np.ndarray          # (N, 2, 3) tangent frame
     KZ: sp.bsr_matrix        # rotation-twisted vector stiffness (3N, 3N)
 
 
-def assemble_step_system(state, frame, field, params, space):
+def assemble_step_system(state, tau, field, params, space):
     """Assemble the step system in tangent coordinates.
 
     Bilinear form a(v, w) = -lambda2 <v,w>_lumped + lambda1 <m x v, w>_lumped
@@ -144,7 +138,7 @@ def assemble_step_system(state, frame, field, params, space):
     if field.j != state.j:
         raise TimeMismatchError(f"rotation field at index {field.j}, "
                                 f"state at index {state.j}")
-    m, tau = state.m, frame.tau
+    m = state.m
     N = len(m)
     K = space.stiffness().copy()
     K.eliminate_zeros()      # exact zeros (right-angle edges) only add LU fill
@@ -161,7 +155,7 @@ def assemble_step_system(state, frame, field, params, space):
     KZ = assemble_rotated_stiffness(field)
     load = params.mu * (KZ @ m.ravel())
     rhs = np.einsum("nac,nc->na", tau, load.reshape(N, 3)).ravel()
-    return StepSystem(matrix=A.tocsc(), rhs=rhs, frame=frame, KZ=KZ)
+    return StepSystem(matrix=A.tocsc(), rhs=rhs, tau=tau, KZ=KZ)
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,7 @@ def solve_step(system, params):
     tolerance raises SolverFailure.
     """
     A, b = system.matrix, system.rhs
-    tau = system.frame.tau
+    tau = system.tau
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         c = np.zeros(A.shape[0])
@@ -250,7 +244,6 @@ class Trajectory:
     """A scheme run: the final state and the per-step scalars."""
 
     params: SchemeParams
-    times: np.ndarray        # (J+1,)
     m: np.ndarray            # (N, 3), m^J
     energy: np.ndarray       # (J+1,), |grad m^j|^2
     diagnostics: list        # one dict per step (schema in run())
@@ -321,9 +314,8 @@ def run(m0, params, path, coeffs, space, observers=()):
         del step                # frees the field at t_j before the next solve
         state, field = next_state, next_field
 
-    return Trajectory(params=params, times=k * np.arange(J + 1), m=state.m,
-                      energy=energies, diagnostics=diagnostics,
-                      m0_drift=drift)
+    return Trajectory(params=params, m=state.m, energy=energies,
+                      diagnostics=diagnostics, m0_drift=drift)
 
 
 def _update(state, field, params, space):
@@ -333,8 +325,8 @@ def _update(state, field, params, space):
     before the step's observers run.
     """
     K = space.stiffness()
-    frame = build_tangent_frame(state.m)
-    system = assemble_step_system(state, frame, field, params, space)
+    tau = build_tangent_frame(state.m)
+    system = assemble_step_system(state, tau, field, params, space)
     sol = solve_step(system, params)
     v, m = sol.v, state.m
     Kv = K @ v

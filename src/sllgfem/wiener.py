@@ -43,10 +43,6 @@ class WienerPath:
         np.cumsum(self.increments, axis=0, out=W[1:])
         return W
 
-    @property
-    def times(self):
-        return self.k * np.arange(self.J + 1)
-
 
 def sample_path(seed, q, J, T, stream=0):
     """Draw a WienerPath with step k = T/J from stream (seed, stream)."""

@@ -4,11 +4,15 @@ The CLI is driven in-process through main(argv) so exit codes and the
 stdout/stderr contract can be asserted without spawning interpreters.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sllgfem import ConfigError, load_config, studies
 from sllgfem.cli import build_parser, main
+from sllgfem.config import KEYS
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -117,8 +121,10 @@ def test_unknown_key_rejected(tmp_path):
     ("[noise]\npreset = sideways\n", "noise.preset"),
     ("[initial]\npreset = vortex\n", "initial.preset"),
     ("[initial]\ndirection = 1 2\n", "initial.direction"),
+    ("[initial]\ndirection = nan 0 1\n", "initial.direction"),
 ], ids=["theta-high", "theta-low", "J-word", "T-nan", "lambda2-neg",
-        "dim", "mode", "noise-preset", "init-preset", "direction-len"])
+        "dim", "mode", "noise-preset", "init-preset", "direction-len",
+        "direction-nan"])
 def test_bad_values_name_the_field(tmp_path, text, field):
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
         load_config(write_cfg(tmp_path, text))
@@ -175,6 +181,8 @@ def test_bad_vector_entries(tmp_path):
         load_config(write_cfg(tmp_path, "[noise]\nvectors = 0 0\n"))
     with pytest.raises(ConfigError, match="not numeric"):
         load_config(write_cfg(tmp_path, "[noise]\nvectors = a b c\n"))
+    with pytest.raises(ConfigError, match="not finite"):
+        load_config(write_cfg(tmp_path, "[noise]\nvectors = 0 0 1; inf 0 0\n"))
 
 
 def test_spiral_initial_field(tmp_path):
@@ -202,10 +210,9 @@ def test_uniform_initial_field_normalizes(tmp_path):
         tmp_path, "[initial]\ndirection = 1 1 1\n"))
     m0 = cfg.initial_field(cfg.build_space())
     np.testing.assert_allclose(m0, np.full_like(m0, 1.0 / np.sqrt(3.0)))
-    bad = load_config(write_cfg(
-        tmp_path, "[initial]\ndirection = 0 0 0\n", name="bad.ini"))
     with pytest.raises(ConfigError, match="nonzero"):
-        bad.initial_field(bad.build_space())
+        load_config(write_cfg(
+            tmp_path, "[initial]\ndirection = 0 0 0\n", name="bad.ini"))
 
 
 def test_overrides_apply_before_validation(tmp_path):
@@ -222,6 +229,18 @@ def test_overrides_apply_before_validation(tmp_path):
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.ini"))
+
+
+def test_readme_documents_every_key_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```")[1]
+    parts = re.split(r"^\[(\w+)\]", block, flags=re.M)
+    documented = {section: dict(re.findall(r"(\w+) \(([^)]*)\)", body))
+                  for section, body in zip(parts[1::2], parts[2::2])}
+    declared = {section: {key: default or '""'
+                          for key, (_, default, _) in keys.items()}
+                for section, keys in KEYS.items()}
+    assert documented == declared
 
 
 # ------------------------------------------------------------------- CLI
@@ -245,6 +264,28 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main([bad]) == 4
     assert "config error:" in capsys.readouterr().err
     assert main([str(tmp_path / "absent.ini")]) == 4
+
+
+def test_cli_usage_errors_exit_4(tmp_path, capsys):
+    cfg = fast_single(tmp_path)
+    assert main([cfg, "--theta", "abc"]) == 4
+    assert ("config error: scheme.theta = 'abc' is not a number"
+            in capsys.readouterr().err)
+    assert main([cfg, "--bogus", "1"]) == 4
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main([]) == 4
+    assert "usage: simulate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+
+
+def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
+    cfg = fast_single(tmp_path, extra="[initial]\ndirection = 0 0 0\n")
+    assert main([cfg]) == 4
+    assert "initial.direction must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):

@@ -55,7 +55,6 @@ def test_boundary_facet_counts():
     mesh = build_structured_mesh(2, 4)
     # 4 sides x 4 edges, plus no diagonal on the boundary
     assert len(mesh.boundary_facets) == 16
-    assert (mesh.facet_markers == 1).all()
     mesh3 = build_structured_mesh(3, 2)
     # 6 faces x (2 triangles per square face x 4 squares)
     assert len(mesh3.boundary_facets) == 48

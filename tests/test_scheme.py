@@ -107,14 +107,13 @@ def test_theta_guard_regimes():
 # ---------------------------------------------------------------- frames
 
 def test_frame_canonical_at_north_pole():
-    frame = build_tangent_frame(np.array([[0.0, 0.0, 1.0]]))
-    np.testing.assert_allclose(frame.tau[0, 0], [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(frame.tau[0, 1], [0.0, 1.0, 0.0], atol=1e-15)
+    tau = build_tangent_frame(np.array([[0.0, 0.0, 1.0]]))
+    np.testing.assert_allclose(tau[0, 0], [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(tau[0, 1], [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_frame_survives_the_antipode():
-    frame = build_tangent_frame(np.array([[0.0, 0.0, -1.0]]))
-    tau = frame.tau[0]
+    tau = build_tangent_frame(np.array([[0.0, 0.0, -1.0]]))[0]
     gram = tau @ tau.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(tau @ [0.0, 0.0, -1.0], 0.0, atol=1e-12)
@@ -125,7 +124,7 @@ def test_frame_survives_the_antipode():
        .filter(lambda u: sum(x * x for x in u) > 1e-4))
 def test_frame_orthonormal_tangent_property(u):
     m = np.asarray(u) / np.linalg.norm(u)
-    tau = build_tangent_frame(m[None, :]).tau[0]
+    tau = build_tangent_frame(m[None, :])[0]
     np.testing.assert_allclose(tau @ tau.T, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(tau @ m, 0.0, atol=1e-12)
 
@@ -158,16 +157,16 @@ def test_quadratic_form_is_negative_definite():
     space = space8()
     m = spiral_m0(space)
     state = NodalState(j=0, m=m, energy=np.nan)
-    frame = build_tangent_frame(m)
+    tau = build_tangent_frame(m)
     field = init_rotation_field(space, make_noise("zero"))
     params = default_params(lambda1=1.3, lambda2=0.7, theta=0.8)
-    system = assemble_step_system(state, frame, field, params, space)
+    system = assemble_step_system(state, tau, field, params, space)
     lumped = space.lumped_mass_diagonal()
     K = space.stiffness()
     rng = np.random.default_rng(1)
     for _ in range(20):
         c = rng.standard_normal(2 * space.N)
-        w = np.einsum("na,nab->nb", c.reshape(space.N, 2), frame.tau)
+        w = np.einsum("na,nab->nb", c.reshape(space.N, 2), tau)
         quad = float(c @ (system.matrix @ c))
         expected = (-params.lambda2 * np.sum(lumped * np.sum(w * w, axis=1))
                     - params.mu * params.k * params.theta
@@ -205,7 +204,7 @@ def evolved_step_inputs(dim, divisions, steps=3):
     return space, state, build_tangent_frame(m), field, params
 
 
-def projected_reference(space, state, frame, field, params):
+def projected_reference(space, state, tau, field, params):
     """P^T A3 P and P^T rhs3 from the (3N, 3N) nodal-vector form, with P
     the (3N, 2N) map from tangent coefficients to nodal vectors."""
     lumped = space.lumped_mass_diagonal()
@@ -214,16 +213,16 @@ def projected_reference(space, state, frame, field, params):
                                * cross_matrix(state.m)))
           - params.mu * params.k * params.theta
           * sp.kron(space.stiffness(), sp.eye(3)))
-    P = sp.block_diag([t.T for t in frame.tau])
+    P = sp.block_diag([t.T for t in tau])
     rhs3 = params.mu * (assemble_rotated_stiffness(field) @ state.m.ravel())
     return (P.T @ A3 @ P).toarray(), P.T @ rhs3
 
 
 @pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
 def test_assembly_matches_projected_nodal_system(dim, divisions):
-    space, state, frame, field, params = evolved_step_inputs(dim, divisions)
-    system = assemble_step_system(state, frame, field, params, space)
-    A_ref, rhs_ref = projected_reference(space, state, frame, field, params)
+    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(state, tau, field, params, space)
+    A_ref, rhs_ref = projected_reference(space, state, tau, field, params)
     A = system.matrix.toarray()
     assert A.shape == A_ref.shape == (2 * space.N, 2 * space.N)
     np.testing.assert_allclose(A, A_ref, rtol=0,
@@ -235,8 +234,8 @@ def test_assembly_matches_projected_nodal_system(dim, divisions):
 
 @pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
 def test_lu_solution_matches_dense_solve(dim, divisions):
-    space, state, frame, field, params = evolved_step_inputs(dim, divisions)
-    system = assemble_step_system(state, frame, field, params, space)
+    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(state, tau, field, params, space)
     sol = solve_step(system, params)
     c = np.linalg.solve(system.matrix.toarray(), system.rhs)
     np.testing.assert_allclose(sol.coefficients, c, rtol=0,
@@ -249,10 +248,10 @@ def test_solution_satisfies_weak_form_against_random_tangents():
     space = space8()
     m = spiral_m0(space)
     state = NodalState(j=0, m=m, energy=np.nan)
-    frame = build_tangent_frame(m)
+    tau = build_tangent_frame(m)
     params = default_params()
     field = init_rotation_field(space, make_noise("zero"))
-    system = assemble_step_system(state, frame, field, params, space)
+    system = assemble_step_system(state, tau, field, params, space)
     sol = solve_step(system, params)
     resid = system.matrix @ sol.coefficients - system.rhs
     rng = np.random.default_rng(2)
@@ -278,10 +277,10 @@ def test_solver_failure_carries_residual():
 
 def test_singular_system_raises_solver_failure():
     space = space8()
-    frame = build_tangent_frame(spiral_m0(space))
+    tau = build_tangent_frame(spiral_m0(space))
     n = 2 * space.N
     system = StepSystem(matrix=sp.csc_matrix((n, n)), rhs=np.ones(n),
-                        frame=frame, KZ=None)
+                        tau=tau, KZ=None)
     with pytest.raises(SolverFailure) as err:
         solve_step(system, default_params())
     assert err.value.residual == np.inf
@@ -330,9 +329,9 @@ def test_advance_pythagoras_before_normalization():
     m = spiral_m0(space)
     params = default_params()
     state = NodalState(j=0, m=m, energy=np.nan)
-    frame = build_tangent_frame(m)
+    tau = build_tangent_frame(m)
     field = init_rotation_field(space, make_noise("zero"))
-    sol = solve_step(assemble_step_system(state, frame, field, params,
+    sol = solve_step(assemble_step_system(state, tau, field, params,
                                           space), params)
     stretched = m + params.k * sol.v
     lhs = np.sum(stretched * stretched, axis=1)

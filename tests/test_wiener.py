@@ -61,11 +61,6 @@ def test_cumulative_starts_at_zero_and_telescopes():
     np.testing.assert_allclose(np.diff(W, axis=0), p.increments, atol=0)
 
 
-def test_times_grid():
-    p = sample_path(3, q=1, J=4, T=1.0)
-    np.testing.assert_allclose(p.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-
-
 def test_coarsen_factor_one_is_identity():
     p = sample_path(4, q=2, J=16, T=1.0)
     assert coarsen(p, 1) is p
