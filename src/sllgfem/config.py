@@ -219,8 +219,10 @@ def load_config(path, overrides=None):
     or keys, bad values, cross-key violations and step-size guard
     violations.
     """
+    # ";" separates noise vectors, so only "#" starts an inline comment;
+    # whole-line ";" comments still parse
     parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#", ";"))
+                                       inline_comment_prefixes=("#",))
     parser.optionxform = str          # keys are case-sensitive (T vs t)
     try:
         with open(path) as fh:

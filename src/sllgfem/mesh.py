@@ -42,6 +42,10 @@ class Mesh:
     dim : int
     volumes : (M,) array of positive cell measures.
     h : float, largest cell diameter.
+    facets : (F, dim) int array of distinct facets (edges in 2D, faces in
+        3D), each row's vertex ids ascending, rows in lexicographic order.
+    cell_facets : (M, dim+1) int array; entry (c, i) is the row of `facets`
+        holding the facet of cell c opposite its local vertex i.
     boundary_facets : (B, dim) int array of facets owned by exactly one cell.
     """
 
@@ -72,7 +76,8 @@ class Mesh:
         self.vertices = vertices
         self.cells = cells
         self.volumes = vols
-        self.boundary_facets = self._find_boundary()
+        self.facets, self.cell_facets, self.boundary_facets = \
+            self._find_facets()
 
         edges = vertices[cells]                      # (M, dim+1, dim)
         diam = 0.0
@@ -93,7 +98,7 @@ class Mesh:
     def n_cells(self):
         return len(self.cells)
 
-    def _find_boundary(self):
+    def _find_facets(self):
         # every interior facet must be shared by exactly two cells
         d = self.dim
         local_facets = [[j for j in range(d + 1) if j != i]
@@ -111,7 +116,11 @@ class Mesh:
             first = over[np.argmin(order[over])]
             raise MeshError(f"facet {tuple(int(v) for v in faces[first])} "
                             f"shared by more than two cells")
-        return faces[starts[counts == 1]]
+        cell_facets = np.empty(len(faces), dtype=np.int64)
+        cell_facets[order] = np.cumsum(new) - 1
+        facets = faces[starts]
+        return (facets, cell_facets.reshape(-1, d + 1),
+                facets[counts == 1])
 
 
 def _signed_measures(vertices, cells):

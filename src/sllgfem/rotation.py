@@ -18,6 +18,13 @@ M = 1/2 k sum_i G_i^2 + sum_i dW_i G_i and N_d = 1/2 k sum_i H_i
 matrix products per point. The drift sums are fixed by the noise
 coefficients, so they are formed once per field.
 
+Both equations are pointwise in x, so the field is evolved once per point
+that is read, and no point twice: Z at the distinct quadrature points
+(P1Space.distinct_points, where the 2D edge-midpoint rule shares each
+interior point between two triangles) and at the vertices, which
+reconstruct_M reads; xi at the distinct quadrature points only, since only
+quadrature sums read it.
+
 F(t, u, v) = <grad(Z u), grad(Z v)> - <grad u, grad v> is the stochastic
 correction that appears as an extra load in the scheme. Two routes compute
 it: the identity form (from the current Z, xi only) and an Ito-sum
@@ -99,12 +106,16 @@ def evolve_point_rotation(gvals, increments, Z0=None):
 
 
 class RotationField:
-    """Z and xi sampled at all quadrature points and all mesh nodes.
+    """Z and xi at the points where they are read.
 
-    The evaluation points are flattened as [cell-major quadrature points,
-    then vertices]; views reshape them back. Snapshots are immutable: each
-    evolve_step returns a new field at index j+1 sharing the cached
-    coefficient tensors.
+    Z and xi solve equations that are pointwise in x, so each is evolved
+    once per distinct point. Z has one row per distinct quadrature point
+    (space.distinct_points) followed by one per vertex; xi, which only
+    quadrature sums read, has the quadrature rows alone. Z_quad and xi_quad
+    gather them cell-major through space.qp_index (views when no point is
+    shared, as in 3D); Z_nodes are the vertex rows. Snapshots are
+    immutable: each evolve_step returns a new field at index j+1 sharing
+    the cached coefficient tensors.
     """
 
     def __init__(self, space, coeffs, j, Z, xi, cache):
@@ -120,27 +131,24 @@ class RotationField:
     # views ---------------------------------------------------------------
 
     @property
-    def n_quad(self):
-        return self.space.mesh.n_cells * self.space.n_qp
-
-    @property
     def Z_quad(self):
-        m = self.space.mesh
-        return self.Z[:self.n_quad].reshape(m.n_cells, self.space.n_qp, 3, 3)
+        """(n_cells, n_qp, 3, 3); a copy where points are shared, so read it
+        once per use."""
+        s = self.space
+        return self.Z[:len(self.xi)][s.qp_index].reshape(
+            s.mesh.n_cells, s.n_qp, 3, 3)
 
     @property
     def Z_nodes(self):
-        return self.Z[self.n_quad:]
+        return self.Z[len(self.xi):]
 
     @property
     def xi_quad(self):
-        m = self.space.mesh
-        return self.xi[:self.n_quad].reshape(m.n_cells, self.space.n_qp,
-                                             m.dim, 3, 3)
-
-    @property
-    def xi_nodes(self):
-        return self.xi[self.n_quad:]
+        """(n_cells, n_qp, dim, 3, 3); a copy where points are shared, so read
+        it once per use."""
+        s = self.space
+        return self.xi[s.qp_index].reshape(s.mesh.n_cells, s.n_qp,
+                                           s.mesh.dim, 3, 3)
 
     def orthogonality_defect(self):
         """max over points of ||Z^T Z - I||_F."""
@@ -149,35 +157,33 @@ class RotationField:
 
 
 def _coefficient_cache(space, coeffs):
-    """Noise coefficients at every evaluation point, in the form the steps
-    use.
+    """Noise coefficients at the field's points, in the form the steps use.
 
-    "g" (q, P, 3) holds the vectors g_i and "dg" (q, P, dim, 3) their
-    derivatives dg_i/dx_d; a step contracts them with its increments and
-    builds sum_i dW_i G_i and sum_i dW_i I_i from the results. The drift
-    of xi does not depend on the increments, so only its sums over the
-    noise index are kept: "G2" (P, 3, 3) is sum_i G_i^2 and "H" (P, dim,
-    3, 3) is sum_i H_i, with H_i = I_i G_i + G_i I_i per direction.
+    "g" (q, P + N, 3) holds the vectors g_i at the P distinct quadrature
+    points, then the N vertices (the rows of RotationField.Z). The rest
+    feed only the xi update and so hold the P quadrature rows alone: "dg"
+    (q, P, dim, 3) the derivatives dg_i/dx_d, "G2" (P, 3, 3) sum_i G_i^2
+    and "H" (P, dim, 3, 3) sum_i H_i, with H_i = I_i G_i + G_i I_i per
+    direction. A step contracts g and dg with its increments and builds
+    sum_i dW_i G_i and sum_i dW_i I_i from the results; the drift of xi
+    does not depend on the increments, so only its sums over the noise
+    index are kept.
     """
-    dim = space.mesh.dim
-    points = np.vstack([space.quad_points.reshape(-1, dim),
-                        space.mesh.vertices])
-    g = coeffs.g_at(points)                        # (q, P, 3)
-    dg = np.moveaxis(coeffs.jac_at(points), -1, 2)  # (q, P, dim, 3)
-    G = -cross_matrix(g)                           # matrix of u -> u x g
-    Ii = -cross_matrix(dg)                         # (q, P, dim, 3, 3)
+    qp = space.distinct_points
+    g = coeffs.g_at(np.vstack([qp, space.mesh.vertices]))   # (q, P+N, 3)
+    dg = np.moveaxis(coeffs.jac_at(qp), -1, 2)      # (q, P, dim, 3)
+    G = -cross_matrix(g[:, :len(qp)])               # matrix of u -> u x g
+    Ii = -cross_matrix(dg)                          # (q, P, dim, 3, 3)
     G2 = np.sum(G @ G, axis=0)
     H = np.sum(Ii @ G[:, :, None] + G[:, :, None] @ Ii, axis=0)
-    return {"points": points, "g": g, "dg": dg, "G2": G2, "H": H}
+    return {"g": g, "dg": dg, "G2": G2, "H": H}
 
 
 def init_rotation_field(space, coeffs):
-    """Field at time index 0: Z = I, xi = 0 at every evaluation point."""
+    """Field at time index 0: Z = I and xi = 0 at every point."""
     cache = _coefficient_cache(space, coeffs)
-    P = len(cache["points"])
-    dim = space.mesh.dim
-    Z = np.tile(np.eye(3), (P, 1, 1))
-    xi = np.zeros((P, dim, 3, 3))
+    Z = np.tile(np.eye(3), (cache["g"].shape[1], 1, 1))
+    xi = np.zeros(cache["dg"].shape[1:] + (3,))
     return RotationField(space, coeffs, 0, Z, xi, cache)
 
 
@@ -205,11 +211,13 @@ def evolve_step(field, dW, k):
     a = np.einsum("i,ipa->pa", dW, c["g"])
     Z1 = rodrigues_exp(-a) @ field.Z
 
+    # xi lives on the first P rows of Z, the quadrature points.
     # G u = u x g = -g x u, so sum_i dW_i G_i = C(-a), likewise for I_i
-    M = 0.5 * k * c["G2"] + cross_matrix(-a)
+    P = len(field.xi)
+    M = 0.5 * k * c["G2"] + cross_matrix(-a[:P])
     N = 0.5 * k * c["H"] + cross_matrix(-np.tensordot(dW, c["dg"], 1))
     xi1 = M[:, None] @ field.xi
-    xi1 += N @ field.Z[:, None]
+    xi1 += N @ field.Z[:P, None]
     xi1 += field.xi
     return RotationField(field.space, field.coeffs, field.j + 1, Z1, xi1, c)
 
@@ -252,14 +260,14 @@ def assemble_rotated_stiffness(field):
     space = field.space
     mesh = space.mesh
     d1 = mesh.dim + 1
+    Z, xi = field.Z_quad, field.xi_quad
     # T[l,c,q,d,a,b]: contribution of nodal dof (l,b) to grad_d(Z u)_a at
     # qp; the local node index goes first so each T[l] is filled contiguously
-    T = np.empty((d1,) + field.xi_quad.shape)
+    T = np.empty((d1,) + xi.shape)
     for l in range(d1):
-        np.multiply(space.phi_qp[None, :, l, None, None, None],
-                    field.xi_quad, out=T[l])
-        T[l] += (space.grad_phi[:, None, l, :, None, None]
-                 * field.Z_quad[:, :, None])
+        np.multiply(space.phi_qp[None, :, l, None, None, None], xi,
+                    out=T[l])
+        T[l] += space.grad_phi[:, None, l, :, None, None] * Z[:, :, None]
     wT = space.quad_weights[None, :, :, None, None, None] * T
     T = T.reshape(d1, mesh.n_cells, -1, 3)
     wT = wT.reshape(T.shape)
@@ -296,10 +304,10 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
     u_qp, gu = space.values_at_qp(u), space.grads_at_qp(u)
     v_qp, gv = space.values_at_qp(v), space.grads_at_qp(v)
     c = field._cache
-    nq = field.n_quad
+    idx = space.qp_index
     shape = (coeffs.q, space.mesh.n_cells, space.n_qp, space.mesh.dim, 3, 3)
-    G = -cross_matrix(c["g"][:, :nq])[:, :, None]
-    Ii = -cross_matrix(c["dg"][:, :nq])
+    G = -cross_matrix(c["g"][:, :len(field.xi)][:, idx])[:, :, None]
+    Ii = -cross_matrix(c["dg"][:, idx])
     Bi = (0.5 * (Ii @ G - G @ Ii)).reshape(shape)
     Ii = Ii.reshape(shape)
 

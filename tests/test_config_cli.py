@@ -176,6 +176,18 @@ vectors = 0 0 1; 1 0 0
     np.testing.assert_allclose(g[1, 0], [2.0, 0.0, 0.0])
 
 
+def test_spaced_semicolon_separates_vectors(tmp_path):
+    # ";" separates vectors wherever it stands; only "#" opens an inline
+    # comment, and a whole-line ";" comment is still a comment
+    cfg = load_config(write_cfg(tmp_path, """\
+; full-line comment
+[noise]
+vectors = 0 0 1 ; 1 0 0   # two components
+"""))
+    assert cfg.vectors == ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+    assert cfg.build_noise().q == 2
+
+
 def test_bad_vector_entries(tmp_path):
     with pytest.raises(ConfigError, match="exactly 3 components"):
         load_config(write_cfg(tmp_path, "[noise]\nvectors = 0 0\n"))

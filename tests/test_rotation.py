@@ -26,6 +26,12 @@ def evolve_field(space, coeffs, path, J=None):
     return field
 
 
+def per_qp_points(space):
+    """Every cell-major quadrature point, then every vertex."""
+    return np.vstack([space.quad_points.reshape(-1, space.mesh.dim),
+                      space.mesh.vertices])
+
+
 def pair_varying(a=1.0):
     """Two spatially varying components with non-commuting values."""
     def g1(x):
@@ -179,7 +185,7 @@ def test_zero_noise_field_stays_identity():
     assert field.j == 50
     np.testing.assert_allclose(field.Z_nodes,
                                np.tile(np.eye(3), (space.N, 1, 1)), atol=0)
-    assert np.all(field.xi_nodes == 0.0)
+    assert np.all(field.xi_quad == 0.0)
 
 
 def test_constant_g_keeps_xi_zero():
@@ -188,7 +194,6 @@ def test_constant_g_keeps_xi_zero():
     path = sample_path(8, 1, 100, 1.0)
     field = evolve_field(space, make_noise("constant-z", amplitude=2.0), path)
     assert np.all(field.xi_quad == 0.0)
-    assert np.all(field.xi_nodes == 0.0)
 
 
 def test_field_orthogonality_drift_under_varying_noise():
@@ -215,6 +220,8 @@ def test_q1_varying_g_matches_analytic_solution():
     Z_exact = rodrigues_exp(-WT * coeffs.g_at(X)[0])
     assert np.linalg.norm(field.Z_nodes - Z_exact, axis=(1, 2)).max() <= 1e-12
 
+    # xi lives at the distinct quadrature points only
+    X = space.distinct_points
     delta = 1e-5
     for d in range(2):
         Xp, Xm = X.copy(), X.copy()
@@ -222,7 +229,7 @@ def test_q1_varying_g_matches_analytic_solution():
         Xm[:, d] -= delta
         fd = (rodrigues_exp(-WT * coeffs.g_at(Xp)[0])
               - rodrigues_exp(-WT * coeffs.g_at(Xm)[0])) / (2 * delta)
-        err = np.linalg.norm(field.xi_nodes[:, d] - fd, axis=(1, 2)).max()
+        err = np.linalg.norm(field.xi[:, d] - fd, axis=(1, 2)).max()
         assert err <= 2e-2  # Euler-Maruyama error at k = 0.25/1024
 
 
@@ -240,12 +247,13 @@ def test_evolve_step_rejects_bad_increments():
 @pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])
 def test_evolve_step_matches_per_component_update(dim, divisions):
     # reference: the step written out per noise component i, with the
-    # drift and noise matrices contracted against xi and Z one i at a time
+    # drift and noise matrices contracted against xi and Z one i at a time,
+    # at every cell-major quadrature point and then every vertex
     space = P1Space(build_structured_mesh(dim, divisions))
     coeffs = pair_varying()
     path = sample_path(31, 2, 6, 0.3)
-    points = np.vstack([space.quad_points.reshape(-1, dim),
-                        space.mesh.vertices])
+    points = per_qp_points(space)
+    nq = space.mesh.n_cells * space.n_qp
     g = coeffs.g_at(points)
     A = -cross_matrix(g)
     Ii = -cross_matrix(np.moveaxis(coeffs.jac_at(points), -1, 2))
@@ -263,8 +271,47 @@ def test_evolve_step_matches_per_component_update(dim, divisions):
         a = np.einsum("i,ipa->pa", dW, g)
         Z, xi = rodrigues_exp(-a) @ Z, xi + drift + noise
         field = evolve_step(field, dW, k)
-        assert np.abs(field.Z - Z).max() <= 1e-12 * np.abs(Z).max()
-        assert np.abs(field.xi - xi).max() <= 1e-12 * np.abs(xi).max()
+        got_Z = np.concatenate([field.Z_quad.reshape(-1, 3, 3),
+                                field.Z_nodes])
+        got_xi = field.xi_quad.reshape(xi[:nq].shape)
+        assert np.abs(got_Z - Z).max() <= 1e-12 * np.abs(Z).max()
+        assert np.abs(got_xi - xi[:nq]).max() <= 1e-12 * np.abs(xi).max()
+    assert np.abs(xi).max() > 0.1
+
+
+@pytest.mark.parametrize("noise", ["linear-gradient", "pair-varying"])
+@pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])
+def test_field_matches_per_qp_layout(dim, divisions, noise):
+    # oracle: the same update evolved at every cell-major quadrature point
+    # (each shared 2D edge midpoint once per adjacent triangle) and at
+    # every vertex, with xi at the vertices too
+    space = P1Space(build_structured_mesh(dim, divisions))
+    coeffs = (pair_varying() if noise == "pair-varying"
+              else make_noise("linear-gradient", amplitude=1.3))
+    path = sample_path(33, coeffs.q, 6, 0.3)
+    points = per_qp_points(space)
+    g = coeffs.g_at(points)
+    dg = np.moveaxis(coeffs.jac_at(points), -1, 2)
+    G = -cross_matrix(g)
+    Ii = -cross_matrix(dg)
+    G2 = np.sum(G @ G, axis=0)
+    H = np.sum(Ii @ G[:, :, None] + G[:, :, None] @ Ii, axis=0)
+    Z = np.tile(np.eye(3), (len(points), 1, 1))
+    xi = np.zeros((len(points), dim, 3, 3))
+    field = init_rotation_field(space, coeffs)
+    k = path.k
+    for dW in path.increments:
+        a = np.einsum("i,ipa->pa", dW, g)
+        M = 0.5 * k * G2 + cross_matrix(-a)
+        N = 0.5 * k * H + cross_matrix(-np.tensordot(dW, dg, 1))
+        xi = (M[:, None] @ xi + N @ Z[:, None]) + xi
+        Z = rodrigues_exp(-a) @ Z
+        field = evolve_step(field, dW, k)
+    nq = space.mesh.n_cells * space.n_qp
+    np.testing.assert_array_equal(field.Z_quad.reshape(-1, 3, 3), Z[:nq])
+    np.testing.assert_array_equal(field.Z_nodes, Z[nq:])
+    np.testing.assert_array_equal(field.xi_quad.reshape(xi[:nq].shape),
+                                  xi[:nq])
     assert np.abs(xi).max() > 0.1
 
 
