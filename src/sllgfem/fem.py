@@ -113,15 +113,16 @@ class P1Space:
         return self._lumped
 
     def cell_pair_pattern(self):
-        """CSR pattern of the node pairs that share a cell, and the matrix
-        that sums per-cell node-pair entries onto it.
+        """CSR pattern of the node pairs that share a cell, the matrix that
+        sums per-cell node-pair entries onto it, and its transpose map.
 
-        Returns (indptr, indices, scatter). The pattern has sorted column
-        indices. `scatter` is a 0/1 CSR matrix of shape (nnz, n_cells *
-        (d+1)**2): row s picks the local node pairs (cells[c,l],
+        Returns (indptr, indices, scatter, transpose). The pattern has
+        sorted column indices. `scatter` is a 0/1 CSR matrix of shape (nnz,
+        n_cells * (d+1)**2): row s picks the local node pairs (cells[c,l],
         cells[c,m]), flattened c-major, that fall on pattern slot s, so
         scatter @ x sums per-pair entries x of shape (n_cells * (d+1)**2,
-        k) onto the pattern.
+        k) onto the pattern. `transpose[s]` is the slot of (j, i) for the
+        slot s of (i, j); the pattern is symmetric, so it is a permutation.
         """
         if self._pair_pattern is None:
             cells = self.mesh.cells.astype(np.int64)
@@ -135,10 +136,19 @@ class P1Space:
             scatter = sp.csr_matrix(
                 (np.ones(len(keys)), order, np.append(starts, len(keys))),
                 shape=(len(starts), len(keys)))
-            self._pair_pattern = (indptr, indices, scatter)
+            transpose = np.searchsorted(keys[starts], indices * self.N + rows)
+            self._pair_pattern = (indptr, indices, scatter, transpose)
         return self._pair_pattern
 
     # pointwise sampling ---------------------------------------------------
+
+    def at_qp(self, x):
+        """Rows x[qp_index] of an array x over the distinct points, one per
+        cell-major quadrature point: a view when no point is shared, else a
+        copy gathered by np.take (faster than fancy indexing)."""
+        if isinstance(self.qp_index, slice):
+            return x[self.qp_index]
+        return np.take(x, self.qp_index, axis=0)
 
     def values_at_qp(self, u):
         """Sample an (N, 3) nodal field at the quadrature points, shape
@@ -160,20 +170,21 @@ def assemble_stiffness(space: P1Space):
 
     Returns
     -------
-    scipy.sparse.csr_matrix of shape (N, N), symmetric, row sums zero.
+    scipy.sparse.csr_matrix of shape (N, N) on the pattern of
+    `space.cell_pair_pattern()` (explicit zeros included), exactly
+    symmetric, row sums zero. The cell matrices are symmetric entry for
+    entry and the scatter sums the cells of slot (i, j) and of slot (j, i)
+    in the same order.
     """
     mesh = space.mesh
     bad = np.flatnonzero(~np.isfinite(space.grad_phi).all(axis=(1, 2)))
     if bad.size:
         raise AssemblyError(f"cell {bad[0]} has a singular geometry map")
-    local = np.einsum("c,cad,cbd->cab", mesh.volumes,
-                      space.grad_phi, space.grad_phi)
-    d1 = mesh.dim + 1
-    rows = np.repeat(mesh.cells[:, :, None], d1, axis=2)
-    cols = np.transpose(rows, (0, 2, 1))
-    K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(space.N, space.N))
-    return K.tocsr()
+    local = np.einsum("cad,cbd->cab", space.grad_phi, space.grad_phi)
+    local *= mesh.volumes[:, None, None]
+    indptr, indices, scatter, _ = space.cell_pair_pattern()
+    return sp.csr_matrix((scatter @ local.ravel(), indices, indptr),
+                         shape=(space.N, space.N))
 
 
 def assemble_lumped_mass(space: P1Space):

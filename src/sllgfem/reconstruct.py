@@ -150,28 +150,34 @@ def _contracted_residual(field, space, params, m, m_next):
     k bump(t_mid) sum w (Psi . R + grad Psi : S) to the interval.
 
     R has shape (c, q, 3) and S (c, q, dim, 3); both already carry the
-    quadrature weights. See the module docstring for the derivation. Per
-    direction d, vectors are rows, so Z u is u @ Z^T.
+    quadrature weights. See the module docstring for the derivation. xi is
+    read as (3 dim x 3) matrices X with rows (a, d), so each xi contraction
+    is one product per point; c, g and bt hold one column per direction d.
     """
     k, mu = params.k, params.mu
     Z, xi = field.Z_quad, field.xi_quad
+    n_c, n_q, _, dim, _ = xi.shape
+    X = xi.reshape(n_c, n_q, 3 * dim, 3)
     m_mid = 0.5 * (m + m_next)
     m_qp = space.values_at_qp(m_mid)                         # (c, q, 3)
-    gm = space.grads_at_qp(m_mid)[:, None]                   # (c, 1, dim, 3)
+    gm = space.grads_at_qp(m_mid)                            # (c, dim, 3)
     dtm_qp = space.values_at_qp((m_next - m) / k)
-    c = np.einsum("cqdab,cqb->cqda", xi, m_qp)               # xi_d m
-    a = np.einsum("cqdba,cqdb->cqa", xi,
-                  c + gm @ np.swapaxes(Z, -1, -2))
-    b = c @ Z                                                # Z^T xi_d m
+    c = np.einsum("cqkb,cqb->cqk", X, m_qp).reshape(n_c, n_q, 3, dim)
+    # grad_d(Z m) = Z d_d m + xi_d m, with Z d_d m one product per cell
+    g = (Z.reshape(n_c, n_q * 3, 3) @ np.swapaxes(gm, 1, 2)).reshape(c.shape)
+    g += c
+    a = np.einsum("cqkb,cqk->cqb", X, g.reshape(n_c, n_q, 3 * dim))
+    bt = np.swapaxes(Z, -1, -2) @ c                          # b_d = Z^T xi_d m
     # sum_d b_d x d_d m is the axial vector of P = sum_d b_d (d_d m)^T
-    P = np.swapaxes(b, -1, -2) @ gm
+    P = (bt.reshape(n_c, n_q * 3, dim) @ gm).reshape(n_c, n_q, 3, 3)
     b_x_gm = np.stack([P[..., 1, 2] - P[..., 2, 1],
                        P[..., 2, 0] - P[..., 0, 2],
                        P[..., 0, 1] - P[..., 1, 0]], axis=-1)
     Y = (params.lambda1 * np.cross(m_qp, dtm_qp) - params.lambda2 * dtm_qp
          - mu * a)
     R = np.cross(Y, m_qp) - mu * b_x_gm
-    S = -mu * np.cross(gm + b, m_qp[:, :, None])
+    S = -mu * np.cross(gm[:, None] + np.swapaxes(bt, -1, -2),
+                       m_qp[:, :, None])
     w = space.quad_weights
     R *= w[:, :, None]
     S *= w[:, :, None, None]

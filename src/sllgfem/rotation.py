@@ -7,15 +7,17 @@ increment (a closed-form Rodrigues rotation), which keeps Z exactly
 orthogonal for any step size and discretizes the Stratonovich equation with
 strong order at least 1/2.
 
-The gradient field xi = grad Z is direction-indexed (one 3x3 matrix per
-spatial direction) and follows the linear Ito equation
+The gradient field xi = grad Z holds one 3x3 matrix xi_d per spatial
+direction d and follows the linear Ito equation
 dxi = 1/2 sum_i (G_i^2 xi + H_i Z) dt + sum_i (G_i xi + I_i Z) dW_i,
 advanced by Euler-Maruyama with Z frozen at the left endpoint. Here
 I_i u = u x dg_i/dx_d per direction d, and H_i = I_i G_i + G_i I_i. A step
 sums over the noise index before it touches xi: with
 M = 1/2 k sum_i G_i^2 + sum_i dW_i G_i and N_d = 1/2 k sum_i H_i
-+ sum_i dW_i I_i, it is xi_d <- xi_d + M xi_d + N_d Z, two stacked 3x3
-matrix products per point. The drift sums are fixed by the noise
++ sum_i dW_i I_i, it is xi_d <- xi_d + M xi_d + N_d Z. xi is stored
+direction-inner, xi[p, a, d, b] = (xi_d)_ab, so that at each point M xi is
+one (3x3)@(3x3dim) product and N Z one (3dim x 3)@(3x3) product, N being
+stored in the same layout. The drift sums are fixed by the noise
 coefficients, so they are formed once per field.
 
 Both equations are pointwise in x, so the field is evolved once per point
@@ -35,6 +37,13 @@ B_i = 1/2 H_i - G_i I_i, and F_2i = <I_i Zu, grad Zv> + <grad Zu, I_i Zv>),
 which is the exact pathwise differential of <grad Zu, grad Zv> for any
 coefficients, needs only first derivatives of g_i, and is manifestly
 symmetric in (u, v).
+
+The Gram matrix KZ of u -> grad(Z u) on vector P1 fields splits, since
+Z^T Z = I, as K (x) I plus a part Kxi that depends on the field only
+through two invariants per point, A = sum_d xi_d^T xi_d and
+B_d = Z^T xi_d: its 3x3 block for local nodes (l, m) of a cell is
+sum_qp w [phi_l phi_m A + phi_l sum_d d_d phi_m B_d^T
++ phi_m sum_d d_d phi_l B_d].
 """
 
 from __future__ import annotations
@@ -47,36 +56,47 @@ def cross_matrix(a):
     """Matrix C(a) with C(a) u = a x u, for a of shape (..., 3)."""
     a = np.asarray(a, dtype=float)
     C = np.zeros(a.shape[:-1] + (3, 3))
-    C[..., 0, 1] = -a[..., 2]
-    C[..., 0, 2] = a[..., 1]
-    C[..., 1, 0] = a[..., 2]
-    C[..., 1, 2] = -a[..., 0]
-    C[..., 2, 0] = -a[..., 1]
-    C[..., 2, 1] = a[..., 0]
+    _add_cross(C, a)
     return C
+
+
+def _add_cross(out, a):
+    """out += C(a) in place, for out of shape (..., 3, 3) and a (..., 3)."""
+    out[..., 0, 1] -= a[..., 2]
+    out[..., 0, 2] += a[..., 1]
+    out[..., 1, 0] += a[..., 2]
+    out[..., 1, 2] -= a[..., 0]
+    out[..., 2, 0] -= a[..., 1]
+    out[..., 2, 1] += a[..., 0]
 
 
 def rodrigues_exp(w):
     """Closed-form exp(C(w)) for w of shape (..., 3).
 
-    Rotation about w/|w| by the angle |w|; series expansion of the two
-    scalar coefficients keeps the small-angle branch accurate to machine
-    precision, and w = 0 returns the identity exactly.
+    Rotation about w/|w| by the angle theta = |w|:
+    cos(theta) I + s C(w) + c w w^T, with s = sin(theta)/theta and
+    c = (1 - cos(theta))/theta^2, which follows from C(w)^2 = w w^T -
+    theta^2 I. A series expansion of s and c keeps the small-angle branch
+    accurate to machine precision, and w = 0 returns the identity exactly.
     """
     w = np.asarray(w, dtype=float)
-    theta2 = np.sum(w * w, axis=-1)
+    v = w.reshape(-1, 3)
+    theta2 = np.einsum("pa,pa->p", v, v)
     theta = np.sqrt(theta2)
-    small = theta < 1e-4
+    cos = np.cos(theta)
     with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small,
-                     1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
-                     np.sin(theta) / np.where(small, 1.0, theta))
-        c = np.where(small,
-                     0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
-                     (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    C = cross_matrix(w)
-    eye = np.broadcast_to(np.eye(3), C.shape)
-    return eye + s[..., None, None] * C + c[..., None, None] * (C @ C)
+        s = np.sin(theta) / theta
+        c = (1.0 - cos) / theta2
+    small = theta < 1e-4
+    if small.any():
+        t2 = theta2[small]
+        s[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        c[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    R = np.einsum("pa,pb->pab", c[:, None] * v, v)
+    for a in range(3):
+        R[:, a, a] += cos
+    _add_cross(R, s[:, None] * v)
+    return R.reshape(w.shape[:-1] + (3, 3))
 
 
 def evolve_point_rotation(gvals, increments, Z0=None):
@@ -109,13 +129,14 @@ class RotationField:
     """Z and xi at the points where they are read.
 
     Z and xi solve equations that are pointwise in x, so each is evolved
-    once per distinct point. Z has one row per distinct quadrature point
-    (space.distinct_points) followed by one per vertex; xi, which only
-    quadrature sums read, has the quadrature rows alone. Z_quad and xi_quad
-    gather them cell-major through space.qp_index (views when no point is
-    shared, as in 3D); Z_nodes are the vertex rows. Snapshots are
-    immutable: each evolve_step returns a new field at index j+1 sharing
-    the cached coefficient tensors.
+    once per distinct point. Z (P + N, 3, 3) has one row per distinct
+    quadrature point (space.distinct_points) followed by one per vertex;
+    xi (P, 3, dim, 3), which only quadrature sums read, has the quadrature
+    rows alone and is stored direction-inner, xi[p, a, d, b] = (xi_d)_ab.
+    Z_quad and xi_quad gather them cell-major through space.at_qp (views
+    when no point is shared, as in 3D); Z_nodes are the vertex rows.
+    Snapshots are immutable: each evolve_step returns a new field at index
+    j+1 sharing the cached coefficient tensors.
     """
 
     def __init__(self, space, coeffs, j, Z, xi, cache):
@@ -135,7 +156,7 @@ class RotationField:
         """(n_cells, n_qp, 3, 3); a copy where points are shared, so read it
         once per use."""
         s = self.space
-        return self.Z[:len(self.xi)][s.qp_index].reshape(
+        return s.at_qp(self.Z[:len(self.xi)]).reshape(
             s.mesh.n_cells, s.n_qp, 3, 3)
 
     @property
@@ -144,16 +165,19 @@ class RotationField:
 
     @property
     def xi_quad(self):
-        """(n_cells, n_qp, dim, 3, 3); a copy where points are shared, so read
-        it once per use."""
+        """(n_cells, n_qp, 3, dim, 3), [c, q, a, d, b] = (xi_d)_ab; a copy
+        where points are shared, so read it once per use."""
         s = self.space
-        return self.xi[s.qp_index].reshape(s.mesh.n_cells, s.n_qp,
-                                           s.mesh.dim, 3, 3)
+        return s.at_qp(self.xi).reshape(s.mesh.n_cells, s.n_qp, 3,
+                                        s.mesh.dim, 3)
 
     def orthogonality_defect(self):
         """max over points of ||Z^T Z - I||_F."""
-        G = np.swapaxes(self.Z, 1, 2) @ self.Z - np.eye(3)
-        return float(np.sqrt(np.sum(G * G, axis=(1, 2))).max())
+        G = np.swapaxes(self.Z, 1, 2) @ self.Z
+        for a in range(3):
+            G[:, a, a] -= 1.0
+        G *= G
+        return float(np.sqrt(G.reshape(-1, 9).sum(axis=1).max()))
 
 
 def _coefficient_cache(space, coeffs):
@@ -163,19 +187,27 @@ def _coefficient_cache(space, coeffs):
     points, then the N vertices (the rows of RotationField.Z). The rest
     feed only the xi update and so hold the P quadrature rows alone: "dg"
     (q, P, dim, 3) the derivatives dg_i/dx_d, "G2" (P, 3, 3) sum_i G_i^2
-    and "H" (P, dim, 3, 3) sum_i H_i, with H_i = I_i G_i + G_i I_i per
-    direction. A step contracts g and dg with its increments and builds
-    sum_i dW_i G_i and sum_i dW_i I_i from the results; the drift of xi
-    does not depend on the increments, so only its sums over the noise
-    index are kept.
+    and "H" (P, 3, dim, 3) sum_i H_i in the layout of xi, H[p, a, d, b] =
+    (H_d)_ab with H_i = I_i G_i + G_i I_i per direction. Both sums are
+    built in closed form from C(x) C(y) = y x^T - (x . y) I: G_i^2 =
+    g_i g_i^T - |g_i|^2 I and H_i = g_i dg_i^T + dg_i g_i^T - 2 (g_i . dg_i)
+    I. A step contracts g and dg with its increments and adds sum_i dW_i G_i
+    and sum_i dW_i I_i to the drift sums in place; the drift of xi does not
+    depend on the increments, so only its sums over the noise index are
+    kept.
     """
     qp = space.distinct_points
     g = coeffs.g_at(np.vstack([qp, space.mesh.vertices]))   # (q, P+N, 3)
     dg = np.moveaxis(coeffs.jac_at(qp), -1, 2)      # (q, P, dim, 3)
-    G = -cross_matrix(g[:, :len(qp)])               # matrix of u -> u x g
-    Ii = -cross_matrix(dg)                          # (q, P, dim, 3, 3)
-    G2 = np.sum(G @ G, axis=0)
-    H = np.sum(Ii @ G[:, :, None] + G[:, :, None] @ Ii, axis=0)
+    gq = g[:, :len(qp)]
+    G2 = np.einsum("ipa,ipb->pab", gq, gq)
+    gg = np.einsum("ipa,ipa->p", gq, gq)
+    gdg = np.einsum("ipa,ipda->pd", gq, dg)
+    T = np.einsum("ipa,ipdb->padb", gq, dg)
+    H = T + T.transpose(0, 3, 2, 1)
+    for a in range(3):
+        G2[:, a, a] -= gg
+        H[:, a, :, a] -= 2.0 * gdg
     return {"g": g, "dg": dg, "G2": G2, "H": H}
 
 
@@ -183,7 +215,7 @@ def init_rotation_field(space, coeffs):
     """Field at time index 0: Z = I and xi = 0 at every point."""
     cache = _coefficient_cache(space, coeffs)
     Z = np.tile(np.eye(3), (cache["g"].shape[1], 1, 1))
-    xi = np.zeros(cache["dg"].shape[1:] + (3,))
+    xi = np.zeros_like(cache["H"])
     return RotationField(space, coeffs, 0, Z, xi, cache)
 
 
@@ -208,18 +240,27 @@ def evolve_step(field, dW, k):
     if not k > 0:
         raise ValueError(f"time step must be positive, got {k}")
     c = field._cache
-    a = np.einsum("i,ipa->pa", dW, c["g"])
-    Z1 = rodrigues_exp(-a) @ field.Z
+    # G_i u = u x g_i = -g_i x u, so sum_i dW_i G_i = C(a) with
+    # a = -sum_i dW_i g_i, and likewise sum_i dW_i I_i = C(e)
+    a = -np.einsum("i,ipa->pa", dW, c["g"])
+    Z1 = rodrigues_exp(a) @ field.Z
 
-    # xi lives on the first P rows of Z, the quadrature points.
-    # G u = u x g = -g x u, so sum_i dW_i G_i = C(-a), likewise for I_i
-    P = len(field.xi)
-    M = 0.5 * k * c["G2"] + cross_matrix(-a[:P])
-    N = 0.5 * k * c["H"] + cross_matrix(-np.tensordot(dW, c["dg"], 1))
-    xi1 = M[:, None] @ field.xi
-    xi1 += N @ field.Z[:P, None]
-    xi1 += field.xi
-    return RotationField(field.space, field.coeffs, field.j + 1, Z1, xi1, c)
+    # xi lives on the first P rows of Z, the quadrature points; M and N
+    # start from their drift sums and take the cross-product matrices in
+    # place, one direction of N at a time (one long strided add each)
+    P, dim = len(field.xi), field.xi.shape[2]
+    M = 0.5 * k * c["G2"]
+    _add_cross(M, a[:P])
+    N = 0.5 * k * c["H"]
+    e = -np.tensordot(dW, c["dg"], 1)
+    for d in range(dim):
+        _add_cross(N[:, :, d], e[:, d])
+    xi = field.xi.reshape(P, 3, 3 * dim)
+    xi1 = M @ xi
+    xi1 += (N.reshape(P, 3 * dim, 3) @ field.Z[:P]).reshape(xi1.shape)
+    xi1 += xi
+    return RotationField(field.space, field.coeffs, field.j + 1, Z1,
+                         xi1.reshape(field.xi.shape), c)
 
 
 def grad_Z_apply(field, u):
@@ -229,10 +270,20 @@ def grad_Z_apply(field, u):
     with u and grad u sampled from the P1 interpolant.
     """
     space = field.space
-    u_qp = space.values_at_qp(np.asarray(u, dtype=float))
-    gu = space.grads_at_qp(np.asarray(u, dtype=float))
-    return (np.einsum("cqdab,cqb->cqda", field.xi_quad, u_qp)
-            + np.einsum("cqab,cdb->cqda", field.Z_quad, gu))
+    u = np.asarray(u, dtype=float)
+    return _grad_Z(field.Z_quad, field.xi_quad, space.values_at_qp(u),
+                   space.grads_at_qp(u))
+
+
+def _grad_Z(Z_quad, xi_quad, u_qp, gu):
+    """xi_d u + Z du/dx_d from the samples u_qp (c, q, 3) and the cellwise
+    gradient gu (c, dim, 3); xi_d u is one contraction against xi as
+    (3 dim x 3) matrices."""
+    c, q, _, dim, _ = xi_quad.shape
+    xi_u = np.einsum("cqkb,cqb->cqk", xi_quad.reshape(c, q, 3 * dim, 3),
+                     u_qp)
+    return (xi_u.reshape(c, q, 3, dim).swapaxes(-1, -2)
+            + np.einsum("cqab,cdb->cqda", Z_quad, gu))
 
 
 def compute_F_identity(field, u, v, K=None):
@@ -256,30 +307,41 @@ def assemble_rotated_stiffness(field):
     of node pairs that share a cell, with u^T KZ v equal to the quadrature
     value of <grad(Z u), grad(Z v)>; KZ minus the plain vector stiffness is
     the matrix of F(t_j, ., .) restricted to P1 fields.
+
+    KZ is assembled as K (x) I + Kxi (module docstring), and Kxi reads the
+    field only through A = sum_d xi_d^T xi_d and B_d = Z^T xi_d, one
+    product each per distinct point. The cell blocks
+    V[l, m] = sum_qp w (1/2 phi_l phi_m A + phi_m sum_d d_d phi_l B_d)
+    carry half the A term and the third term of the block formula; the
+    second term is the transpose of the third with l and m swapped. So
+    Kxi = D + D^T for D the scattered V, which makes KZ exactly
+    symmetric. The stiffness K is assembled on the pattern of
+    cell_pair_pattern, so its data add to the diagonals of the 3x3 blocks
+    slot by slot.
     """
     space = field.space
     mesh = space.mesh
-    d1 = mesh.dim + 1
-    Z, xi = field.Z_quad, field.xi_quad
-    # T[l,c,q,d,a,b]: contribution of nodal dof (l,b) to grad_d(Z u)_a at
-    # qp; the local node index goes first so each T[l] is filled contiguously
-    T = np.empty((d1,) + xi.shape)
-    for l in range(d1):
-        np.multiply(space.phi_qp[None, :, l, None, None, None], xi,
-                    out=T[l])
-        T[l] += space.grad_phi[:, None, l, :, None, None] * Z[:, :, None]
-    wT = space.quad_weights[None, :, :, None, None, None] * T
-    T = T.reshape(d1, mesh.n_cells, -1, 3)
-    wT = wT.reshape(T.shape)
-    # cell Gram matrices in 3x3 node-pair blocks (c, l, m, b, e); the
-    # blocks below the diagonal are the transposes of those above it
-    blocks = np.empty((mesh.n_cells, d1, d1, 3, 3))
-    for l in range(d1):
-        for m in range(l, d1):
-            blocks[:, l, m] = np.swapaxes(T[l], 1, 2) @ wT[m]
-            blocks[:, m, l] = np.swapaxes(blocks[:, l, m], 1, 2)
-    indptr, indices, scatter = space.cell_pair_pattern()
-    data = (scatter @ blocks.reshape(-1, 9)).reshape(-1, 3, 3)
+    n_c, n_q, dim, d1 = mesh.n_cells, space.n_qp, mesh.dim, mesh.dim + 1
+    P = len(field.xi)
+    X = field.xi.reshape(P, 3 * dim, 3)
+    A = np.ascontiguousarray(np.swapaxes(X, 1, 2)) @ X
+    B = np.swapaxes(field.Z[:P], 1, 2) @ field.xi.reshape(P, 3, 3 * dim)
+    w = space.quad_weights[:, :, None]
+    Aw = space.at_qp(A.reshape(P, 9)).reshape(n_c, n_q, 9)
+    Aw *= w
+    Bw = space.at_qp(B.reshape(P, 9 * dim)).reshape(n_c, n_q, 9 * dim)
+    Bw *= w
+    phi = space.phi_qp
+    half_phi2 = 0.5 * (phi[:, :, None] * phi[:, None, :]).reshape(n_q, -1)
+    V = (half_phi2.T @ Aw).reshape(n_c, d1, -1)          # (c, l, (m, e, b))
+    Bm = (phi.T @ Bw).reshape(n_c, d1, 3, dim, 3)        # (c, m, e, d, b)
+    V += space.grad_phi @ np.moveaxis(Bm, 3, 1).reshape(n_c, dim, -1)
+    indptr, indices, scatter, transpose = space.cell_pair_pattern()
+    D = (scatter @ V.reshape(-1, 9)).reshape(-1, 3, 3)
+    data = D + np.swapaxes(D[transpose], 1, 2)
+    K = space.stiffness().data
+    for a in range(3):
+        data[:, a, a] += K
     return sp.bsr_matrix((data, indices, indptr),
                          shape=(3 * space.N, 3 * space.N))
 
@@ -316,10 +378,8 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
         Zq, xiq = field.Z_quad, field.xi_quad
         Zu = np.einsum("cqab,cqb->cqa", Zq, u_qp)
         Zv = np.einsum("cqab,cqb->cqa", Zq, v_qp)
-        gZu = (np.einsum("cqdab,cqb->cqda", xiq, u_qp)
-               + np.einsum("cqab,cdb->cqda", Zq, gu))
-        gZv = (np.einsum("cqdab,cqb->cqda", xiq, v_qp)
-               + np.einsum("cqab,cdb->cqda", Zq, gv))
+        gZu = _grad_Z(Zq, xiq, u_qp, gu)
+        gZv = _grad_Z(Zq, xiq, v_qp, gv)
         IZu = np.einsum("icqdab,cqb->icqda", Ii, Zu)
         IZv = np.einsum("icqdab,cqb->icqda", Ii, Zv)
         BZu = np.einsum("icqdab,cqb->icqda", Bi, Zu)

@@ -88,6 +88,17 @@ def test_stiffness_symmetric_and_conservative(space2):
     assert np.abs(K @ ones).max() <= 1e-12
 
 
+@pytest.mark.parametrize("dim, divisions", [(2, 5), (3, 3)])
+def test_stiffness_is_exactly_symmetric_on_the_cell_pair_pattern(dim,
+                                                                 divisions):
+    space = P1Space(build_structured_mesh(dim, divisions))
+    K = space.stiffness()
+    indptr, indices, _, transpose = space.cell_pair_pattern()
+    np.testing.assert_array_equal(K.indptr, indptr)
+    np.testing.assert_array_equal(K.indices, indices)
+    assert np.array_equal(K.data, K.data[transpose])
+
+
 def test_stiffness_positive_semidefinite(space2):
     K = assemble_stiffness(space2).toarray()
     w = np.linalg.eigvalsh(K)

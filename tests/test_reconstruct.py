@@ -312,7 +312,7 @@ def _per_field_terms(space, params, step, f):
     t3 = np.einsum("cq,cqda,cqda->", w, gm, gv)
 
     def grad_Z(u, gu):
-        return (np.einsum("cqdab,cqb->cqda", field.xi_quad, u)
+        return (np.einsum("cqadb,cqb->cqda", field.xi_quad, u)
                 + np.einsum("cqab,cqdb->cqda", field.Z_quad, gu))
 
     F = np.einsum("cq,cqda,cqda->", w, grad_Z(m_qp, gm), grad_Z(v, gv)) - t3

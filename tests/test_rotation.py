@@ -100,6 +100,24 @@ def test_rodrigues_matches_expm():
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1e-6, 9.9e-5, 1.01e-4, 1e-2, 3.0])
+def test_rodrigues_matches_expm_on_both_sides_of_the_series_branch(theta):
+    # the small-angle series takes over below |w| = 1e-4
+    rng = np.random.default_rng(int(theta * 1e6) + 7)
+    axes = rng.standard_normal((50, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    R = rodrigues_exp(theta * axes)
+    for w, Rw in zip(theta * axes, R):
+        np.testing.assert_allclose(Rw, expm(cross_matrix(w)), rtol=0,
+                                   atol=1e-14)
+
+
+def test_rodrigues_of_zero_is_exactly_identity():
+    np.testing.assert_array_equal(rodrigues_exp(np.zeros(3)), np.eye(3))
+    np.testing.assert_array_equal(rodrigues_exp(np.zeros((4, 3))),
+                                  np.tile(np.eye(3), (4, 1, 1)))
+
+
 def test_rodrigues_batched():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((7, 3))
@@ -229,7 +247,7 @@ def test_q1_varying_g_matches_analytic_solution():
         Xm[:, d] -= delta
         fd = (rodrigues_exp(-WT * coeffs.g_at(Xp)[0])
               - rodrigues_exp(-WT * coeffs.g_at(Xm)[0])) / (2 * delta)
-        err = np.linalg.norm(field.xi[:, d] - fd, axis=(1, 2)).max()
+        err = np.linalg.norm(field.xi[:, :, d] - fd, axis=(1, 2)).max()
         assert err <= 2e-2  # Euler-Maruyama error at k = 0.25/1024
 
 
@@ -260,14 +278,14 @@ def test_evolve_step_matches_per_component_update(dim, divisions):
     A2 = A @ A
     Hi = Ii @ A[:, :, None] + A[:, :, None] @ Ii
     Z = np.tile(np.eye(3), (len(points), 1, 1))
-    xi = np.zeros((len(points), dim, 3, 3))
+    xi = np.zeros((len(points), 3, dim, 3))
     field = init_rotation_field(space, coeffs)
     k = path.k
     for dW in path.increments:
-        drift = 0.5 * k * (np.einsum("ipab,pdbc->pdac", A2, xi)
-                           + np.einsum("ipdab,pbc->pdac", Hi, Z))
-        noise = (np.einsum("i,ipab,pdbc->pdac", dW, A, xi)
-                 + np.einsum("i,ipdab,pbc->pdac", dW, Ii, Z))
+        drift = 0.5 * k * (np.einsum("ipab,pbdc->padc", A2, xi)
+                           + np.einsum("ipdab,pbc->padc", Hi, Z))
+        noise = (np.einsum("i,ipab,pbdc->padc", dW, A, xi)
+                 + np.einsum("i,ipdab,pbc->padc", dW, Ii, Z))
         a = np.einsum("i,ipa->pa", dW, g)
         Z, xi = rodrigues_exp(-a) @ Z, xi + drift + noise
         field = evolve_step(field, dW, k)
@@ -282,30 +300,40 @@ def test_evolve_step_matches_per_component_update(dim, divisions):
 @pytest.mark.parametrize("noise", ["linear-gradient", "pair-varying"])
 @pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])
 def test_field_matches_per_qp_layout(dim, divisions, noise):
-    # oracle: the same update evolved at every cell-major quadrature point
-    # (each shared 2D edge midpoint once per adjacent triangle) and at
-    # every vertex, with xi at the vertices too
+    # oracle: the same update, in the kernel's operation order, evolved at
+    # every cell-major quadrature point (each shared 2D edge midpoint once
+    # per adjacent triangle) and at every vertex, with xi at the vertices
+    # too; bit-exact, since the arithmetic per point is the same
     space = P1Space(build_structured_mesh(dim, divisions))
     coeffs = (pair_varying() if noise == "pair-varying"
               else make_noise("linear-gradient", amplitude=1.3))
     path = sample_path(33, coeffs.q, 6, 0.3)
     points = per_qp_points(space)
+    P = len(points)
     g = coeffs.g_at(points)
     dg = np.moveaxis(coeffs.jac_at(points), -1, 2)
-    G = -cross_matrix(g)
-    Ii = -cross_matrix(dg)
-    G2 = np.sum(G @ G, axis=0)
-    H = np.sum(Ii @ G[:, :, None] + G[:, :, None] @ Ii, axis=0)
-    Z = np.tile(np.eye(3), (len(points), 1, 1))
-    xi = np.zeros((len(points), dim, 3, 3))
+    G2 = np.einsum("ipa,ipb->pab", g, g)
+    gg = np.einsum("ipa,ipa->p", g, g)
+    gdg = np.einsum("ipa,ipda->pd", g, dg)
+    T = np.einsum("ipa,ipdb->padb", g, dg)
+    H = T + T.transpose(0, 3, 2, 1)
+    for a in range(3):
+        G2[:, a, a] -= gg
+        H[:, a, :, a] -= 2.0 * gdg
+    Z = np.tile(np.eye(3), (P, 1, 1))
+    xi = np.zeros((P, 3, dim, 3))
     field = init_rotation_field(space, coeffs)
     k = path.k
     for dW in path.increments:
-        a = np.einsum("i,ipa->pa", dW, g)
-        M = 0.5 * k * G2 + cross_matrix(-a)
-        N = 0.5 * k * H + cross_matrix(-np.tensordot(dW, dg, 1))
-        xi = (M[:, None] @ xi + N @ Z[:, None]) + xi
-        Z = rodrigues_exp(-a) @ Z
+        a = -np.einsum("i,ipa->pa", dW, g)
+        M = 0.5 * k * G2
+        M += cross_matrix(a)
+        N = 0.5 * k * H
+        N += np.moveaxis(cross_matrix(-np.tensordot(dW, dg, 1)), 1, 2)
+        flat = xi.reshape(P, 3, 3 * dim)
+        xi = ((M @ flat + (N.reshape(P, 3 * dim, 3) @ Z).reshape(flat.shape))
+              + flat).reshape(xi.shape)
+        Z = rodrigues_exp(a) @ Z
         field = evolve_step(field, dW, k)
     nq = space.mesh.n_cells * space.n_qp
     np.testing.assert_array_equal(field.Z_quad.reshape(-1, 3, 3), Z[:nq])
@@ -350,7 +378,7 @@ def test_grad_of_constant_field_is_xi_u():
     u0 = np.array([0.3, -0.4, 0.8])
     u = np.tile(u0, (space.N, 1))
     gu = grad_Z_apply(field, u)
-    expected = np.einsum("cqdab,b->cqda", field.xi_quad, u0)
+    expected = np.einsum("cqadb,b->cqda", field.xi_quad, u0)
     np.testing.assert_allclose(gu, expected, atol=1e-13)
     assert np.linalg.norm(gu) > 0.0  # nonzero once W wanders off 0
 
@@ -448,6 +476,17 @@ def test_rotated_stiffness_matches_F_identity():
 
 
 @pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])
+def test_rotated_stiffness_at_time_zero_is_exactly_K_kron_I(dim, divisions):
+    # Z = I and xi = 0, so KZ = K (x) I + Kxi has Kxi = 0 exactly; a
+    # misaligned add of K onto the 3x3 block diagonals shows here
+    space = P1Space(build_structured_mesh(dim, divisions))
+    field = init_rotation_field(space, pair_varying())
+    KZ = assemble_rotated_stiffness(field)
+    assert np.array_equal(KZ.toarray(),
+                          sp.kron(space.stiffness(), np.eye(3)).toarray())
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2), (3, 3)])
 def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions):
     # reference: cell matrices by one three-operand einsum, scattered as
     # COO triplets onto the global (3N, 3N) matrix
@@ -455,7 +494,7 @@ def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions):
     field = evolve_field(space, pair_varying(), sample_path(32, 2, 20, 0.5))
     gphi_dl = np.transpose(space.grad_phi, (0, 2, 1))
     T = (space.phi_qp[None, :, None, None, :, None]
-         * field.xi_quad[:, :, :, :, None, :]
+         * np.moveaxis(field.xi_quad, 3, 2)[:, :, :, :, None, :]
          + gphi_dl[:, None, :, None, :, None]
          * field.Z_quad[:, :, None, :, None, :])
     local = np.einsum("cq,cqdalb,cqdame->clbme", space.quad_weights, T, T)
@@ -471,7 +510,7 @@ def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions):
     dense = KZ.toarray()
     scale = np.abs(ref).max()
     assert np.abs(dense - ref).max() <= 1e-12 * scale
-    assert np.abs(dense - dense.T).max() <= 1e-12 * scale
+    assert np.array_equal(dense, dense.T)
 
 
 def test_F_oracle_agreement_under_k_refinement():
