@@ -14,7 +14,7 @@ import numpy as np
 from sllgfem import coarsen, sample_path
 
 path = sample_path(seed=42, q=2, J=1000, T=1.0)
-print(f"q = {path.q}, J = {path.J}, k = {path.k}, level = {path.level}")
+print(f"q = {path.q}, J = {path.J}, k = {path.k}")
 
 W = np.vstack([np.zeros((1, path.q)), np.cumsum(path.increments, axis=0)])
 print(f"W(T) = {W[-1]}")
@@ -31,5 +31,5 @@ print(f"other stream differs:    {not np.array_equal(path.increments, other.incr
 coarse = coarsen(path, 4)
 W4 = np.vstack([np.zeros((1, path.q)), np.cumsum(coarse.increments, axis=0)])
 gap = np.abs(W4 - W[::4]).max()
-print(f"coarse grid values match the fine path to {gap:.2e} "
-      f"(level {coarse.level})")
+print(f"coarse grid values (J = {coarse.J}, k = {coarse.k}) match the "
+      f"fine path to {gap:.2e}")

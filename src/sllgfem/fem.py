@@ -197,30 +197,28 @@ def assemble_lumped_mass(space: P1Space):
     return sp.diags(diag, format="csr")
 
 
+# off-diagonal stiffness entries up to this size count as nonpositive
+_OFFDIAG_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class OffdiagReport:
     holds: bool
-    worst_pair: tuple
     worst_value: float
 
 
-def check_offdiag_condition(space: P1Space, tol: float = 1e-12):
-    """Check that every off-diagonal stiffness entry is <= tol.
+def check_offdiag_condition(space: P1Space):
+    """Check that every off-diagonal stiffness entry is <= _OFFDIAG_TOL.
 
     Nonpositive off-diagonal entries are the acute-mesh condition under which
     nodal renormalization cannot increase the Dirichlet energy.
     """
     K = space.stiffness().tocoo()
-    off = K.row != K.col
-    if not np.any(off):
-        return OffdiagReport(True, (0, 0), 0.0)
-    vals = K.data[off]
-    rows = K.row[off]
-    cols = K.col[off]
-    worst = int(np.argmax(vals))
-    return OffdiagReport(bool(vals[worst] <= tol),
-                         (int(rows[worst]), int(cols[worst])),
-                         float(vals[worst]))
+    vals = K.data[K.row != K.col]
+    if not vals.size:
+        return OffdiagReport(True, 0.0)
+    worst = float(vals.max())
+    return OffdiagReport(worst <= _OFFDIAG_TOL, worst)
 
 
 def interpolate_nodal(f, space: P1Space):
@@ -229,24 +227,16 @@ def interpolate_nodal(f, space: P1Space):
     Parameters
     ----------
     f : callable
-        Either vectorized, mapping an (N, dim) coordinate array to (N, 3), or
-        pointwise, mapping one coordinate vector to a length-3 sequence.
-        f is called pointwise only when the array call raises TypeError or
-        ValueError or returns the wrong shape; any other exception from f
-        propagates.
+        Vectorized: maps the (N, dim) array of node coordinates to an
+        (N, 3) array. Any exception from f propagates, and a result of
+        another shape raises ValueError.
     space : P1Space
 
     Returns
     -------
     (N, 3) array with value f(x_n) at node n.
     """
-    x = space.mesh.vertices
-    try:
-        vals = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):     # a pointwise f given an array
-        vals = None
-    if vals is None or vals.shape != (space.N, 3):
-        vals = np.array([f(p) for p in x], dtype=float)
+    vals = np.asarray(f(space.mesh.vertices), dtype=float)
     if vals.shape != (space.N, 3):
         raise ValueError(f"interpolated field has shape {vals.shape}, "
                          f"expected ({space.N}, 3)")

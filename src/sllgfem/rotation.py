@@ -99,7 +99,7 @@ def rodrigues_exp(w):
     return R.reshape(w.shape[:-1] + (3, 3))
 
 
-def evolve_point_rotation(gvals, increments, Z0=None):
+def evolve_point_rotation(gvals, increments):
     """Run the exponential integrator at fixed points with constant g's.
 
     Parameters
@@ -108,17 +108,16 @@ def evolve_point_rotation(gvals, increments, Z0=None):
         Constant coefficient vectors.
     increments : (..., J, q) array
         Wiener increments; leading axes are independent paths.
-    Z0 : optional (..., 3, 3) initial rotations, identity by default.
 
     Returns
     -------
-    (..., 3, 3) array of rotations after J steps.
+    (..., 3, 3) array of rotations after J steps, starting from the
+    identity.
     """
     gvals = np.asarray(gvals, dtype=float)
     increments = np.asarray(increments, dtype=float)
     J = increments.shape[-2]
-    Z = (np.broadcast_to(np.eye(3), increments.shape[:-2] + (3, 3)).copy()
-         if Z0 is None else np.array(Z0, dtype=float))
+    Z = np.broadcast_to(np.eye(3), increments.shape[:-2] + (3, 3)).copy()
     for j in range(J):
         a = increments[..., j, :] @ gvals          # (..., 3)
         Z = rodrigues_exp(-a) @ Z
@@ -286,13 +285,12 @@ def _grad_Z(Z_quad, xi_quad, u_qp, gu):
             + np.einsum("cqab,cdb->cqda", Z_quad, gu))
 
 
-def compute_F_identity(field, u, v, K=None):
+def compute_F_identity(field, u, v):
     """F(t_j, u, v) = <grad(Z u), grad(Z v)>_quadrature - u^T K v."""
     if field.j == 0:
         return 0.0  # Z = I, xi = 0: exact zero, not two sums that cancel
     space = field.space
-    if K is None:
-        K = space.stiffness()
+    K = space.stiffness()
     gu = grad_Z_apply(field, u)
     gv = grad_Z_apply(field, v)
     twisted = np.einsum("cq,cqda,cqda->", space.quad_weights, gu, gv)

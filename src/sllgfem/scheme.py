@@ -31,6 +31,12 @@ from .fem import normalize_nodal
 from .rotation import (RotationField, assemble_rotated_stiffness,
                        evolve_step, init_rotation_field)
 
+# Keys of the per-step diagnostics row (built in _update), in the column
+# order of the diagnostics CSV.
+DIAGNOSTIC_COLUMNS = ("j", "t", "energy", "v_norm_sq", "F_value",
+                      "residual", "grad_v_sq", "tangency_max",
+                      "unit_dev_max")
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -118,7 +124,6 @@ class StepSystem:
     matrix: sp.csc_matrix    # (2N, 2N), node-major 2x2 blocks
     rhs: np.ndarray          # (2N,)
     tau: np.ndarray          # (N, 2, 3) tangent frame
-    KZ: sp.bsr_matrix        # rotation-twisted vector stiffness (3N, 3N)
 
 
 def assemble_step_system(state, tau, field, params, space):
@@ -152,10 +157,9 @@ def assemble_step_system(state, tau, field, params, space):
     diag = np.flatnonzero(K.indices == rows)
     blocks[diag] += node_blocks[rows[diag]]
     A = sp.bsr_matrix((blocks, K.indices, K.indptr), shape=(2 * N, 2 * N))
-    KZ = assemble_rotated_stiffness(field)
-    load = params.mu * (KZ @ m.ravel())
+    load = params.mu * (assemble_rotated_stiffness(field) @ m.ravel())
     rhs = np.einsum("nac,nc->na", tau, load.reshape(N, 3)).ravel()
-    return StepSystem(matrix=A.tocsc(), rhs=rhs, tau=tau, KZ=KZ)
+    return StepSystem(matrix=A.tocsc(), rhs=rhs, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ class Trajectory:
     params: SchemeParams
     m: np.ndarray            # (N, 3), m^J
     energy: np.ndarray       # (J+1,), |grad m^j|^2
-    diagnostics: list        # one dict per step (schema in run())
+    diagnostics: list        # one dict per step, DIAGNOSTIC_COLUMNS keys
     m0_drift: float
 
     @property
@@ -276,9 +280,8 @@ def run(m0, params, path, coeffs, space, observers=()):
 
     Returns
     -------
-    Trajectory. Diagnostics rows carry: j, t, energy (at j), v_norm_sq
-    (lumped), F_value = F(t_j, m^j, v^j), residual, grad_v_sq,
-    tangency_max, unit_dev_max.
+    Trajectory, with one diagnostics row per step keyed by
+    DIAGNOSTIC_COLUMNS in that order.
     """
     if path.J != params.J:
         raise ValueError(f"path has J = {path.J}, params J = {params.J}")
@@ -319,7 +322,8 @@ def run(m0, params, path, coeffs, space, observers=()):
 
 
 def _update(state, field, params, space):
-    """Solve one step from `state`: the update v and its diagnostics row.
+    """Solve one step from `state`: the update v and its diagnostics row,
+    built in DIAGNOSTIC_COLUMNS order.
 
     The frame, the step system and the factorization are freed on return,
     before the step's observers run.
@@ -330,7 +334,10 @@ def _update(state, field, params, space):
     sol = solve_step(system, params)
     v, m = sol.v, state.m
     Kv = K @ v
-    F_value = float(m.ravel() @ (system.KZ @ v.ravel()) - np.sum(m * Kv))
+    # c.b = mu v.(KZ m) and KZ is symmetric, so c.b / mu - m.(K v) is
+    # F(t_j, m, v) = m^T (KZ - K (x) I) v without applying KZ again
+    F_value = float(sol.coefficients @ system.rhs / params.mu
+                    - np.sum(m * Kv))
     row = {
         "j": state.j,
         "t": state.j * params.k,

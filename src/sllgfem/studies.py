@@ -46,7 +46,7 @@ from .errors import ConfigError, SolverFailure
 from .fem import check_offdiag_condition
 from .reconstruct import (interpolant_errors, make_test_field, reconstruct_M,
                           weak_residual)
-from .scheme import energy_inequality_gaps, run
+from .scheme import DIAGNOSTIC_COLUMNS, energy_inequality_gaps, run
 from .vtkio import write_vtk
 from .wiener import coarsen, sample_path
 
@@ -109,15 +109,12 @@ def _worker_count():
 
 
 def diagnostics_csv_text(traj):
-    """Per-step diagnostics in the documented schema."""
+    """Per-step diagnostics, one column per scheme.DIAGNOSTIC_COLUMNS."""
     buf = io.StringIO()
-    buf.write("j,t,energy,v_norm_sq,F_value,residual,grad_v_sq,"
-              "tangency_max,unit_dev_max\n")
+    buf.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
     for row in traj.diagnostics:
-        buf.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-            row["j"], row["t"], row["energy"], row["v_norm_sq"],
-            row["F_value"], row["residual"], row["grad_v_sq"],
-            row["tangency_max"], row["unit_dev_max"]))
+        buf.write(",".join("%.17g" % row[c] for c in DIAGNOSTIC_COLUMNS)
+                  + "\n")
     return buf.getvalue()
 
 

@@ -20,28 +20,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class WienerPath:
-    """Increments dW[j, i] ~ Normal(0, k) for steps j < J, components i < q."""
+    """Increments dW[j, i] ~ Normal(0, k) of step k, for steps j < J and
+    components i < q; J and q are read off the (J, q) increments."""
 
-    q: int
-    J: int
     k: float
-    T: float
-    seed: int
-    level: int
     increments: np.ndarray
 
     def __post_init__(self):
-        if self.increments.shape != (self.J, self.q):
-            raise ValueError("increments shape does not match (J, q)")
+        if self.increments.ndim != 2:
+            raise ValueError(f"increments must be (J, q), got shape "
+                             f"{self.increments.shape}")
         if not np.isfinite(self.increments).all():
             raise ValueError("non-finite Wiener increment")
         self.increments.setflags(write=False)
 
-    def cumulative(self):
-        """W_i(t_j) for j = 0..J, starting at 0."""
-        W = np.zeros((self.J + 1, self.q))
-        np.cumsum(self.increments, axis=0, out=W[1:])
-        return W
+    @property
+    def J(self):
+        return self.increments.shape[0]
+
+    @property
+    def q(self):
+        return self.increments.shape[1]
 
 
 def sample_path(seed, q, J, T, stream=0):
@@ -57,15 +56,13 @@ def sample_path(seed, q, J, T, stream=0):
     rng = np.random.Generator(np.random.Philox(key=key))
     k = T / J
     increments = rng.standard_normal((J, q)) * np.sqrt(k)
-    return WienerPath(q=q, J=J, k=k, T=float(T), seed=int(seed),
-                      level=0, increments=increments)
+    return WienerPath(k=k, increments=increments)
 
 
 def coarsen(path, factor):
     """Sum groups of `factor` consecutive increments (factor a power of 2).
 
-    The coarse path covers the same Brownian path with step factor*k; the
-    level tag increases by log2(factor).
+    The coarse path covers the same Brownian path with step factor*k.
     """
     factor = int(factor)
     if factor < 1 or (factor & (factor - 1)) != 0:
@@ -76,7 +73,5 @@ def coarsen(path, factor):
         return path
     J = path.J // factor
     increments = path.increments.reshape(J, factor, path.q).sum(axis=1)
-    return WienerPath(q=path.q, J=J, k=path.k * factor, T=path.T,
-                      seed=path.seed, level=path.level + factor.bit_length() - 1,
-                      increments=increments)
+    return WienerPath(k=path.k * factor, increments=increments)
 

@@ -99,7 +99,7 @@ def test_reconstruct_closed_form_constant_axis():
     field = init_rotation_field(space, coeffs)
     for j in range(path.J):
         field = evolve_step(field, path.increments[j], path.k)
-    w = path.cumulative()[-1][0]
+    w = path.increments.sum(axis=0)[0]
     m = np.tile([1.0, 0.0, 0.0], (space.N, 1))
     M = reconstruct_M(m, field)
     expected = np.array([np.cos(gamma * w), -np.sin(gamma * w), 0.0])

@@ -13,8 +13,8 @@ from sllgfem.fem import (P1Space, check_offdiag_condition, interpolate_nodal,
                          normalize_nodal)
 from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import make_noise
-from sllgfem.rotation import (assemble_rotated_stiffness, cross_matrix,
-                              evolve_step, init_rotation_field)
+from sllgfem.rotation import (assemble_rotated_stiffness, compute_F_identity,
+                              cross_matrix, evolve_step, init_rotation_field)
 from sllgfem.scheme import (NodalState, SchemeParams, StepSystem, advance,
                             assemble_step_system, build_tangent_frame,
                             check_theta_guard, energy_inequality_gaps, run,
@@ -280,7 +280,7 @@ def test_singular_system_raises_solver_failure():
     tau = build_tangent_frame(spiral_m0(space))
     n = 2 * space.N
     system = StepSystem(matrix=sp.csc_matrix((n, n)), rhs=np.ones(n),
-                        tau=tau, KZ=None)
+                        tau=tau)
     with pytest.raises(SolverFailure) as err:
         solve_step(system, default_params())
     assert err.value.residual == np.inf
@@ -426,6 +426,25 @@ def test_observers_see_every_step_in_order():
             assert seen[j + 1].m is step.m_next
             assert seen[j + 1].field is step.field_next
     assert seen[-1].m_next is traj.m
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 2)])
+def test_F_value_matches_identity_oracle(dim, divisions):
+    # F_value is read off the solved system; the oracle evaluates
+    # <grad(Z m), grad(Z v)> - m^T K v by quadrature. mu = 2.05, so a
+    # misplaced 1/mu shows.
+    space = P1Space(build_structured_mesh(dim, divisions))
+    params = default_params(lambda1=1.3, lambda2=0.6, J=6)
+    coeffs = make_noise("linear-gradient")
+    oracle = []
+    traj = run(spiral_m0(space), params,
+               sample_path(3, coeffs.q, params.J, params.T), coeffs, space,
+               observers=[lambda step: oracle.append(
+                   compute_F_identity(step.field, step.m, step.v))])
+    F = np.array([row["F_value"] for row in traj.diagnostics])
+    energy = np.array([row["energy"] for row in traj.diagnostics])
+    assert np.all(np.abs(F - oracle) <= 1e-12 * np.abs(energy))
+    assert np.abs(F).max() > 1e-3
 
 
 def test_memory_does_not_grow_with_steps():

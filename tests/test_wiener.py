@@ -28,8 +28,9 @@ def test_distinct_seeds_differ():
 def test_step_and_shape():
     p = sample_path(5, q=2, J=50, T=0.5)
     assert p.increments.shape == (50, 2)
+    assert (p.J, p.q) == (50, 2)
     assert p.k == pytest.approx(0.01)
-    assert p.k * p.J == pytest.approx(p.T, abs=1e-16)
+    assert p.k * p.J == pytest.approx(0.5, abs=1e-16)
 
 
 def test_increment_sample_mean_clt_bound():
@@ -53,14 +54,6 @@ def test_normalized_increments_pass_ks():
     assert pvalue > 0.01
 
 
-def test_cumulative_starts_at_zero_and_telescopes():
-    p = sample_path(3, q=2, J=32, T=1.0)
-    W = p.cumulative()
-    assert W.shape == (33, 2)
-    assert np.all(W[0] == 0.0)
-    np.testing.assert_allclose(np.diff(W, axis=0), p.increments, atol=0)
-
-
 def test_coarsen_factor_one_is_identity():
     p = sample_path(4, q=2, J=16, T=1.0)
     assert coarsen(p, 1) is p
@@ -82,18 +75,17 @@ def test_coarsen_composes():
     twice = coarsen(coarsen(p, 2), 2)
     once = coarsen(p, 4)
     assert twice.J == once.J == 16
-    assert twice.level == once.level == 2
     np.testing.assert_allclose(twice.increments, once.increments,
                                rtol=0, atol=1e-12)
 
 
 def test_coarsen_preserves_endpoint():
     p = sample_path(11, q=2, J=128, T=1.0)
-    WT = p.cumulative()[-1]
+    WT = p.increments.sum(axis=0)
     for factor in (2, 4, 8, 128):
         c = coarsen(p, factor)
-        np.testing.assert_allclose(c.cumulative()[-1], WT, atol=1e-12)
-        assert c.seed == p.seed
+        np.testing.assert_allclose(c.increments.sum(axis=0), WT, atol=1e-12)
+        assert c.k * c.J == pytest.approx(p.k * p.J, abs=1e-15)
 
 
 def test_coarsen_rejects_bad_factor():
@@ -116,13 +108,10 @@ def test_sample_path_argument_validation():
 
 
 def test_path_rejects_nonfinite_and_misshapen():
-    good = np.zeros((4, 1))
     with pytest.raises(ValueError):
-        WienerPath(q=1, J=4, k=0.25, T=1.0, seed=0, level=0,
-                   increments=np.full((4, 1), np.nan))
+        WienerPath(k=0.25, increments=np.full((4, 1), np.nan))
     with pytest.raises(ValueError):
-        WienerPath(q=2, J=4, k=0.25, T=1.0, seed=0, level=0,
-                   increments=good)
+        WienerPath(k=0.25, increments=np.zeros(4))
 
 
 def test_increments_are_read_only():
