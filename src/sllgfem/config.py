@@ -19,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MeshError
 from .fem import P1Space, interpolate_nodal
 from .mesh import build_structured_mesh, read_mesh_text
 from .noise import PRESETS, make_noise
@@ -280,7 +280,10 @@ def load_config(path, overrides=None):
                               f"{cfg.params.J}")
 
     if cfg.mesh_file:
-        h = cfg.build_mesh().h
+        try:
+            h = cfg.build_mesh().h
+        except (OSError, MeshError) as e:
+            raise ConfigError(f"mesh.file = {cfg.mesh_file!r}: {e}") from None
     else:
         h = np.sqrt(cfg.dim) * cfg.domain_size / cfg.divisions
     ok, bound = check_theta_guard(cfg.params, h, cfg.guard_c)

@@ -70,7 +70,7 @@ class Mesh:
         degenerate = np.flatnonzero(vols <= 0)
         if degenerate.size:
             raise MeshError(f"cell {degenerate[0]} is degenerate "
-                            f"(measure {vols[degenerate[0]]!r})")
+                            f"(measure {float(vols[degenerate[0]])!r})")
 
         self.dim = dim
         self.vertices = vertices
@@ -197,18 +197,23 @@ def write_mesh_text(mesh, path):
 
 
 def read_mesh_text(path):
-    """Read the format written by :func:`write_mesh_text`."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise MeshError(f"{path}: truncated mesh header")
-    dim, nv, nc = (int(t) for t in tokens[:3])
-    if dim not in (2, 3):
-        raise MeshError(f"{path}: dim must be 2 or 3, got {dim}")
-    need = 3 + nv * dim + nc * (dim + 1)
-    if len(tokens) != need:
-        raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
-    body = tokens[3:]
-    vertices = np.array(body[:nv * dim], dtype=float).reshape(nv, dim)
-    cells = np.array(body[nv * dim:], dtype=np.int64).reshape(nc, dim + 1)
+    """Read the format written by :func:`write_mesh_text`; text that does
+    not describe a mesh raises MeshError naming `path`."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+        if len(tokens) < 3:
+            raise MeshError(f"{path}: truncated mesh header")
+        dim, nv, nc = (int(t) for t in tokens[:3])
+        if dim not in (2, 3):
+            raise MeshError(f"{path}: dim must be 2 or 3, got {dim}")
+        need = 3 + nv * dim + nc * (dim + 1)
+        if len(tokens) != need:
+            raise MeshError(f"{path}: expected {need} tokens, "
+                            f"found {len(tokens)}")
+        body = tokens[3:]
+        vertices = np.array(body[:nv * dim], dtype=float).reshape(nv, dim)
+        cells = np.array(body[nv * dim:], dtype=np.int64).reshape(nc, dim + 1)
+    except ValueError as e:     # not ASCII text, or a token not a number
+        raise MeshError(f"{path}: {e}") from None
     return Mesh(vertices, cells)

@@ -12,7 +12,8 @@ derivative) and from the weak-form residual
 over space-time, evaluated with a midpoint rule per scheme interval and the
 left-endpoint-frozen rotation field in the F term. For an exact weak
 solution I vanishes for every smooth test field psi supported inside (0, T).
-Both monitors are observers of `scheme.run` and accumulate step by step.
+Both monitors are observers of `scheme.run`; the residual's totals are
+filled in at the last step.
 
 Per interval the integrand is linear in (psi, grad psi), so each step
 forms two fields at the quadrature points that serve every test field.
@@ -24,14 +25,15 @@ orthogonal), they are
   S_d = -mu (d_d m + b_d) x m
 
 and the interval adds k bump(t_mid) sum_qp w (Psi . R + grad Psi : S) for
-psi = bump Psi. The <grad m', grad(m' x psi)> term cancels against the same
-term inside F; the rest follows from (m x psi) . X = psi . (X x m) and
+psi = bump Psi. Every test field has the same bump, so the run sums
+k bump(t_mid) (R, S) and pairs the sum with each Psi once. The
+<grad m', grad(m' x psi)> term cancels against the same term inside F;
+the rest follows from (m x psi) . X = psi . (X x m) and
 d_d m . (d_d m x psi) = 0.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,28 +95,24 @@ def interpolant_errors(space, k):
     return observe, errors
 
 
+def time_profile(t, T):
+    """The bump of every test field: smooth, and zero with all its
+    derivatives outside (0.15 T, 0.85 T), a support inside (0, T)."""
+    s = (t - 0.15 * T) / (0.85 * T - 0.15 * T)
+    if s <= 0.0 or s >= 1.0:
+        return 0.0
+    return float(np.exp(-1.0 / (s * (1.0 - s))) * np.e ** 2)
+
+
 @dataclass(frozen=True)
 class TestField:
-    """Separable test field psi(t, x) = bump(t) * Psi(x).
-
-    The bump vanishes with all derivatives at t0 and t1 (compact support in
-    time); the spatial part is trigonometric in the first two coordinates
-    with analytic gradients.
-    """
+    """Spatial part Psi(x) of a test field time_profile(t, T) Psi(x)."""
 
     __test__ = False         # keep pytest from collecting the class
 
-    t0: float
-    t1: float
     f1: float
     f2: float
     amps: tuple
-
-    def time_profile(self, t):
-        s = (t - self.t0) / (self.t1 - self.t0)
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
-        return float(np.exp(-1.0 / (s * (1.0 - s))) * np.e ** 2)
 
     def evaluate(self, points):
         """Psi and d Psi / dx_d at (P, dim) points: shapes (P, 3) and
@@ -137,11 +135,10 @@ class TestField:
         return psi, g
 
 
-def make_test_field(index, T):
+def make_test_field(index):
     """Built-in reproducible test fields, indexed from 0."""
     amp_cycle = [(1.0, 0.6, -0.8), (-0.7, 1.0, 0.5), (0.4, -0.9, 1.0)]
-    return TestField(t0=0.15 * T, t1=0.85 * T,
-                     f1=1.0 + index, f2=1.0 + (index % 2),
+    return TestField(f1=1.0 + index, f2=1.0 + (index % 2),
                      amps=amp_cycle[index % len(amp_cycle)])
 
 
@@ -184,28 +181,23 @@ def _contracted_residual(field, space, params, m, m_next):
     return R, S
 
 
-def weak_residual(space, params, path, psi):
-    """Observer of `scheme.run` evaluating I(m_lin, psi) pathwise; psi may
-    be one TestField or a list.
+def weak_residual(space, params, path, fields):
+    """Observer of `scheme.run` evaluating I(m_lin, time_profile * Psi)
+    pathwise for each TestField Psi in the list `fields`.
 
-    Returns (observer, totals); totals holds one value per test field and is
-    filled in as the run goes. The rotation field is replayed along the path
-    in lockstep with the run, starting from the run's own field at j = 0
-    (one replay for all test fields); each interval uses the midpoint value
-    of the interpolant, the piecewise-constant discrete time derivative, and
-    the interval's left-endpoint rotation field in the F term.
+    Returns (observer, totals); totals holds one value per test field,
+    filled in at j = params.J - 1. The rotation field is replayed along the
+    path in lockstep with the run, from the run's own field at j = 0; each
+    interval uses the midpoint value of the interpolant, the piecewise-
+    constant discrete time derivative, and its left-endpoint rotation field.
     """
-    fields = [psi] if isinstance(psi, TestField) else list(psi)
-    for f in fields:
-        if f.t0 <= 0.0 or f.t1 >= params.T:
-            warnings.warn("test field support touches the time boundary; "
-                          "the residual identity assumes psi vanishes near "
-                          "0 and T", stacklevel=2)
-
     k = params.k
-    mesh = space.mesh
-    qp_flat = space.quad_points.reshape(-1, mesh.dim)
+    qp_flat = space.quad_points.reshape(-1, space.mesh.dim)
     rot = None
+    # run sums of k bump(t_mid) (R, S), allocated up front: keeping the
+    # first active step's arrays instead pins their heap block (peak RSS)
+    w = space.quad_weights
+    acc = [np.zeros(w.shape + (3,)), np.zeros(w.shape + (space.mesh.dim, 3))]
     totals = np.zeros(len(fields))
 
     def observe(step):
@@ -215,20 +207,19 @@ def weak_residual(space, params, path, psi):
         elif rot is None or rot.j != step.j:
             raise TimeMismatchError(f"weak residual observer did not see "
                                     f"every step before step {step.j}")
-        t_mid = (step.j + 0.5) * k
-        RS = None
-        for idx, f in enumerate(fields):
-            b = f.time_profile(t_mid)
-            if b == 0.0:
-                continue
-            if RS is None:          # (R, S) serve every test field
-                RS = _contracted_residual(rot, space, params, step.m,
-                                          step.m_next)
-            R, S = RS
-            psi_qp, grad_psi_qp = f.evaluate(qp_flat)
-            value = (psi_qp.ravel() @ R.ravel()
-                     + grad_psi_qp.ravel() @ S.ravel())
-            totals[idx] += k * b * value
+        b = time_profile((step.j + 0.5) * k, params.T)
+        if b != 0.0:
+            R, S = _contracted_residual(rot, space, params, step.m,
+                                        step.m_next)
+            R *= k * b
+            S *= k * b
+            acc[0] += R
+            acc[1] += S
+        if step.j == params.J - 1:
+            for idx, f in enumerate(fields):
+                psi_qp, grad_psi_qp = f.evaluate(qp_flat)
+                totals[idx] = (psi_qp.ravel() @ acc[0].ravel()
+                               + grad_psi_qp.ravel() @ acc[1].ravel())
         rot = evolve_step(rot, path.increments[step.j], k)
 
     return observe, totals

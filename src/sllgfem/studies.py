@@ -185,7 +185,7 @@ def _trajectory(config, level, stream, snapshot_dir):
         path = coarsen(path, factor)
 
     errs_obs, errs = interpolant_errors(space, p.k)
-    fields = [make_test_field(i, p.T) for i in range(_N_TEST_FIELDS)]
+    fields = [make_test_field(i) for i in range(_N_TEST_FIELDS)]
     residual_obs, residuals = weak_residual(space, p, path, fields)
     orth_defects = [0.0]            # the field at j = 0 is the identity
     observers = [errs_obs, residual_obs, lambda step: orth_defects.append(

@@ -26,7 +26,7 @@ def write_vtk(filename, mesh, m, M, comment="sllgfem snapshot"):
     nv = mesh.dim + 1
     with open(filename, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(comment.splitlines()[0][:255] + "\n")
+        fh.write((comment.splitlines() or [""])[0][:255] + "\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n")
         fh.write(_block(_VEC_ROW, pts))

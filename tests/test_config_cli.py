@@ -300,6 +300,33 @@ def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,reason", [
+    (None, "No such file"),
+    ("2 x 3\n", "invalid literal"),
+    ("2 3 1\n0 0\n1 0\n2 0\n0 1 2\n", "degenerate (measure 0.0)"),
+], ids=["missing", "non-numeric-header", "degenerate-cell"])
+def test_cli_bad_mesh_file_exit_4_before_any_write(tmp_path, capsys, text,
+                                                   reason):
+    mesh = tmp_path / "mesh.txt"
+    if text is not None:
+        mesh.write_text(text)
+    cfg = write_cfg(tmp_path, f"""\
+[mesh]
+file = {mesh}
+
+[scheme]
+J = 10
+T = 0.1
+
+[run]
+out = {tmp_path / "out"}
+""")
+    assert main([cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mesh.file") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     # an unreachable relative-residual tolerance stalls the first solve
     cfg = write_cfg(tmp_path, f"""\

@@ -1,0 +1,22 @@
+"""The README's Python examples run as written.
+
+Every fenced ```python block of README.md runs in order, in one
+namespace, so a later block may use the names an earlier one defined.
+"""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        flags=re.S | re.M)
+    assert blocks
+    monkeypatch.setenv("SLLGFEM_WORKERS", "1")
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"),
+             namespace)

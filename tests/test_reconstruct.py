@@ -11,7 +11,7 @@ from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import make_noise
 from sllgfem.reconstruct import (TestField, interpolant_errors,
                                  make_test_field, reconstruct_M, solve_phi,
-                                 weak_residual)
+                                 time_profile, weak_residual)
 from sllgfem.rotation import init_rotation_field, evolve_step
 from sllgfem.scheme import SchemeParams, run
 from sllgfem.wiener import sample_path
@@ -210,18 +210,17 @@ def test_v_dtm_gap_matches_direct_sum():
 # -------------------------------------------------------------- test fields
 
 def test_field_time_profile_compact_support():
-    f = make_test_field(0, T=1.0)
-    assert f.t0 == pytest.approx(0.15) and f.t1 == pytest.approx(0.85)
-    assert f.time_profile(0.15) == 0.0
-    assert f.time_profile(0.85) == 0.0
-    assert f.time_profile(0.0) == 0.0
-    assert f.time_profile(0.5) > 0.0
-    mid = 0.5 * (f.t0 + f.t1)
-    assert f.time_profile(mid) == pytest.approx(np.exp(-2.0))
+    for T in (1.0, 0.4):
+        assert time_profile(0.15 * T, T) == 0.0
+        assert time_profile(0.85 * T, T) == 0.0
+        assert time_profile(0.0, T) == 0.0
+        assert time_profile(T, T) == 0.0
+        assert time_profile(0.2 * T, T) > 0.0
+        assert time_profile(0.5 * T, T) == pytest.approx(np.exp(-2.0))
 
 
 def test_field_spatial_gradient_matches_finite_differences():
-    f = make_test_field(1, T=1.0)
+    f = make_test_field(1)
     rng = np.random.default_rng(8)
     x = rng.uniform(0.1, 0.9, size=(30, 2))
     _, g = f.evaluate(x)
@@ -241,8 +240,8 @@ def test_weak_residual_zero_for_stationary_state():
     m0 = np.tile([0.0, 0.0, 1.0], (space.N, 1))
     params = SchemeParams(lambda1=1.0, lambda2=1.0, theta=1.0, T=1.0, J=20)
     path = sample_path(0, 1, 20, 1.0)
-    psi = make_test_field(0, T=1.0)
-    observe, residual = weak_residual(space, params, path, psi)
+    observe, residual = weak_residual(space, params, path,
+                                      [make_test_field(0)])
     run(m0, params, path, make_noise("zero"), space, observers=[observe])
     assert residual[0] == 0.0
 
@@ -250,11 +249,10 @@ def test_weak_residual_zero_for_stationary_state():
 def test_weak_residual_is_linear_in_psi():
     space = space8()
     params, _, path = short_inputs(J=25)
-    f = make_test_field(0, T=params.T)
-    neg = TestField(t0=f.t0, t1=f.t1, f1=f.f1, f2=f.f2,
-                    amps=tuple(-a for a in f.amps))
-    obs, r = weak_residual(space, params, path, f)
-    obs_neg, r_neg = weak_residual(space, params, path, neg)
+    f = make_test_field(0)
+    neg = TestField(f1=f.f1, f2=f.f2, amps=tuple(-a for a in f.amps))
+    obs, r = weak_residual(space, params, path, [f])
+    obs_neg, r_neg = weak_residual(space, params, path, [neg])
     short_run(space, [obs, obs_neg], J=25)
     assert r[0] != 0.0
     assert r_neg[0] == -r[0]
@@ -263,9 +261,9 @@ def test_weak_residual_is_linear_in_psi():
 def test_weak_residual_batch_matches_singles():
     space = space8()
     params, _, path = short_inputs(J=25)
-    fields = [make_test_field(i, T=params.T) for i in range(3)]
+    fields = [make_test_field(i) for i in range(3)]
     batch_obs, batch = weak_residual(space, params, path, fields)
-    singles = [weak_residual(space, params, path, f) for f in fields]
+    singles = [weak_residual(space, params, path, [f]) for f in fields]
     short_run(space, [batch_obs, *(obs for obs, _ in singles)], J=25)
     np.testing.assert_array_equal(batch, [r[0] for _, r in singles])
 
@@ -274,7 +272,7 @@ def test_weak_residual_replays_in_lockstep():
     # the replayed rotation field must stay at the step's own index
     space = space8()
     params, _, path = short_inputs(J=12)
-    fields = [make_test_field(i, T=params.T) for i in range(3)]
+    fields = [make_test_field(i) for i in range(3)]
     observe, totals = weak_residual(space, params, path, fields)
     seen = []
 
@@ -301,7 +299,7 @@ def _per_field_terms(space, params, step, f):
     gm = np.broadcast_to(space.grads_at_qp(m_mid)[:, None],
                          (mesh.n_cells, space.n_qp, mesh.dim, 3))
     dtm_qp = space.values_at_qp((step.m_next - step.m) / params.k)
-    bump = f.time_profile(t_mid)
+    bump = time_profile(t_mid, params.T)
     psi_qp, grad_psi_qp = f.evaluate(qp)
     psi = (bump * psi_qp).reshape(m_qp.shape)
     gpsi = (bump * grad_psi_qp).reshape(gm.shape)
@@ -328,7 +326,7 @@ def test_contracted_weak_residual_matches_per_field_form(dim, n, noise):
     params = SchemeParams(lambda1=1.3, lambda2=0.7, theta=1.0, T=0.4, J=8)
     coeffs = pair_varying() if noise == "pair-varying" else make_noise(noise)
     path = sample_path(11, coeffs.q, params.J, params.T)
-    fields = [make_test_field(i, T=params.T) for i in range(3)]
+    fields = [make_test_field(i) for i in range(3)]
     observe, totals = weak_residual(space, params, path, fields)
     steps = []
     run(spiral_m0(space), params, path, coeffs, space,
@@ -343,12 +341,27 @@ def test_contracted_weak_residual_matches_per_field_form(dim, n, noise):
     assert np.all(np.abs(totals - expected) <= 1e-12 * scale)
 
 
-def test_weak_residual_warns_on_boundary_support():
-    space = space8()
-    params, _, path = short_inputs(J=10)
-    f = TestField(t0=0.0, t1=0.3, f1=1.0, f2=1.0, amps=(1.0, 0.0, 0.0))
-    with pytest.warns(UserWarning, match="boundary"):
-        weak_residual(space, params, path, f)
+def test_weak_residual_evaluates_each_test_field_once(monkeypatch):
+    # 28 of the 40 steps lie in the bump's support; the residual sums them
+    # and pairs each test field with the sum, so Psi is evaluated 3 times
+    calls = []
+    evaluate = TestField.evaluate
+
+    def spy(self, points):
+        calls.append(self)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(TestField, "evaluate", spy)
+    space = P1Space(build_structured_mesh(2, 32))
+    params = SchemeParams(lambda1=1.0, lambda2=1.0, theta=1.0, T=0.1, J=40)
+    coeffs = make_noise("linear-gradient")
+    path = sample_path(7, coeffs.q, params.J, params.T)
+    fields = [make_test_field(i) for i in range(3)]
+    observe, totals = weak_residual(space, params, path, fields)
+    run(spiral_m0(space), params, path, coeffs, space, observers=[observe])
+    assert sum(time_profile((j + 0.5) * params.k, params.T) > 0.0
+               for j in range(params.J)) == 28
+    assert calls == fields and np.all(totals != 0.0)
 
 
 # ---------------------------------------------------------------- solve_phi

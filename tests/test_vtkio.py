@@ -68,6 +68,18 @@ def test_comment_is_truncated_to_one_line(tmp_path):
     assert lines[1] == "first"
 
 
+def test_empty_comment_writes_empty_title_line(tmp_path):
+    mesh = build_structured_mesh(2, 2)
+    m = np.random.default_rng(0).standard_normal((mesh.n_vertices, 3))
+    empty, default = tmp_path / "empty.vtk", tmp_path / "default.vtk"
+    write_vtk(empty, mesh, m, m, comment="")
+    write_vtk(default, mesh, m, m)
+    got = empty.read_bytes().split(b"\n")
+    want = default.read_bytes().split(b"\n")
+    assert got[1] == b"" and want[1] == b"sllgfem snapshot"
+    assert got[:1] + got[2:] == want[:1] + want[2:]
+
+
 def test_shape_mismatch_rejected(tmp_path):
     mesh = build_structured_mesh(2, 2)
     good = np.zeros((mesh.n_vertices, 3))
