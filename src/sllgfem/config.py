@@ -23,7 +23,7 @@ from .errors import ConfigError, MeshError
 from .fem import P1Space, interpolate_nodal
 from .mesh import build_structured_mesh, read_mesh_text
 from .noise import PRESETS, make_noise
-from .scheme import SchemeParams, check_theta_guard
+from .scheme import GUARD_C, SchemeParams, check_theta_guard
 
 
 def _number(kind, lo=None, hi=None, strict=False, nonzero=False):
@@ -98,8 +98,6 @@ KEYS = {
         "dim": ("dim", "2", _number(int, 2, 3)),
         "divisions": ("divisions", "8", _number(int, 1)),
         "file": ("mesh_file", "", _text),
-        "domain_size": ("domain_size", "1.0",
-                        _number(float, 0.0, strict=True)),
     },
     "scheme": {
         "theta": ("params.theta", "1.0", _number(float, 0.0, 1.0)),
@@ -110,7 +108,6 @@ KEYS = {
         "J": ("params.J", "100", _number(int, 1)),
         "solver_tol": ("params.solver_tol", "1e-12",
                        _number(float, 0.0, strict=True)),
-        "guard_c": ("guard_c", "2.0", _number(float, 0.0, strict=True)),
     },
     "noise": {
         "preset": ("noise_preset", "constant-z", _choice(*PRESETS)),
@@ -152,9 +149,7 @@ class SimulationConfig:
     dim: int
     divisions: int
     mesh_file: str
-    domain_size: float
     params: SchemeParams
-    guard_c: float
     noise_preset: str
     amplitude: float
     vectors: tuple
@@ -173,15 +168,13 @@ class SimulationConfig:
     def build_mesh(self):
         if self.mesh_file:
             return read_mesh_text(self.mesh_file)
-        return build_structured_mesh(self.dim, self.divisions,
-                                     self.domain_size)
+        return build_structured_mesh(self.dim, self.divisions)
 
     def build_space(self):
         return P1Space(self.build_mesh())
 
     def build_noise(self):
-        vectors = self.vectors if self.vectors else None
-        return make_noise(self.noise_preset, self.amplitude, vectors)
+        return make_noise(self.noise_preset, self.amplitude, self.vectors)
 
     def initial_field(self, space):
         if self.initial_preset == "uniform":
@@ -285,12 +278,14 @@ def load_config(path, overrides=None):
         except (OSError, MeshError) as e:
             raise ConfigError(f"mesh.file = {cfg.mesh_file!r}: {e}") from None
     else:
-        h = np.sqrt(cfg.dim) * cfg.domain_size / cfg.divisions
-    ok, bound = check_theta_guard(cfg.params, h, cfg.guard_c)
+        h = np.sqrt(cfg.dim) / cfg.divisions
+    ok, bound = check_theta_guard(cfg.params, h)
     if not ok:
+        rule = ("h^2 for theta < 1/2" if cfg.params.theta < 0.5
+                else "h at theta = 1/2")
         raise ConfigError(
             f"scheme.theta = {cfg.params.theta} needs time steps "
-            f"k <= {bound:.6g} (k = O(h^2) stability guard for theta < 1/2, "
-            f"k = O(h) at theta = 1/2); got k = {cfg.params.k:.6g}. "
+            f"k <= {bound:.6g} (stability guard k <= {GUARD_C:g} {rule}, "
+            f"h = {h:.6g}); got k = {cfg.params.k:.6g}. "
             "Increase scheme.J, refine less, or raise theta.")
     return cfg

@@ -131,7 +131,7 @@ def _signed_measures(vertices, cells):
     return det / fact
 
 
-def build_structured_mesh(dim, divisions, domain_size=1.0):
+def build_structured_mesh(dim, divisions):
     """Structured simplicial mesh of the unit square or cube.
 
     Parameters
@@ -139,8 +139,6 @@ def build_structured_mesh(dim, divisions, domain_size=1.0):
     dim : {2, 3}
     divisions : int
         Number of sub-intervals per side, >= 1.
-    domain_size : float
-        Side length (default 1.0).
 
     Returns
     -------
@@ -153,7 +151,7 @@ def build_structured_mesh(dim, divisions, domain_size=1.0):
         raise ValueError(f"divisions must be >= 1, got {divisions}")
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    side = np.linspace(0.0, float(domain_size), n + 1)
+    side = np.linspace(0.0, 1.0, n + 1)
 
     if dim == 2:
         xx, yy = np.meshgrid(side, side, indexing="xy")

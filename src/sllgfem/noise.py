@@ -13,8 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PRESETS = ("zero", "constant-z", "constant-x", "pair-noncommuting",
-           "linear-gradient")
+# the constant presets as the `vectors` they stand for, scaled by amplitude
+_CONSTANT_PRESETS = {
+    "zero": ((0.0, 0.0, 0.0),),
+    "constant-z": ((0.0, 0.0, 1.0),),
+    "constant-x": ((1.0, 0.0, 0.0),),
+    "pair-noncommuting": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+}
+PRESETS = (*_CONSTANT_PRESETS, "linear-gradient")
 
 
 @dataclass(frozen=True)
@@ -88,33 +94,22 @@ def linear_gradient_component(amplitude=1.0):
     return NoiseComponent(g_fn, jac_fn)
 
 
-def make_noise(preset, amplitude=1.0, vectors=None):
-    """Build NoiseCoefficients from a preset name or explicit constant vectors.
+def make_noise(preset, amplitude=1.0, vectors=()):
+    """Build NoiseCoefficients: one constant component amplitude * v per
+    vector v, or the linear-gradient field.
 
-    Presets: "zero" (q=1, g=0), "constant-z" (q=1, amplitude*e3),
-    "constant-x" (q=1, amplitude*e1), "pair-noncommuting" (q=2, amplitude*e3
-    and amplitude*e1), "linear-gradient" (q=1, spatially varying). Passing
-    `vectors` instead builds one constant component per vector.
+    A nonempty `vectors` lists the constant vectors and overrides `preset`.
+    Otherwise `preset` names them through _CONSTANT_PRESETS ("zero",
+    "constant-z", "constant-x", "pair-noncommuting"), or is
+    "linear-gradient" (q=1, spatially varying).
     """
     amp = float(amplitude)
-    if vectors is not None:
-        comps = [constant_component(amp * np.asarray(v, dtype=float))
-                 for v in vectors]
-        if not comps:
-            raise ValueError("vectors list is empty")
-        return NoiseCoefficients(tuple(comps))
-    e1 = np.array([1.0, 0.0, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    if preset == "zero":
-        comps = [constant_component(np.zeros(3))]
-    elif preset == "constant-z":
-        comps = [constant_component(amp * e3)]
-    elif preset == "constant-x":
-        comps = [constant_component(amp * e1)]
-    elif preset == "pair-noncommuting":
-        comps = [constant_component(amp * e3), constant_component(amp * e1)]
-    elif preset == "linear-gradient":
-        comps = [linear_gradient_component(amp)]
-    else:
-        raise ValueError(f"unknown noise preset {preset!r}")
-    return NoiseCoefficients(tuple(comps))
+    if not len(vectors):
+        if preset == "linear-gradient":
+            return NoiseCoefficients((linear_gradient_component(amp),))
+        if preset not in _CONSTANT_PRESETS:
+            raise ValueError(f"unknown noise preset {preset!r}")
+        vectors = _CONSTANT_PRESETS[preset]
+    return NoiseCoefficients(tuple(
+        constant_component(amp * np.asarray(v, dtype=float))
+        for v in vectors))

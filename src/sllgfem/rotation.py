@@ -138,9 +138,8 @@ class RotationField:
     j+1 sharing the cached coefficient tensors.
     """
 
-    def __init__(self, space, coeffs, j, Z, xi, cache):
+    def __init__(self, space, j, Z, xi, cache):
         self.space = space
-        self.coeffs = coeffs
         self.j = int(j)
         self.Z = Z
         self.xi = xi
@@ -215,7 +214,7 @@ def init_rotation_field(space, coeffs):
     cache = _coefficient_cache(space, coeffs)
     Z = np.tile(np.eye(3), (cache["g"].shape[1], 1, 1))
     xi = np.zeros_like(cache["H"])
-    return RotationField(space, coeffs, 0, Z, xi, cache)
+    return RotationField(space, 0, Z, xi, cache)
 
 
 def evolve_step(field, dW, k):
@@ -232,13 +231,14 @@ def evolve_step(field, dW, k):
     RotationField at index j + 1.
     """
     dW = np.asarray(dW, dtype=float).reshape(-1)
-    if dW.shape[0] != field.coeffs.q:
-        raise ValueError(f"expected {field.coeffs.q} increments, got {dW.shape[0]}")
+    c = field._cache
+    if dW.shape[0] != len(c["g"]):
+        raise ValueError(f"expected {len(c['g'])} increments, "
+                         f"got {dW.shape[0]}")
     if not np.isfinite(dW).all():
         raise ValueError("non-finite Wiener increment")
     if not k > 0:
         raise ValueError(f"time step must be positive, got {k}")
-    c = field._cache
     # G_i u = u x g_i = -g_i x u, so sum_i dW_i G_i = C(a) with
     # a = -sum_i dW_i g_i, and likewise sum_i dW_i I_i = C(e)
     a = -np.einsum("i,ipa->pa", dW, c["g"])
@@ -258,7 +258,7 @@ def evolve_step(field, dW, k):
     xi1 = M @ xi
     xi1 += (N.reshape(P, 3 * dim, 3) @ field.Z[:P]).reshape(xi1.shape)
     xi1 += xi
-    return RotationField(field.space, field.coeffs, field.j + 1, Z1,
+    return RotationField(field.space, field.j + 1, Z1,
                          xi1.reshape(field.xi.shape), c)
 
 

@@ -68,15 +68,19 @@ class SchemeParams:
         object.__setattr__(self, "k", self.T / self.J)
 
 
-def check_theta_guard(params, h, guard_c=2.0):
+# c in the step-size guard k <= c h (theta = 1/2) or k <= c h^2 (theta < 1/2)
+GUARD_C = 2.0
+
+
+def check_theta_guard(params, h):
     """Step-size guard per stability regime.
 
-    theta > 1/2 is unconditional; theta = 1/2 requires k <= guard_c * h;
-    theta < 1/2 requires k <= guard_c * h^2. Returns (ok, bound).
+    theta > 1/2 is unconditional; theta = 1/2 requires k <= GUARD_C * h;
+    theta < 1/2 requires k <= GUARD_C * h^2. Returns (ok, bound).
     """
     if params.theta > 0.5:
         return True, np.inf
-    bound = guard_c * (h if params.theta == 0.5 else h * h)
+    bound = GUARD_C * (h if params.theta == 0.5 else h * h)
     return params.k <= bound, bound
 
 
@@ -180,30 +184,25 @@ def solve_step(system, params):
     """Solve for the tangent coefficients and rebuild the nodal update v.
 
     One sparse LU factorization (SuperLU) of the step matrix, then a check
-    of the relative residual |A c - b| / |b| against params.solver_tol. A
-    singular factorization, a non-finite solution, or a residual above the
-    tolerance raises SolverFailure.
+    of the relative residual |A c - b| / |b| (|A c - b| when b = 0, as for
+    a uniform field) against params.solver_tol. A singular factorization, a
+    non-finite solution, or a residual above the tolerance raises
+    SolverFailure.
     """
     A, b = system.matrix, system.rhs
-    tau = system.tau
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        c = np.zeros(A.shape[0])
-        return SolveResult(_tangent_to_nodal(c, tau), c, 0, 0.0)
-
     try:
         # the pattern is symmetric (K's, in 2x2 blocks), so order on A + A^T:
         # less fill, memory and time than the default column ordering
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as e:          # SuperLU: factor is exactly singular
         raise SolverFailure(f"sparse LU failed: {e}", residual=np.inf)
     c = lu.solve(b)
-    residual = float(np.linalg.norm(A @ c - b) / bnorm)
+    residual = float(np.linalg.norm(A @ c - b) / (np.linalg.norm(b) or 1.0))
     if not residual <= params.solver_tol:
         raise SolverFailure(f"linear solve reached relative residual "
                             f"{residual:.3e} (tolerance "
                             f"{params.solver_tol:.3e})", residual=residual)
-    return SolveResult(_tangent_to_nodal(c, tau), c, 0, residual)
+    return SolveResult(_tangent_to_nodal(c, system.tau), c, 0, residual)
 
 
 def _tangent_to_nodal(c, tau):

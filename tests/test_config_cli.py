@@ -44,14 +44,12 @@ def test_empty_config_gives_documented_defaults(tmp_path):
     assert cfg.dim == 2
     assert cfg.divisions == 8
     assert cfg.mesh_file == ""
-    assert cfg.domain_size == 1.0
     assert cfg.params.theta == 1.0
     assert cfg.params.lambda1 == 1.0
     assert cfg.params.lambda2 == 1.0
     assert cfg.params.T == 1.0
     assert cfg.params.J == 100
     assert cfg.params.solver_tol == 1e-12
-    assert cfg.guard_c == 2.0
     assert cfg.noise_preset == "constant-z"
     assert cfg.amplitude == 1.0
     assert cfg.vectors == ()
@@ -64,7 +62,7 @@ def test_empty_config_gives_documented_defaults(tmp_path):
     assert cfg.out == "out"
     assert cfg.snapshots == 0
     # every key in the grammar was defaulted
-    assert len(cfg.defaulted) == 24
+    assert len(cfg.defaulted) == 22
 
 
 def test_echo_text_reparses_to_same_config(tmp_path):
@@ -104,6 +102,12 @@ def test_unknown_section_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown key scheme.gamma"):
         load_config(write_cfg(tmp_path, "[scheme]\ngamma = 2\n"))
+    # the guard constant and the unit domain are fixed, not settable
+    for section, key, value in (("mesh", "domain_size", "2.0"),
+                                ("scheme", "guard_c", "1e9")):
+        with pytest.raises(ConfigError,
+                           match=f"unknown key {section}.{key}"):
+            load_config(write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n"))
     cfg = write_cfg(tmp_path, "[scheme]\nsolver_maxiter = 2000\n")
     with pytest.raises(ConfigError, match="unknown key scheme.solver_maxiter"):
         load_config(cfg)
@@ -136,10 +140,15 @@ def test_zero_lambda1_rejected(tmp_path):
 
 
 def test_weak_implicitness_guard(tmp_path):
-    # theta below 1/2 needs k <= guard_c * h^2; on the default 8x8 mesh
+    # theta below 1/2 needs k <= 2 h^2; on the default 8x8 mesh
     # that bound is 0.0625, so J = 10 (k = 0.1) must be refused
-    with pytest.raises(ConfigError, match="stability guard"):
+    with pytest.raises(ConfigError,
+                       match=r"stability guard k <= 2 h\^2 for theta < 1/2"):
         load_config(write_cfg(tmp_path, "[scheme]\ntheta = 0.3\nJ = 10\n"))
+    # at theta = 1/2 the bound is 2 h = 0.354, so J = 2 (k = 0.5) is refused
+    with pytest.raises(ConfigError,
+                       match="stability guard k <= 2 h at theta = 1/2"):
+        load_config(write_cfg(tmp_path, "[scheme]\ntheta = 0.5\nJ = 2\n"))
     ok = load_config(write_cfg(tmp_path, "[scheme]\ntheta = 0.3\nJ = 400\n",
                                name="ok.ini"))
     assert ok.params.theta == 0.3

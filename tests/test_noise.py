@@ -44,8 +44,13 @@ def test_explicit_vectors():
     g = coeffs.g_at(x)
     np.testing.assert_allclose(g[1][0], [0.0, 1.0, 0.0])
     np.testing.assert_allclose(g[2][0], [0.0, 0.0, 2.0])
-    with pytest.raises(ValueError):
+    # an empty list means "use the preset", so the preset must be known
+    with pytest.raises(ValueError, match="unknown noise preset"):
         make_noise("ignored", vectors=[])
+    for name in PRESETS:
+        np.testing.assert_array_equal(
+            make_noise(name, 0.5, vectors=[]).g_at(x),
+            make_noise(name, 0.5).g_at(x))
 
 
 def test_constant_component_has_zero_jacobian():

@@ -279,11 +279,12 @@ def test_singular_system_raises_solver_failure():
     space = space8()
     tau = build_tangent_frame(spiral_m0(space))
     n = 2 * space.N
-    system = StepSystem(matrix=sp.csc_matrix((n, n)), rhs=np.ones(n),
-                        tau=tau)
-    with pytest.raises(SolverFailure) as err:
-        solve_step(system, default_params())
-    assert err.value.residual == np.inf
+    # a zero load is factored too: no shortcut hands back zeros unchecked
+    for rhs in (np.ones(n), np.zeros(n)):
+        system = StepSystem(matrix=sp.csc_matrix((n, n)), rhs=rhs, tau=tau)
+        with pytest.raises(SolverFailure) as err:
+            solve_step(system, default_params())
+        assert err.value.residual == np.inf
 
 
 def test_non_finite_rhs_raises_solver_failure():
