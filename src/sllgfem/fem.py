@@ -109,7 +109,7 @@ class P1Space:
 
     def lumped_mass_diagonal(self):
         if self._lumped is None:
-            self._lumped = assemble_lumped_mass(self).diagonal()
+            self._lumped = assemble_lumped_mass(self)
         return self._lumped
 
     def cell_pair_pattern(self):
@@ -188,13 +188,12 @@ def assemble_stiffness(space: P1Space):
 
 
 def assemble_lumped_mass(space: P1Space):
-    """Diagonal (lumped) mass matrix; trace equals the domain measure."""
+    """Lumped mass weights (N,), each node's share of its cells' measure;
+    they sum to the domain measure."""
     mesh = space.mesh
-    diag = np.zeros(space.N)
     share = mesh.volumes / (mesh.dim + 1)
-    np.add.at(diag, mesh.cells.ravel(),
-              np.repeat(share, mesh.dim + 1))
-    return sp.diags(diag, format="csr")
+    return np.bincount(mesh.cells.ravel(), np.repeat(share, mesh.dim + 1),
+                       minlength=space.N)
 
 
 # off-diagonal stiffness entries up to this size count as nonpositive

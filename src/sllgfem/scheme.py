@@ -31,11 +31,13 @@ from .fem import normalize_nodal
 from .rotation import (RotationField, assemble_rotated_stiffness,
                        evolve_step, init_rotation_field)
 
-# Keys of the per-step diagnostics row (built in _update), in the column
+# Fields of the per-step diagnostics row (filled in _update), in the column
 # order of the diagnostics CSV.
 DIAGNOSTIC_COLUMNS = ("j", "t", "energy", "v_norm_sq", "F_value",
                       "residual", "grad_v_sq", "tangency_max",
                       "unit_dev_max")
+DIAGNOSTICS_DTYPE = np.dtype([(name, int if name == "j" else float)
+                              for name in DIAGNOSTIC_COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ class Trajectory:
     params: SchemeParams
     m: np.ndarray            # (N, 3), m^J
     energy: np.ndarray       # (J+1,), |grad m^j|^2
-    diagnostics: list        # one dict per step, DIAGNOSTIC_COLUMNS keys
+    diagnostics: np.ndarray  # (J,) of DIAGNOSTICS_DTYPE, one row per step
     m0_drift: float
 
     @property
@@ -279,8 +281,7 @@ def run(m0, params, path, coeffs, space, observers=()):
 
     Returns
     -------
-    Trajectory, with one diagnostics row per step keyed by
-    DIAGNOSTIC_COLUMNS in that order.
+    Trajectory, whose diagnostics hold one DIAGNOSTICS_DTYPE row per step.
     """
     if path.J != params.J:
         raise ValueError(f"path has J = {path.J}, params J = {params.J}")
@@ -298,16 +299,12 @@ def run(m0, params, path, coeffs, space, observers=()):
     field = init_rotation_field(space, coeffs)
     J, k = params.J, params.k
 
-    energies = np.empty(J + 1)
-    energies[0] = _dirichlet_energy(space, m)
-    diagnostics = []
-    state = NodalState(j=0, m=m, energy=energies[0])
+    diagnostics = np.empty(J, dtype=DIAGNOSTICS_DTYPE)
+    state = NodalState(j=0, m=m, energy=_dirichlet_energy(space, m))
 
     for j in range(J):
-        v, row = _update(state, field, params, space)
-        diagnostics.append(row)
+        v = _update(state, field, params, space, diagnostics[j])
         next_state = advance(state, v, params, space)
-        energies[j + 1] = next_state.energy
         next_field = evolve_step(field, path.increments[j], k)
         step = Step(j=j, m=state.m, v=v, m_next=next_state.m, field=field,
                     field_next=next_field)
@@ -316,13 +313,14 @@ def run(m0, params, path, coeffs, space, observers=()):
         del step                # frees the field at t_j before the next solve
         state, field = next_state, next_field
 
-    return Trajectory(params=params, m=state.m, energy=energies,
+    return Trajectory(params=params, m=state.m,
+                      energy=np.append(diagnostics["energy"], state.energy),
                       diagnostics=diagnostics, m0_drift=drift)
 
 
-def _update(state, field, params, space):
-    """Solve one step from `state`: the update v and its diagnostics row,
-    built in DIAGNOSTIC_COLUMNS order.
+def _update(state, field, params, space, row):
+    """Solve one step from `state`: returns the update v and fills `row`,
+    a DIAGNOSTICS_DTYPE record, field by field.
 
     The frame, the step system and the factorization are freed on return,
     before the step's observers run.
@@ -333,23 +331,19 @@ def _update(state, field, params, space):
     sol = solve_step(system, params)
     v, m = sol.v, state.m
     Kv = K @ v
+    row["j"] = state.j
+    row["t"] = state.j * params.k
+    row["energy"] = state.energy
+    row["v_norm_sq"] = np.sum(space.lumped_mass_diagonal()
+                              * np.sum(v * v, axis=1))
     # c.b = mu v.(KZ m) and KZ is symmetric, so c.b / mu - m.(K v) is
     # F(t_j, m, v) = m^T (KZ - K (x) I) v without applying KZ again
-    F_value = float(sol.coefficients @ system.rhs / params.mu
-                    - np.sum(m * Kv))
-    row = {
-        "j": state.j,
-        "t": state.j * params.k,
-        "energy": state.energy,
-        "v_norm_sq": float(np.sum(space.lumped_mass_diagonal()
-                                  * np.sum(v * v, axis=1))),
-        "F_value": F_value,
-        "residual": sol.residual,
-        "grad_v_sq": float(np.sum(v * Kv)),
-        "tangency_max": float(np.abs(np.sum(v * m, axis=1)).max()),
-        "unit_dev_max": float(np.abs(np.linalg.norm(m, axis=1) - 1.0).max()),
-    }
-    return v, row
+    row["F_value"] = sol.coefficients @ system.rhs / params.mu - np.sum(m * Kv)
+    row["residual"] = sol.residual
+    row["grad_v_sq"] = np.sum(v * Kv)
+    row["tangency_max"] = np.abs(np.sum(v * m, axis=1)).max()
+    row["unit_dev_max"] = np.abs(np.linalg.norm(m, axis=1) - 1.0).max()
+    return v
 
 
 def energy_inequality_gaps(traj):
@@ -359,12 +353,7 @@ def energy_inequality_gaps(traj):
             + k^2 (2 theta - 1) |grad v^j|^2
             - |grad m^j|^2 + 2 k F(t_j, m^j, v^j)
     """
-    p = traj.params
-    gaps = np.empty(traj.J)
-    for j, row in enumerate(traj.diagnostics):
-        lhs = (traj.energy[j + 1]
-               + 2.0 * p.k * p.lambda2 / p.mu * row["v_norm_sq"]
-               + p.k ** 2 * (2.0 * p.theta - 1.0) * row["grad_v_sq"])
-        rhs = traj.energy[j] - 2.0 * p.k * row["F_value"]
-        gaps[j] = lhs - rhs
-    return gaps
+    p, d = traj.params, traj.diagnostics
+    lhs = (traj.energy[1:] + 2.0 * p.k * p.lambda2 / p.mu * d["v_norm_sq"]
+           + p.k ** 2 * (2.0 * p.theta - 1.0) * d["grad_v_sq"])
+    return lhs - (traj.energy[:-1] - 2.0 * p.k * d["F_value"])

@@ -112,9 +112,8 @@ def diagnostics_csv_text(traj):
     """Per-step diagnostics, one column per scheme.DIAGNOSTIC_COLUMNS."""
     buf = io.StringIO()
     buf.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
-    for row in traj.diagnostics:
-        buf.write(",".join("%.17g" % row[c] for c in DIAGNOSTIC_COLUMNS)
-                  + "\n")
+    line = ",".join(["%.17g"] * len(DIAGNOSTIC_COLUMNS)) + "\n"
+    buf.writelines(line % row for row in traj.diagnostics.tolist())
     return buf.getvalue()
 
 
@@ -201,14 +200,15 @@ def _trajectory(config, level, stream, snapshot_dir):
 
     diag = traj.diagnostics
     q = {
-        "final_energy": traj.energy[-1],
+        "final_energy": float(traj.energy[-1]),
         "sup_energy": float(traj.energy.max()),
-        "v_time_sum": p.k * float(sum(r["v_norm_sq"] for r in diag)),
-        "max_unit_dev": max(r["unit_dev_max"] for r in diag),
-        "max_tangency": max(r["tangency_max"] for r in diag),
+        # summed left to right: .sum() is pairwise and rounds differently
+        "v_time_sum": p.k * float(diag["v_norm_sq"].cumsum()[-1]),
+        "max_unit_dev": float(diag["unit_dev_max"].max()),
+        "max_tangency": float(diag["tangency_max"].max()),
         "max_energy_gap": float(energy_inequality_gaps(traj).max()),
         "m0_drift": traj.m0_drift,
-        "residual_max": max(r["residual"] for r in diag),
+        "residual_max": float(diag["residual"].max()),
         "m_gap_l2": float(np.sqrt(errs["m_minus_mleft_sq"])),
         "unit_defect_l2": float(np.sqrt(errs["unit_defect_sq"])),
         "v_dtm_l1": errs["v_minus_dtm_l1"],

@@ -15,7 +15,8 @@ from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import make_noise
 from sllgfem.rotation import (assemble_rotated_stiffness, compute_F_identity,
                               cross_matrix, evolve_step, init_rotation_field)
-from sllgfem.scheme import (NodalState, SchemeParams, StepSystem, advance,
+from sllgfem.scheme import (DIAGNOSTIC_COLUMNS, DIAGNOSTICS_DTYPE,
+                            NodalState, SchemeParams, StepSystem, advance,
                             assemble_step_system, build_tangent_frame,
                             check_theta_guard, energy_inequality_gaps, run,
                             solve_step)
@@ -379,8 +380,8 @@ def test_unit_norms_and_tangency_along_stochastic_run():
                observers=[history])
     norms = np.linalg.norm(history.m, axis=2)
     assert np.abs(norms - 1.0).max() <= 1e-12
-    assert max(r["tangency_max"] for r in traj.diagnostics) <= 1e-12
-    assert max(r["residual"] for r in traj.diagnostics) <= params.solver_tol
+    assert traj.diagnostics["tangency_max"].max() <= 1e-12
+    assert traj.diagnostics["residual"].max() <= params.solver_tol
 
 
 @pytest.mark.parametrize("theta", [0.6, 1.0])
@@ -393,6 +394,14 @@ def test_energy_inequality_every_step(theta):
     traj = run(m0, params, sample_path(7, 2, 50, 0.5), coeffs, space)
     gaps = energy_inequality_gaps(traj)
     assert gaps.max() <= 1e-9
+    # the chain term by term, one step at a time: a wrong coefficient on
+    # any term changes the bits even where the sign would still hold
+    p, E = traj.params, traj.energy
+    expected = [(E[j + 1] + 2.0 * p.k * p.lambda2 / p.mu * row["v_norm_sq"]
+                 + p.k ** 2 * (2.0 * p.theta - 1.0) * row["grad_v_sq"])
+                - (E[j] - 2.0 * p.k * row["F_value"])
+                for j, row in enumerate(traj.diagnostics)]
+    np.testing.assert_array_equal(gaps, expected)
 
 
 def test_constant_g_run_reduces_to_deterministic():
@@ -427,6 +436,12 @@ def test_observers_see_every_step_in_order():
             assert seen[j + 1].m is step.m_next
             assert seen[j + 1].field is step.field_next
     assert seen[-1].m_next is traj.m
+    diag = traj.diagnostics
+    assert diag.shape == (12,) and diag.dtype == DIAGNOSTICS_DTYPE
+    assert diag.dtype.names == DIAGNOSTIC_COLUMNS
+    np.testing.assert_array_equal(diag["j"], np.arange(12))
+    assert traj.energy.shape == (13,)
+    assert traj.energy[:-1].tobytes() == diag["energy"].tobytes()
 
 
 @pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 2)])
@@ -442,8 +457,7 @@ def test_F_value_matches_identity_oracle(dim, divisions):
                sample_path(3, coeffs.q, params.J, params.T), coeffs, space,
                observers=[lambda step: oracle.append(
                    compute_F_identity(step.field, step.m, step.v))])
-    F = np.array([row["F_value"] for row in traj.diagnostics])
-    energy = np.array([row["energy"] for row in traj.diagnostics])
+    F, energy = traj.diagnostics["F_value"], traj.diagnostics["energy"]
     assert np.all(np.abs(F - oracle) <= 1e-12 * np.abs(energy))
     assert np.abs(F).max() > 1e-3
 
