@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -26,8 +26,8 @@ from .noise import PRESETS, make_noise
 from .scheme import GUARD_C, SchemeParams, check_theta_guard
 
 
-def _number(kind, lo=None, hi=None, strict=False, nonzero=False):
-    """An int or finite float in [lo, hi] ((lo, hi] if strict)."""
+def _number(kind, lo=None, hi=None):
+    """An int or finite float in [lo, hi]."""
     noun = "an integer" if kind is int else "a number"
 
     def parse(name, raw):
@@ -37,14 +37,9 @@ def _number(kind, lo=None, hi=None, strict=False, nonzero=False):
             raise ConfigError(f"{name} = {raw!r} is not {noun}")
         if not np.isfinite(val):
             raise ConfigError(f"{name} = {raw!r} is not finite")
-        if strict and val <= lo:
-            raise ConfigError(f"{name} = {val} must be > {lo}")
-        if (not strict and lo is not None and val < lo) or (
-                hi is not None and val > hi):
+        if (lo is not None and val < lo) or (hi is not None and val > hi):
             raise ConfigError(f"{name} = {val} out of range "
                               f"[{lo}, {'inf' if hi is None else hi}]")
-        if nonzero and val == 0:
-            raise ConfigError(f"{name} must be nonzero")
         return val
     return parse
 
@@ -92,7 +87,7 @@ def _vectors(name, raw):
 
 
 # section -> key -> (SimulationConfig field, default text, parser). Fields
-# under `params.` are the SchemeParams arguments.
+# under `params.` are the SchemeParams arguments, which SchemeParams checks.
 KEYS = {
     "mesh": {
         "dim": ("dim", "2", _number(int, 2, 3)),
@@ -100,14 +95,12 @@ KEYS = {
         "file": ("mesh_file", "", _text),
     },
     "scheme": {
-        "theta": ("params.theta", "1.0", _number(float, 0.0, 1.0)),
-        "lambda1": ("params.lambda1", "1.0", _number(float, nonzero=True)),
-        "lambda2": ("params.lambda2", "1.0",
-                    _number(float, 0.0, strict=True)),
-        "T": ("params.T", "1.0", _number(float, 0.0, strict=True)),
-        "J": ("params.J", "100", _number(int, 1)),
-        "solver_tol": ("params.solver_tol", "1e-12",
-                       _number(float, 0.0, strict=True)),
+        "theta": ("params.theta", "1.0", _number(float)),
+        "lambda1": ("params.lambda1", "1.0", _number(float)),
+        "lambda2": ("params.lambda2", "1.0", _number(float)),
+        "T": ("params.T", "1.0", _number(float)),
+        "J": ("params.J", "100", _number(int)),
+        "solver_tol": ("params.solver_tol", "1e-12", _number(float)),
     },
     "noise": {
         "preset": ("noise_preset", "constant-z", _choice(*PRESETS)),
@@ -197,6 +190,8 @@ class SimulationConfig:
         for section, keys in KEYS.items():
             buf.write(f"[{section}]\n")
             for key, (field, _, _) in keys.items():
+                if field == "divisions" and self.mesh_file:
+                    continue
                 mark = "  # default" if f"{section}.{key}" in defaulted else ""
                 buf.write(f"{key} = {_echo(attrgetter(field)(self))}{mark}\n")
             buf.write("\n")
@@ -252,8 +247,12 @@ def load_config(path, overrides=None):
             values[field] = parse(name, raw)
     params = {f.partition(".")[2]: values.pop(f)
               for f in list(values) if f.startswith("params.")}
-    cfg = SimulationConfig(params=SchemeParams(**params),
-                           defaulted=tuple(defaulted), **values)
+    try:
+        scheme = SchemeParams(**params)
+    except ValueError as e:       # each message starts with the field name
+        raise ConfigError(f"scheme.{e}") from None
+    cfg = SimulationConfig(params=scheme, defaulted=tuple(defaulted),
+                           **values)
 
     if cfg.mode == "monte-carlo" and cfg.samples < 2:
         raise ConfigError(f"run.samples = {cfg.samples}; monte-carlo mode "
@@ -274,9 +273,18 @@ def load_config(path, overrides=None):
 
     if cfg.mesh_file:
         try:
-            h = cfg.build_mesh().h
+            mesh = cfg.build_mesh()
         except (OSError, MeshError) as e:
             raise ConfigError(f"mesh.file = {cfg.mesh_file!r}: {e}") from None
+        # the file sets the dimension and size: mesh.dim may only repeat it
+        for key, clash in (("dim", cfg.dim != mesh.dim), ("divisions", True)):
+            if clash and f"mesh.{key}" not in defaulted:
+                raise ConfigError(f"mesh.{key} = {getattr(cfg, key)}, but "
+                                  f"mesh.file = {cfg.mesh_file!r} is a "
+                                  f"{mesh.dim}D mesh; leave it unset")
+        cfg = replace(cfg, dim=mesh.dim, defaulted=tuple(
+            name for name in defaulted if name != "mesh.dim"))
+        h = mesh.h
     else:
         h = np.sqrt(cfg.dim) / cfg.divisions
     ok, bound = check_theta_guard(cfg.params, h)

@@ -15,17 +15,6 @@ import numpy as np
 
 from .errors import MeshError
 
-def _perm_parity(p):
-    q = list(p)
-    sign = 1
-    for i in range(len(q)):
-        while q[i] != i:
-            j = q[i]
-            q[i], q[j] = q[j], q[i]
-            sign = -sign
-    return sign
-
-
 class Mesh:
     """Conforming simplicial mesh in 2D or 3D.
 
@@ -35,7 +24,8 @@ class Mesh:
         Vertex coordinates, dim in {2, 3}.
     cells : (M, dim+1) int array
         Vertex indices per cell. Cells with negative signed measure are
-        reoriented (last two indices swapped); zero-measure cells raise.
+        reoriented (last two indices swapped). No cells, a zero-measure
+        cell, an over-shared facet or an unused vertex raise MeshError.
 
     Attributes
     ----------
@@ -46,7 +36,6 @@ class Mesh:
         3D), each row's vertex ids ascending, rows in lexicographic order.
     cell_facets : (M, dim+1) int array; entry (c, i) is the row of `facets`
         holding the facet of cell c opposite its local vertex i.
-    boundary_facets : (B, dim) int array of facets owned by exactly one cell.
     """
 
     def __init__(self, vertices, cells):
@@ -57,7 +46,9 @@ class Mesh:
         dim = vertices.shape[1]
         if cells.ndim != 2 or cells.shape[1] != dim + 1:
             raise MeshError(f"cells must be (M, {dim + 1}) for dim={dim}")
-        if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
+        if not len(cells):
+            raise MeshError("mesh has no cells")
+        if cells.min() < 0 or cells.max() >= len(vertices):
             raise MeshError("cell vertex index out of range")
 
         vols = _signed_measures(vertices, cells)
@@ -76,8 +67,10 @@ class Mesh:
         self.vertices = vertices
         self.cells = cells
         self.volumes = vols
-        self.facets, self.cell_facets, self.boundary_facets = \
-            self._find_facets()
+        self.facets, self.cell_facets = self._find_facets()
+        unused = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
+        if unused.any():
+            raise MeshError(f"vertex {unused.argmax()} belongs to no cell")
 
         edges = vertices[cells]                      # (M, dim+1, dim)
         diam = 0.0
@@ -118,9 +111,7 @@ class Mesh:
                             f"shared by more than two cells")
         cell_facets = np.empty(len(faces), dtype=np.int64)
         cell_facets[order] = np.cumsum(new) - 1
-        facets = faces[starts]
-        return (facets, cell_facets.reshape(-1, d + 1),
-                facets[counts == 1])
+        return faces[starts], cell_facets.reshape(-1, d + 1)
 
 
 def _signed_measures(vertices, cells):
@@ -176,10 +167,8 @@ def build_structured_mesh(dim, divisions):
     for perm in permutations(range(3)):
         # walk the cube edges in the order given by the permutation
         steps = np.vstack([np.zeros(3, dtype=np.int64), unit[list(perm)]])
-        ids = np.cumsum(steps, axis=0) @ stride
-        if _perm_parity(perm) < 0:
-            ids[[2, 3]] = ids[[3, 2]]
-        local.append(ids)
+        # odd permutations give negative measures, which Mesh reorients
+        local.append(np.cumsum(steps, axis=0) @ stride)
     cells = corner[:, None, None] + np.array(local)
     return Mesh(vertices, cells.reshape(-1, 4))
 

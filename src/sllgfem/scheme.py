@@ -42,7 +42,8 @@ DIAGNOSTICS_DTYPE = np.dtype([(name, int if name == "j" else float)
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Scheme constants; mu and k are derived and stored on construction."""
+    """Scheme constants, mu and k derived on construction; a bad constant
+    raises ValueError whose message starts with the field name."""
 
     lambda1: float
     lambda2: float
@@ -55,17 +56,18 @@ class SchemeParams:
 
     def __post_init__(self):
         if self.lambda1 == 0.0:
-            raise ValueError("lambda1 must be nonzero")
+            raise ValueError(f"lambda1 must be nonzero, got {self.lambda1}")
         if not self.lambda2 > 0.0:
-            raise ValueError("lambda2 must be positive")
+            raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.T > 0.0:
-            raise ValueError("T must be positive")
+            raise ValueError(f"T must be positive, got {self.T}")
         if self.J < 1:
-            raise ValueError("J must be >= 1")
+            raise ValueError(f"J must be >= 1, got {self.J}")
         if not self.solver_tol > 0.0:
-            raise ValueError("solver_tol must be positive")
+            raise ValueError(
+                f"solver_tol must be positive, got {self.solver_tol}")
         object.__setattr__(self, "mu", self.lambda1 ** 2 + self.lambda2 ** 2)
         object.__setattr__(self, "k", self.T / self.J)
 

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sllgfem import ConfigError, load_config, studies
+from sllgfem import ConfigError, build_structured_mesh, load_config, studies
 from sllgfem.cli import build_parser, main
 from sllgfem.config import KEYS
+from sllgfem.mesh import write_mesh_text
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -313,7 +314,10 @@ def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
     (None, "No such file"),
     ("2 x 3\n", "invalid literal"),
     ("2 3 1\n0 0\n1 0\n2 0\n0 1 2\n", "degenerate (measure 0.0)"),
-], ids=["missing", "non-numeric-header", "degenerate-cell"])
+    ("2 3 0\n0 0\n1 0\n0 1\n", "mesh has no cells"),
+    ("2 4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n", "vertex 3 belongs to no cell"),
+], ids=["missing", "non-numeric-header", "degenerate-cell", "no-cells",
+        "unused-vertex"])
 def test_cli_bad_mesh_file_exit_4_before_any_write(tmp_path, capsys, text,
                                                    reason):
     mesh = tmp_path / "mesh.txt"
@@ -334,6 +338,26 @@ out = {tmp_path / "out"}
     err = capsys.readouterr().err
     assert err.startswith("config error: mesh.file") and reason in err
     assert not (tmp_path / "out").exists()
+
+
+def test_mesh_file_sets_its_own_dimension(tmp_path, capsys):
+    mesh = tmp_path / "cube.txt"
+    write_mesh_text(build_structured_mesh(3, 2), mesh)
+    base = f"[mesh]\nfile = {mesh}\n{{}}[run]\nout = {tmp_path / 'out'}\n"
+    for extra, key in (("dim = 2\n", "mesh.dim = 2"),
+                       ("divisions = 5\n", "mesh.divisions = 5")):
+        assert main([write_cfg(tmp_path, base.format(extra))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and "3D mesh" in err
+        assert not (tmp_path / "out").exists()
+    cfg = load_config(write_cfg(tmp_path, base.format("")))
+    assert cfg.dim == 3
+    echo = cfg.echo_text()
+    mesh_section = echo.split("[scheme]")[0]
+    assert "dim = 3\n" in mesh_section and "divisions" not in mesh_section
+    again = load_config(write_cfg(tmp_path, echo, name="echo.ini"))
+    assert again == cfg
+    assert load_config(write_cfg(tmp_path, base.format("dim = 3\n"))) == cfg
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):

@@ -51,15 +51,6 @@ def test_h_is_max_diameter():
     assert np.isclose(build_structured_mesh(3, 2).h, np.sqrt(3.0) / 2)
 
 
-def test_boundary_facet_counts():
-    mesh = build_structured_mesh(2, 4)
-    # 4 sides x 4 edges, plus no diagonal on the boundary
-    assert len(mesh.boundary_facets) == 16
-    mesh3 = build_structured_mesh(3, 2)
-    # 6 faces x (2 triangles per square face x 4 squares)
-    assert len(mesh3.boundary_facets) == 48
-
-
 def test_negative_cell_reoriented():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = Mesh(vertices, np.array([[0, 2, 1]]))  # clockwise on input
@@ -122,16 +113,14 @@ def _loop_cells(dim, n):
     return np.array(cells)
 
 
-def _loop_boundary(cells, dim):
-    """Facets owned by one cell, counted one facet tuple at a time."""
-    counts = {}
+def _loop_facets(cells, dim):
+    """Distinct facets in sorted order, gathered one facet tuple at a time."""
+    facets = set()
     for cell in cells:
         for i in range(dim + 1):
-            key = tuple(sorted(int(cell[j]) for j in range(dim + 1)
-                               if j != i))
-            counts[key] = counts.get(key, 0) + 1
-    boundary = sorted(f for f, c in counts.items() if c == 1)
-    return np.array(boundary, dtype=np.int64).reshape(len(boundary), dim)
+            facets.add(tuple(sorted(int(cell[j]) for j in range(dim + 1)
+                                    if j != i)))
+    return np.array(sorted(facets), dtype=np.int64)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (2, 16),
@@ -141,9 +130,9 @@ def test_structured_mesh_matches_loop_construction(dim, n):
     cells = Mesh(mesh.vertices, _loop_cells(dim, n)).cells
     assert mesh.cells.dtype == cells.dtype
     assert np.array_equal(mesh.cells, cells)
-    facets = _loop_boundary(cells, dim)
-    assert mesh.boundary_facets.dtype == facets.dtype
-    assert np.array_equal(mesh.boundary_facets, facets)
+    facets = _loop_facets(cells, dim)
+    assert mesh.facets.dtype == facets.dtype
+    assert np.array_equal(mesh.facets, facets)
 
 
 def test_overshared_facet_named_in_cell_order():
