@@ -142,23 +142,28 @@ class P1Space:
 
     # pointwise sampling ---------------------------------------------------
 
-    def at_qp(self, x):
+    def at_qp(self, x, cells=slice(None)):
         """Rows x[qp_index] of an array x over the distinct points, one per
-        cell-major quadrature point: a view when no point is shared, else a
-        copy gathered by np.take (faster than fancy indexing)."""
+        cell-major quadrature point of the cells in the range `cells` (a
+        slice of step 1, all cells by default): a view when no point is
+        shared, else a copy gathered by np.take (faster than fancy
+        indexing)."""
+        start, stop, _ = cells.indices(self.mesh.n_cells)
+        rows = slice(start * self.n_qp, stop * self.n_qp)
         if isinstance(self.qp_index, slice):
-            return x[self.qp_index]
-        return np.take(x, self.qp_index, axis=0)
+            return x[rows]
+        return np.take(x, self.qp_index[rows], axis=0)
 
-    def values_at_qp(self, u):
-        """Sample an (N, 3) nodal field at the quadrature points, shape
-        (M, n_qp, 3)."""
-        return self.phi_qp @ u[self.mesh.cells]
+    def values_at_qp(self, u, cells=slice(None)):
+        """Sample an (N, 3) nodal field at the quadrature points of the
+        cells `cells` (all by default), shape (M, n_qp, 3)."""
+        return self.phi_qp @ u[self.mesh.cells[cells]]
 
-    def grads_at_qp(self, u):
-        """Cellwise-constant gradient of an (N, 3) nodal field, shape
-        (M, dim, 3)."""
-        return np.swapaxes(self.grad_phi, 1, 2) @ u[self.mesh.cells]
+    def grads_at_qp(self, u, cells=slice(None)):
+        """Cellwise-constant gradient of an (N, 3) nodal field on the cells
+        `cells` (all by default), shape (M, dim, 3)."""
+        return (np.swapaxes(self.grad_phi[cells], 1, 2)
+                @ u[self.mesh.cells[cells]])
 
     def integrate(self, values):
         """Integrate per-quadrature-point scalars of shape (M, n_qp)."""

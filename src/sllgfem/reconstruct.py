@@ -48,6 +48,9 @@ _GAUSS_A = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5,
                      0.5 + np.sqrt(15.0) / 10.0])
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
+# cells per block of the weak residual's (R, S)
+_CELL_BLOCK = 2048
+
 
 def reconstruct_M(m, field):
     """M = Z m at the nodes; unit norms are preserved exactly by orthogonality.
@@ -142,23 +145,26 @@ def make_test_field(index):
                      amps=amp_cycle[index % len(amp_cycle)])
 
 
-def _contracted_residual(field, space, params, m, m_next):
-    """The step's fields (R, S): a test field psi = bump Psi contributes
-    k bump(t_mid) sum w (Psi . R + grad Psi : S) to the interval.
+def _contracted_residual(field, space, params, m_mid, dtm, cells):
+    """The step's fields (R, S) on the cell range `cells` (a slice): a test
+    field psi = bump Psi contributes k bump(t_mid) sum w (Psi . R + grad Psi
+    : S) to the interval.
 
-    R has shape (c, q, 3) and S (c, q, dim, 3); both already carry the
-    quadrature weights. See the module docstring for the derivation. xi is
-    read as (3 dim x 3) matrices X with rows (a, d), so each xi contraction
-    is one product per point; c, g and bt hold one column per direction d.
+    m_mid is the nodal midpoint value of the interpolant and dtm its
+    nodal time derivative. R has shape (c, q, 3) and S (c, q, dim, 3), c
+    the cells of the range; both already carry the quadrature weights. See
+    the module docstring for the derivation. xi is read as (3 dim x 3)
+    matrices X with rows (a, d), so each xi contraction is one product per
+    point; c, g and bt hold one column per direction d.
     """
-    k, mu = params.k, params.mu
-    Z, xi = field.Z_quad, field.xi_quad
-    n_c, n_q, _, dim, _ = xi.shape
-    X = xi.reshape(n_c, n_q, 3 * dim, 3)
-    m_mid = 0.5 * (m + m_next)
-    m_qp = space.values_at_qp(m_mid)                         # (c, q, 3)
-    gm = space.grads_at_qp(m_mid)                            # (c, dim, 3)
-    dtm_qp = space.values_at_qp((m_next - m) / k)
+    mu = params.mu
+    n_q, dim = space.n_qp, space.mesh.dim
+    Z = space.at_qp(field.Z[:len(field.xi)], cells).reshape(-1, n_q, 3, 3)
+    n_c = len(Z)
+    X = space.at_qp(field.xi, cells).reshape(n_c, n_q, 3 * dim, 3)
+    m_qp = space.values_at_qp(m_mid, cells)                  # (c, q, 3)
+    gm = space.grads_at_qp(m_mid, cells)                     # (c, dim, 3)
+    dtm_qp = space.values_at_qp(dtm, cells)
     c = np.einsum("cqkb,cqb->cqk", X, m_qp).reshape(n_c, n_q, 3, dim)
     # grad_d(Z m) = Z d_d m + xi_d m, with Z d_d m one product per cell
     g = (Z.reshape(n_c, n_q * 3, 3) @ np.swapaxes(gm, 1, 2)).reshape(c.shape)
@@ -175,7 +181,7 @@ def _contracted_residual(field, space, params, m, m_next):
     R = np.cross(Y, m_qp) - mu * b_x_gm
     S = -mu * np.cross(gm[:, None] + np.swapaxes(bt, -1, -2),
                        m_qp[:, :, None])
-    w = space.quad_weights
+    w = space.quad_weights[cells]
     R *= w[:, :, None]
     S *= w[:, :, None, None]
     return R, S
@@ -190,8 +196,10 @@ def weak_residual(space, params, path, fields):
     path in lockstep with the run, from the run's own field at j = 0; each
     interval uses the midpoint value of the interpolant, the piecewise-
     constant discrete time derivative, and its left-endpoint rotation field.
+    (R, S) are formed and summed _CELL_BLOCK cells at a time.
     """
     k = params.k
+    n_cells = space.mesh.n_cells
     qp_flat = space.quad_points.reshape(-1, space.mesh.dim)
     rot = None
     # run sums of k bump(t_mid) (R, S), allocated up front: keeping the
@@ -209,12 +217,16 @@ def weak_residual(space, params, path, fields):
                                     f"every step before step {step.j}")
         b = time_profile((step.j + 0.5) * k, params.T)
         if b != 0.0:
-            R, S = _contracted_residual(rot, space, params, step.m,
-                                        step.m_next)
-            R *= k * b
-            S *= k * b
-            acc[0] += R
-            acc[1] += S
+            m_mid = 0.5 * (step.m + step.m_next)
+            dtm = (step.m_next - step.m) / k
+            for c0 in range(0, n_cells, _CELL_BLOCK):
+                cells = slice(c0, c0 + _CELL_BLOCK)
+                R, S = _contracted_residual(rot, space, params, m_mid, dtm,
+                                            cells)
+                R *= k * b
+                S *= k * b
+                acc[0][cells] += R
+                acc[1][cells] += S
         if step.j == params.J - 1:
             for idx, f in enumerate(fields):
                 psi_qp, grad_psi_qp = f.evaluate(qp_flat)

@@ -51,6 +51,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+# points per block of evolve_step
+_BLOCK = 4096
+
 
 def cross_matrix(a):
     """Matrix C(a) with C(a) u = a x u, for a of shape (..., 3)."""
@@ -200,9 +203,15 @@ def _coefficient_cache(space, coeffs):
     gq = g[:, :len(qp)]
     G2 = np.einsum("ipa,ipb->pab", gq, gq)
     gg = np.einsum("ipa,ipa->p", gq, gq)
-    gdg = np.einsum("ipa,ipda->pd", gq, dg)
+    # summed over i by hand: the same bits as one einsum over "ipa,ipda",
+    # which is several times slower for q > 1
+    gdg = np.einsum("pa,pda->pd", gq[0], dg[0])
+    for gi, dgi in zip(gq[1:], dg[1:]):
+        gdg += np.einsum("pa,pda->pd", gi, dgi)
     T = np.einsum("ipa,ipdb->padb", gq, dg)
-    H = T + T.transpose(0, 3, 2, 1)
+    # C order, so that the steps' reshapes of H, dg and xi are views
+    H = np.add(T, T.transpose(0, 3, 2, 1), order="C")
+    dg = np.ascontiguousarray(dg)
     for a in range(3):
         G2[:, a, a] -= gg
         H[:, a, :, a] -= 2.0 * gdg
@@ -213,7 +222,7 @@ def init_rotation_field(space, coeffs):
     """Field at time index 0: Z = I and xi = 0 at every point."""
     cache = _coefficient_cache(space, coeffs)
     Z = np.tile(np.eye(3), (cache["g"].shape[1], 1, 1))
-    xi = np.zeros_like(cache["H"])
+    xi = np.zeros(cache["H"].shape)
     return RotationField(space, 0, Z, xi, cache)
 
 
@@ -239,27 +248,36 @@ def evolve_step(field, dW, k):
         raise ValueError("non-finite Wiener increment")
     if not k > 0:
         raise ValueError(f"time step must be positive, got {k}")
-    # G_i u = u x g_i = -g_i x u, so sum_i dW_i G_i = C(a) with
-    # a = -sum_i dW_i g_i, and likewise sum_i dW_i I_i = C(e)
-    a = -np.einsum("i,ipa->pa", dW, c["g"])
-    Z1 = rodrigues_exp(a) @ field.Z
-
-    # xi lives on the first P rows of Z, the quadrature points; M and N
-    # start from their drift sums and take the cross-product matrices in
-    # place, one direction of N at a time (one long strided add each)
+    # One block of points at a time, each written into slices of Z1 and
+    # xi1, so that the per-point temporaries stay a few MB at any mesh size.
+    # xi lives on the first P rows of Z, the quadrature points.
     P, dim = len(field.xi), field.xi.shape[2]
-    M = 0.5 * k * c["G2"]
-    _add_cross(M, a[:P])
-    N = 0.5 * k * c["H"]
-    e = -np.tensordot(dW, c["dg"], 1)
-    for d in range(dim):
-        _add_cross(N[:, :, d], e[:, d])
-    xi = field.xi.reshape(P, 3, 3 * dim)
-    xi1 = M @ xi
-    xi1 += (N.reshape(P, 3 * dim, 3) @ field.Z[:P]).reshape(xi1.shape)
-    xi1 += xi
-    return RotationField(field.space, field.j + 1, Z1,
-                         xi1.reshape(field.xi.shape), c)
+    Z1 = np.empty(field.Z.shape)
+    xi1 = np.empty(field.xi.shape)      # C order, so its reshape is a view
+    xi, out = field.xi.reshape(P, 3, 3 * dim), xi1.reshape(P, 3, 3 * dim)
+    for p0 in range(0, len(Z1), _BLOCK):
+        rows = slice(p0, p0 + _BLOCK)
+        # G_i u = u x g_i = -g_i x u, so sum_i dW_i G_i = C(a) with
+        # a = -sum_i dW_i g_i, and likewise sum_i dW_i I_i = C(e)
+        a = -np.einsum("i,ipa->pa", dW, c["g"][:, rows])
+        np.matmul(rodrigues_exp(a), field.Z[rows], out=Z1[rows])
+        n = min(len(a), P - p0)         # quadrature rows in this block
+        if n <= 0:
+            continue
+        q = slice(p0, p0 + n)
+        # M and N start from their drift sums and take the cross-product
+        # matrices in place, one direction of N at a time
+        M = 0.5 * k * c["G2"][q]
+        _add_cross(M, a[:n])
+        N = 0.5 * k * c["H"][q]
+        e = -np.tensordot(dW, c["dg"][:, q], 1)
+        for d in range(dim):
+            _add_cross(N[:, :, d], e[:, d])
+        np.matmul(M, xi[q], out=out[q])
+        out[q] += (N.reshape(n, 3 * dim, 3) @ field.Z[q]).reshape(n, 3,
+                                                                  3 * dim)
+        out[q] += xi[q]
+    return RotationField(field.space, field.j + 1, Z1, xi1, c)
 
 
 def grad_Z_apply(field, u):

@@ -20,6 +20,8 @@ no positive off-diagonal entries.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -261,7 +263,7 @@ class Trajectory:
         return self.params.J
 
 
-def run(m0, params, path, coeffs, space, observers=()):
+def run(m0, params, path, coeffs, space, observers=(), overlap=False):
     """Run the scheme for J steps along one Wiener path.
 
     This is the only time loop: anything that needs the nodal states or
@@ -280,6 +282,17 @@ def run(m0, params, path, coeffs, space, observers=()):
         that step (see Step). The arrays and fields are the loop's own and
         later steps read them: observers must not mutate them, and may keep
         references to them.
+    overlap : if true, each step's observers run on one background thread
+        while the next step is assembled and solved (SuperLU and numpy's
+        large kernels release the GIL, so a second core does the work).
+        The observers still run one step at a time, in the order given, on
+        the same Step records, so they compute the same values. Step j's
+        batch is waited for before step j+1's is handed over, so at most
+        one step is in flight, and the last batch is waited for before
+        `run` returns; the thread does not outlive the call. An observer's
+        exception is raised at the next step boundary at the latest; if a
+        step fails while a batch is in flight, the batch is waited for and
+        the step's error is raised.
 
     Returns
     -------
@@ -304,28 +317,44 @@ def run(m0, params, path, coeffs, space, observers=()):
     diagnostics = np.empty(J, dtype=DIAGNOSTICS_DTYPE)
     state = NodalState(j=0, m=m, energy=_dirichlet_energy(space, m))
 
-    for j in range(J):
-        v = _update(state, field, params, space, diagnostics[j])
-        next_state = advance(state, v, params, space)
-        next_field = evolve_step(field, path.increments[j], k)
-        step = Step(j=j, m=state.m, v=v, m_next=next_state.m, field=field,
-                    field_next=next_field)
-        for observe in observers:
-            observe(step)
-        del step                # frees the field at t_j before the next solve
-        state, field = next_state, next_field
+    # leaving the block waits for a batch in flight, whatever the outcome
+    with (ThreadPoolExecutor(max_workers=1) if overlap
+          else nullcontext()) as pool:
+        pending = None              # the future of the batch in flight
+        for j in range(J):
+            v = _update(state, field, params, space, diagnostics[j])
+            next_state = advance(state, v, params, space)
+            next_field = evolve_step(field, path.increments[j], k)
+            if pending is not None:
+                pending.result()    # raises the batch's exception, if any
+            step = Step(j=j, m=state.m, v=v, m_next=next_state.m,
+                        field=field, field_next=next_field)
+            if pool is None:
+                _observe(observers, step)
+            else:
+                pending = pool.submit(_observe, observers, step)
+            # without the overlap this frees the field at t_j before the
+            # next solve; with it, the batch holds it until it finishes
+            del step
+            state, field = next_state, next_field
+        if pending is not None:
+            pending.result()
 
     return Trajectory(params=params, m=state.m,
                       energy=np.append(diagnostics["energy"], state.energy),
                       diagnostics=diagnostics, m0_drift=drift)
 
 
+def _observe(observers, step):
+    for observe in observers:
+        observe(step)
+
+
 def _update(state, field, params, space, row):
     """Solve one step from `state`: returns the update v and fills `row`,
     a DIAGNOSTICS_DTYPE record, field by field.
 
-    The frame, the step system and the factorization are freed on return,
-    before the step's observers run.
+    The frame, the step system and the factorization are freed on return.
     """
     K = space.stiffness()
     tau = build_tangent_frame(state.m)

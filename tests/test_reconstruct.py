@@ -9,7 +9,8 @@ from sllgfem.errors import TimeMismatchError
 from sllgfem.fem import P1Space, interpolate_nodal, normalize_nodal
 from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import make_noise
-from sllgfem.reconstruct import (TestField, interpolant_errors,
+from sllgfem.reconstruct import (_CELL_BLOCK, TestField,
+                                 _contracted_residual, interpolant_errors,
                                  make_test_field, reconstruct_M, solve_phi,
                                  time_profile, weak_residual)
 from sllgfem.rotation import init_rotation_field, evolve_step
@@ -339,6 +340,58 @@ def test_contracted_weak_residual_matches_per_field_form(dim, n, noise):
     expected = terms.sum(axis=(1, 2))
     scale = np.abs(terms).sum(axis=(1, 2))
     assert np.all(np.abs(totals - expected) <= 1e-12 * scale)
+
+
+def _whole_array_residual(field, space, params, m, m_next):
+    """(R, S) over every cell at once, in the kernel's operation order: the
+    form the blocked kernel replaced, kept as its bit-exact reference."""
+    k, mu = params.k, params.mu
+    Z, xi = field.Z_quad, field.xi_quad
+    n_c, n_q, _, dim, _ = xi.shape
+    X = xi.reshape(n_c, n_q, 3 * dim, 3)
+    m_mid = 0.5 * (m + m_next)
+    m_qp = space.values_at_qp(m_mid)
+    gm = space.grads_at_qp(m_mid)
+    dtm_qp = space.values_at_qp((m_next - m) / k)
+    c = np.einsum("cqkb,cqb->cqk", X, m_qp).reshape(n_c, n_q, 3, dim)
+    g = (Z.reshape(n_c, n_q * 3, 3) @ np.swapaxes(gm, 1, 2)).reshape(c.shape)
+    g += c
+    a = np.einsum("cqkb,cqk->cqb", X, g.reshape(n_c, n_q, 3 * dim))
+    bt = np.swapaxes(Z, -1, -2) @ c
+    P = (bt.reshape(n_c, n_q * 3, dim) @ gm).reshape(n_c, n_q, 3, 3)
+    b_x_gm = np.stack([P[..., 1, 2] - P[..., 2, 1],
+                       P[..., 2, 0] - P[..., 0, 2],
+                       P[..., 0, 1] - P[..., 1, 0]], axis=-1)
+    Y = (params.lambda1 * np.cross(m_qp, dtm_qp) - params.lambda2 * dtm_qp
+         - mu * a)
+    R = np.cross(Y, m_qp) - mu * b_x_gm
+    S = -mu * np.cross(gm[:, None] + np.swapaxes(bt, -1, -2),
+                       m_qp[:, :, None])
+    w = space.quad_weights
+    R *= w[:, :, None]
+    S *= w[:, :, None, None]
+    return R, S
+
+
+@pytest.mark.parametrize("dim,n", [(2, 48), (3, 8)])
+def test_blocked_residual_matches_whole_array_form(dim, n):
+    # 4608 and 3072 cells: three and two blocks, the last one partial
+    space = P1Space(build_structured_mesh(dim, n))
+    params = SchemeParams(lambda1=1.3, lambda2=0.7, theta=1.0, T=0.4, J=8)
+    coeffs = make_noise("linear-gradient")
+    path = sample_path(5, coeffs.q, params.J, params.T)
+    field = evolve_field(space, coeffs, path, J=3)
+    assert np.abs(field.xi).max() > 0.01
+    m = spiral_m0(space)
+    m_next = normalize_nodal(m + 0.05 * np.roll(m, 1, axis=1))
+    m_mid, dtm = 0.5 * (m + m_next), (m_next - m) / params.k
+    blocks = [_contracted_residual(field, space, params, m_mid, dtm,
+                                   slice(c0, c0 + _CELL_BLOCK))
+        for c0 in range(0, space.mesh.n_cells, _CELL_BLOCK)]
+    assert len(blocks) == -(-space.mesh.n_cells // _CELL_BLOCK) > 1
+    R, S = _whole_array_residual(field, space, params, m, m_next)
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), R)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), S)
 
 
 def test_weak_residual_evaluates_each_test_field_once(monkeypatch):

@@ -297,12 +297,14 @@ def test_evolve_step_matches_per_component_update(dim, divisions):
 
 
 @pytest.mark.parametrize("noise", ["linear-gradient", "pair-varying"])
-@pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2), (2, 48), (3, 8)])
 def test_field_matches_per_qp_layout(dim, divisions, noise):
-    # oracle: the same update, in the kernel's operation order, evolved at
-    # every cell-major quadrature point (each shared 2D edge midpoint once
-    # per adjacent triangle) and at every vertex, with xi at the vertices
-    # too; bit-exact, since the arithmetic per point is the same
+    # oracle: the same update over every point at once, in the kernel's
+    # operation order, evolved at every cell-major quadrature point (each
+    # shared 2D edge midpoint once per adjacent triangle) and at every
+    # vertex, with xi at the vertices too; bit-exact, since the arithmetic
+    # per point is the same. At 2D 48^2 and 3D 8^3 the kernel's points
+    # span several blocks (3D: 12288 quadrature points, 3 blocks of xi)
     space = P1Space(build_structured_mesh(dim, divisions))
     coeffs = (pair_varying() if noise == "pair-varying"
               else make_noise("linear-gradient", amplitude=1.3))

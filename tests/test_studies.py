@@ -129,6 +129,36 @@ def test_parallel_matches_sequential(tmp_path, monkeypatch, mode):
     assert par.csv_text() == seq.csv_text()
 
 
+@pytest.mark.parametrize("mode", ["single", "refinement"])
+def test_overlap_writes_the_same_files(tmp_path, monkeypatch, mode):
+    # one worker on 2 CPUs runs the monitors one step behind the solve; on
+    # 1 CPU they run inline. Reports, diagnostics and VTK are the same bytes.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    overlaps, run = [], studies.run
+
+    def spy(*args, overlap, **kwargs):
+        overlaps.append(overlap)
+        return run(*args, overlap=overlap, **kwargs)
+
+    monkeypatch.setattr(studies, "run", spy)
+    files = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
+        cfg = tiny_config(tmp_path, f"cpus{cpus}", mode)
+        if mode == "single":
+            cfg = replace(cfg, noise_preset="linear-gradient", snapshots=3)
+        run_study(cfg)
+        out = tmp_path / f"cpus{cpus}"
+        files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()
+                       if p.name != "resolved.ini"}
+    runs = 1 if mode == "single" else 6
+    assert overlaps == [True] * runs + [False] * runs
+    assert files[2] == files[1]
+    assert "report.csv" in files[1]
+    assert any(name.endswith(".vtk") for name in files[1]) == (
+        mode == "single")
+
+
 def test_worker_count_env_validation(monkeypatch):
     for bad in ("three", "0", "-5", "1.5", ""):
         monkeypatch.setenv(WORKERS_ENV, bad)
