@@ -159,9 +159,9 @@ def _contracted_residual(field, space, params, m_mid, dtm, cells):
     """
     mu = params.mu
     n_q, dim = space.n_qp, space.mesh.dim
-    Z = space.at_qp(field.Z[:len(field.xi)], cells).reshape(-1, n_q, 3, 3)
+    Z = field.Z_quad(cells)
     n_c = len(Z)
-    X = space.at_qp(field.xi, cells).reshape(n_c, n_q, 3 * dim, 3)
+    X = field.xi_quad(cells).reshape(n_c, n_q, 3 * dim, 3)
     m_qp = space.values_at_qp(m_mid, cells)                  # (c, q, 3)
     gm = space.grads_at_qp(m_mid, cells)                     # (c, dim, 3)
     dtm_qp = space.values_at_qp(dtm, cells)

@@ -152,25 +152,22 @@ class RotationField:
 
     # views ---------------------------------------------------------------
 
-    @property
-    def Z_quad(self):
-        """(n_cells, n_qp, 3, 3); a copy where points are shared, so read it
-        once per use."""
+    def Z_quad(self, cells=slice(None)):
+        """(c, n_qp, 3, 3) on the cell range `cells` (a slice, all cells by
+        default); a copy where points are shared, so read it once per use."""
         s = self.space
-        return s.at_qp(self.Z[:len(self.xi)]).reshape(
-            s.mesh.n_cells, s.n_qp, 3, 3)
+        return s.at_qp(self.Z[:len(self.xi)], cells).reshape(-1, s.n_qp, 3, 3)
 
     @property
     def Z_nodes(self):
         return self.Z[len(self.xi):]
 
-    @property
-    def xi_quad(self):
-        """(n_cells, n_qp, 3, dim, 3), [c, q, a, d, b] = (xi_d)_ab; a copy
-        where points are shared, so read it once per use."""
+    def xi_quad(self, cells=slice(None)):
+        """(c, n_qp, 3, dim, 3), [c, q, a, d, b] = (xi_d)_ab, on the cell
+        range `cells` (all by default); a copy where points are shared, so
+        read it once per use."""
         s = self.space
-        return s.at_qp(self.xi).reshape(s.mesh.n_cells, s.n_qp, 3,
-                                        s.mesh.dim, 3)
+        return s.at_qp(self.xi, cells).reshape(-1, s.n_qp, 3, s.mesh.dim, 3)
 
     def orthogonality_defect(self):
         """max over points of ||Z^T Z - I||_F."""
@@ -203,8 +200,11 @@ def _coefficient_cache(space, coeffs):
     gq = g[:, :len(qp)]
     G2 = np.einsum("ipa,ipb->pab", gq, gq)
     gg = np.einsum("ipa,ipa->p", gq, gq)
-    # summed over i by hand: the same bits as one einsum over "ipa,ipda",
-    # which is several times slower for q > 1
+    # summed over i by hand, several times faster than one einsum over
+    # "ipa,ipda" for q > 1. The bits are the einsum's on every preset and
+    # for constant `vectors` (dg = 0); three or more spatially varying
+    # components, built only through the Python API, may differ in
+    # round-off
     gdg = np.einsum("pa,pda->pd", gq[0], dg[0])
     for gi, dgi in zip(gq[1:], dg[1:]):
         gdg += np.einsum("pa,pda->pd", gi, dgi)
@@ -288,8 +288,8 @@ def grad_Z_apply(field, u):
     """
     space = field.space
     u = np.asarray(u, dtype=float)
-    return _grad_Z(field.Z_quad, field.xi_quad, space.values_at_qp(u),
-                   space.grads_at_qp(u))
+    return _grad_Z(field.Z_quad(), field.xi_quad(),
+                   space.values_at_qp(u), space.grads_at_qp(u))
 
 
 def _grad_Z(Z_quad, xi_quad, u_qp, gu):
@@ -391,7 +391,7 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
 
     acc = 0.0
     for s in range(j_end):
-        Zq, xiq = field.Z_quad, field.xi_quad
+        Zq, xiq = field.Z_quad(), field.xi_quad()
         Zu = np.einsum("cqab,cqb->cqa", Zq, u_qp)
         Zv = np.einsum("cqab,cqb->cqa", Zq, v_qp)
         gZu = _grad_Z(Zq, xiq, u_qp, gu)

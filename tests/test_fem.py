@@ -77,8 +77,8 @@ def test_2d_shared_points_survive_rotated_vertex_order(tmp_path):
 def test_3d_quadrature_points_stay_views(space3):
     assert space3.qp_index == slice(None)
     field = init_rotation_field(space3, make_noise("linear-gradient"))
-    assert np.shares_memory(field.Z_quad, field.Z)
-    assert np.shares_memory(field.xi_quad, field.xi)
+    assert np.shares_memory(field.Z_quad(), field.Z)
+    assert np.shares_memory(field.xi_quad(), field.xi)
 
 
 def test_stiffness_symmetric_and_conservative(space2):

@@ -311,8 +311,8 @@ def _per_field_terms(space, params, step, f):
     t3 = np.einsum("cq,cqda,cqda->", w, gm, gv)
 
     def grad_Z(u, gu):
-        return (np.einsum("cqadb,cqb->cqda", field.xi_quad, u)
-                + np.einsum("cqab,cqdb->cqda", field.Z_quad, gu))
+        return (np.einsum("cqadb,cqb->cqda", field.xi_quad(), u)
+                + np.einsum("cqab,cqdb->cqda", field.Z_quad(), gu))
 
     F = np.einsum("cq,cqda,cqda->", w, grad_Z(m_qp, gm), grad_Z(v, gv)) - t3
     return params.k * np.array([params.lambda1 * t1, -params.lambda2 * t2,
@@ -335,7 +335,7 @@ def test_contracted_weak_residual_matches_per_field_form(dim, n, noise):
     terms = np.array([[_per_field_terms(space, params, step, f)
                        for step in steps] for f in fields])
     if noise != "pair-noncommuting":    # spatially varying g: xi, F nonzero
-        assert np.abs(steps[-1].field.xi_quad).max() > 0.1
+        assert np.abs(steps[-1].field.xi_quad()).max() > 0.1
         assert np.all(np.abs(terms[:, :, 3]).sum(axis=1) > 1e-6)
     expected = terms.sum(axis=(1, 2))
     scale = np.abs(terms).sum(axis=(1, 2))
@@ -346,7 +346,7 @@ def _whole_array_residual(field, space, params, m, m_next):
     """(R, S) over every cell at once, in the kernel's operation order: the
     form the blocked kernel replaced, kept as its bit-exact reference."""
     k, mu = params.k, params.mu
-    Z, xi = field.Z_quad, field.xi_quad
+    Z, xi = field.Z_quad(), field.xi_quad()
     n_c, n_q, _, dim, _ = xi.shape
     X = xi.reshape(n_c, n_q, 3 * dim, 3)
     m_mid = 0.5 * (m + m_next)

@@ -191,7 +191,7 @@ def test_initial_field_is_identity():
     assert field.j == 0
     np.testing.assert_array_equal(field.Z_nodes,
                                   np.tile(np.eye(3), (space.N, 1, 1)))
-    assert np.all(field.xi_quad == 0.0)
+    assert np.all(field.xi_quad() == 0.0)
     assert field.orthogonality_defect() <= 1e-15
 
 
@@ -202,7 +202,7 @@ def test_zero_noise_field_stays_identity():
     assert field.j == 50
     np.testing.assert_allclose(field.Z_nodes,
                                np.tile(np.eye(3), (space.N, 1, 1)), atol=0)
-    assert np.all(field.xi_quad == 0.0)
+    assert np.all(field.xi_quad() == 0.0)
 
 
 def test_constant_g_keeps_xi_zero():
@@ -210,7 +210,7 @@ def test_constant_g_keeps_xi_zero():
     space = small_space()
     path = sample_path(8, 1, 100, 1.0)
     field = evolve_field(space, make_noise("constant-z", amplitude=2.0), path)
-    assert np.all(field.xi_quad == 0.0)
+    assert np.all(field.xi_quad() == 0.0)
 
 
 def test_field_orthogonality_drift_under_varying_noise():
@@ -288,9 +288,9 @@ def test_evolve_step_matches_per_component_update(dim, divisions):
         a = np.einsum("i,ipa->pa", dW, g)
         Z, xi = rodrigues_exp(-a) @ Z, xi + drift + noise
         field = evolve_step(field, dW, k)
-        got_Z = np.concatenate([field.Z_quad.reshape(-1, 3, 3),
+        got_Z = np.concatenate([field.Z_quad().reshape(-1, 3, 3),
                                 field.Z_nodes])
-        got_xi = field.xi_quad.reshape(xi[:nq].shape)
+        got_xi = field.xi_quad().reshape(xi[:nq].shape)
         assert np.abs(got_Z - Z).max() <= 1e-12 * np.abs(Z).max()
         assert np.abs(got_xi - xi[:nq]).max() <= 1e-12 * np.abs(xi).max()
     assert np.abs(xi).max() > 0.1
@@ -337,9 +337,9 @@ def test_field_matches_per_qp_layout(dim, divisions, noise):
         Z = rodrigues_exp(a) @ Z
         field = evolve_step(field, dW, k)
     nq = space.mesh.n_cells * space.n_qp
-    np.testing.assert_array_equal(field.Z_quad.reshape(-1, 3, 3), Z[:nq])
+    np.testing.assert_array_equal(field.Z_quad().reshape(-1, 3, 3), Z[:nq])
     np.testing.assert_array_equal(field.Z_nodes, Z[nq:])
-    np.testing.assert_array_equal(field.xi_quad.reshape(xi[:nq].shape),
+    np.testing.assert_array_equal(field.xi_quad().reshape(xi[:nq].shape),
                                   xi[:nq])
     assert np.abs(xi).max() > 0.1
 
@@ -379,7 +379,7 @@ def test_grad_of_constant_field_is_xi_u():
     u0 = np.array([0.3, -0.4, 0.8])
     u = np.tile(u0, (space.N, 1))
     gu = grad_Z_apply(field, u)
-    expected = np.einsum("cqadb,b->cqda", field.xi_quad, u0)
+    expected = np.einsum("cqadb,b->cqda", field.xi_quad(), u0)
     np.testing.assert_allclose(gu, expected, atol=1e-13)
     assert np.linalg.norm(gu) > 0.0  # nonzero once W wanders off 0
 
@@ -494,9 +494,9 @@ def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions):
     field = evolve_field(space, pair_varying(), sample_path(32, 2, 20, 0.5))
     gphi_dl = np.transpose(space.grad_phi, (0, 2, 1))
     T = (space.phi_qp[None, :, None, None, :, None]
-         * np.moveaxis(field.xi_quad, 3, 2)[:, :, :, :, None, :]
+         * np.moveaxis(field.xi_quad(), 3, 2)[:, :, :, :, None, :]
          + gphi_dl[:, None, :, None, :, None]
-         * field.Z_quad[:, :, None, :, None, :])
+         * field.Z_quad()[:, :, None, :, None, :])
     local = np.einsum("cq,cqdalb,cqdame->clbme", space.quad_weights, T, T)
     d1 = dim + 1
     gdof = (3 * space.mesh.cells[:, :, None]
