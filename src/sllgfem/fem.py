@@ -47,20 +47,12 @@ class P1Space:
     grad_phi : (n_cells, dim+1, dim) array
         Constant gradient of each local basis function per cell.
     quad_points : (n_cells, n_qp, dim) array
-        Physical quadrature point coordinates.
+        Physical quadrature point coordinates, cell-major. Points on a
+        shared facet (all of the 2D edge-midpoint rule) appear once per
+        adjacent cell; a pointwise field over them keeps its own row
+        layout (RotationField has one row per distinct noise value).
     quad_weights : (n_cells, n_qp) array
         Physical quadrature weights; per cell they sum to the cell measure.
-    distinct_points : (P, dim) array
-        The distinct quadrature points. A point on a facet (every point of
-        the 2D rule sits at the midpoint of the edge opposite its
-        zero-weight vertex) is shared by the cells on either side and is
-        stored once, in the facet's row of `mesh.facets`; a point inside a
-        cell (all of the 3D rule) is its cell's own.
-    qp_index : int array of shape (n_cells * n_qp,), or slice(None)
-        Row of `distinct_points` for each cell-major quadrature point, so
-        that distinct_points[qp_index] equals quad_points flattened to
-        (n_cells * n_qp, dim); slice(None) when no point is shared, which
-        keeps per-point arrays read through it views.
     """
 
     def __init__(self, mesh: Mesh):
@@ -84,17 +76,6 @@ class P1Space:
 
         self.quad_points = np.einsum("qa,cad->cqd", bary, x)
         self.quad_weights = mesh.volumes[:, None] * ref_w[None, :]
-
-        flat = self.quad_points.reshape(-1, d)
-        if (bary == 0.0).any(axis=1).all():
-            # each point is the barycenter of the facet opposite its
-            # zero-weight vertex
-            self.qp_index = mesh.cell_facets[:, bary.argmin(axis=1)].ravel()
-            self.distinct_points = np.empty((len(mesh.facets), d))
-            self.distinct_points[self.qp_index] = flat
-        else:
-            self.qp_index = slice(None)
-            self.distinct_points = flat
 
         self._stiffness = None
         self._lumped = None
@@ -141,18 +122,6 @@ class P1Space:
         return self._pair_pattern
 
     # pointwise sampling ---------------------------------------------------
-
-    def at_qp(self, x, cells=slice(None)):
-        """Rows x[qp_index] of an array x over the distinct points, one per
-        cell-major quadrature point of the cells in the range `cells` (a
-        slice of step 1, all cells by default): a view when no point is
-        shared, else a copy gathered by np.take (faster than fancy
-        indexing)."""
-        start, stop, _ = cells.indices(self.mesh.n_cells)
-        rows = slice(start * self.n_qp, stop * self.n_qp)
-        if isinstance(self.qp_index, slice):
-            return x[rows]
-        return np.take(x, self.qp_index[rows], axis=0)
 
     def values_at_qp(self, u, cells=slice(None)):
         """Sample an (N, 3) nodal field at the quadrature points of the

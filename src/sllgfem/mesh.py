@@ -34,8 +34,6 @@ class Mesh:
     h : float, largest cell diameter.
     facets : (F, dim) int array of distinct facets (edges in 2D, faces in
         3D), each row's vertex ids ascending, rows in lexicographic order.
-    cell_facets : (M, dim+1) int array; entry (c, i) is the row of `facets`
-        holding the facet of cell c opposite its local vertex i.
     """
 
     def __init__(self, vertices, cells):
@@ -67,7 +65,7 @@ class Mesh:
         self.vertices = vertices
         self.cells = cells
         self.volumes = vols
-        self.facets, self.cell_facets = self._find_facets()
+        self.facets = self._find_facets()
         unused = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
         if unused.any():
             raise MeshError(f"vertex {unused.argmax()} belongs to no cell")
@@ -109,9 +107,7 @@ class Mesh:
             first = over[np.argmin(order[over])]
             raise MeshError(f"facet {tuple(int(v) for v in faces[first])} "
                             f"shared by more than two cells")
-        cell_facets = np.empty(len(faces), dtype=np.int64)
-        cell_facets[order] = np.cumsum(new) - 1
-        return faces[starts], cell_facets.reshape(-1, d + 1)
+        return faces[starts]
 
 
 def _signed_measures(vertices, cells):

@@ -20,12 +20,11 @@ one (3x3)@(3x3dim) product and N Z one (3dim x 3)@(3x3) product, N being
 stored in the same layout. The drift sums are fixed by the noise
 coefficients, so they are formed once per field.
 
-Both equations are pointwise in x, so the field is evolved once per point
-that is read, and no point twice: Z at the distinct quadrature points
-(P1Space.distinct_points, where the 2D edge-midpoint rule shares each
-interior point between two triangles) and at the vertices, which
-reconstruct_M reads; xi at the distinct quadrature points only, since only
-quadrature sums read it.
+Both equations are pointwise in x, and at a point Z and xi depend only on
+the path and the coefficients (g_i, dg_i) there. So they are evolved once
+per distinct coefficient value: points whose coefficients are equal bit for
+bit, coinciding points among them, share one row, and an index maps each
+quadrature point and vertex to its row.
 
 F(t, u, v) = <grad(Z u), grad(Z v)> - <grad u, grad v> is the stochastic
 correction that appears as an extra load in the scheme. Two routes compute
@@ -128,17 +127,16 @@ def evolve_point_rotation(gvals, increments):
 
 
 class RotationField:
-    """Z and xi at the points where they are read.
+    """Z and xi, one row per distinct noise coefficient value.
 
-    Z and xi solve equations that are pointwise in x, so each is evolved
-    once per distinct point. Z (P + N, 3, 3) has one row per distinct
-    quadrature point (space.distinct_points) followed by one per vertex;
-    xi (P, 3, dim, 3), which only quadrature sums read, has the quadrature
-    rows alone and is stored direction-inner, xi[p, a, d, b] = (xi_d)_ab.
-    Z_quad and xi_quad gather them cell-major through space.at_qp (views
-    when no point is shared, as in 3D); Z_nodes are the vertex rows.
-    Snapshots are immutable: each evolve_step returns a new field at index
-    j+1 sharing the cached coefficient tensors.
+    Z (R, 3, 3) and xi (R, 3, dim, 3) share one row set: row r holds the
+    field at every point whose coefficients (g_i, dg_i) equal the cache's
+    row r bit for bit. xi is stored direction-inner, xi[r, a, d, b] =
+    (xi_d)_ab. The cache's int `index` gives the row of each cell-major
+    quadrature point, then of each vertex; Z_quad, xi_quad and Z_nodes
+    gather through it, and only this module knows the layout. Snapshots are
+    immutable: each evolve_step returns a new field at index j+1 sharing
+    the cached coefficient tensors.
     """
 
     def __init__(self, space, j, Z, xi, cache):
@@ -150,27 +148,31 @@ class RotationField:
         Z.setflags(write=False)
         xi.setflags(write=False)
 
-    # views ---------------------------------------------------------------
+    # gathers: copies, so read each once per use ---------------------------
+
+    def _qp_rows(self, cells=slice(None)):
+        """(c, n_qp) rows of the quadrature points of the cell range
+        `cells` (a slice, all cells by default)."""
+        s = self.space
+        n = s.mesh.n_cells * s.n_qp
+        return self._cache["index"][:n].reshape(-1, s.n_qp)[cells]
 
     def Z_quad(self, cells=slice(None)):
-        """(c, n_qp, 3, 3) on the cell range `cells` (a slice, all cells by
-        default); a copy where points are shared, so read it once per use."""
-        s = self.space
-        return s.at_qp(self.Z[:len(self.xi)], cells).reshape(-1, s.n_qp, 3, 3)
+        """(c, n_qp, 3, 3) on the cell range `cells` (all by default)."""
+        return np.take(self.Z, self._qp_rows(cells), axis=0)
 
     @property
     def Z_nodes(self):
-        return self.Z[len(self.xi):]
+        """(N, 3, 3) at the vertices."""
+        return np.take(self.Z, self._cache["index"][-self.space.N:], axis=0)
 
     def xi_quad(self, cells=slice(None)):
         """(c, n_qp, 3, dim, 3), [c, q, a, d, b] = (xi_d)_ab, on the cell
-        range `cells` (all by default); a copy where points are shared, so
-        read it once per use."""
-        s = self.space
-        return s.at_qp(self.xi, cells).reshape(-1, s.n_qp, 3, s.mesh.dim, 3)
+        range `cells` (all by default)."""
+        return np.take(self.xi, self._qp_rows(cells), axis=0)
 
     def orthogonality_defect(self):
-        """max over points of ||Z^T Z - I||_F."""
+        """max over points of ||Z^T Z - I||_F, read on the rows."""
         G = np.swapaxes(self.Z, 1, 2) @ self.Z
         for a in range(3):
             G[:, a, a] -= 1.0
@@ -179,43 +181,71 @@ class RotationField:
 
 
 def _coefficient_cache(space, coeffs):
-    """Noise coefficients at the field's points, in the form the steps use.
+    """Noise coefficients, one row per distinct value, as the steps use them.
 
-    "g" (q, P + N, 3) holds the vectors g_i at the P distinct quadrature
-    points, then the N vertices (the rows of RotationField.Z). The rest
-    feed only the xi update and so hold the P quadrature rows alone: "dg"
-    (q, P, dim, 3) the derivatives dg_i/dx_d, "G2" (P, 3, 3) sum_i G_i^2
-    and "H" (P, 3, dim, 3) sum_i H_i in the layout of xi, H[p, a, d, b] =
-    (H_d)_ab with H_i = I_i G_i + G_i I_i per direction. Both sums are
-    built in closed form from C(x) C(y) = y x^T - (x . y) I: G_i^2 =
-    g_i g_i^T - |g_i|^2 I and H_i = g_i dg_i^T + dg_i g_i^T - 2 (g_i . dg_i)
-    I. A step contracts g and dg with its increments and adds sum_i dW_i G_i
-    and sum_i dW_i I_i to the drift sums in place; the drift of xi does not
-    depend on the increments, so only its sums over the noise index are
-    kept.
+    "index" (n_cells * n_qp + N,) gives the row of each cell-major
+    quadrature point, then each vertex. Per row r: "g" (q, R, 3) the
+    vectors g_i, "dg" (q, R, dim, 3) the derivatives dg_i/dx_d, "G2" (R, 3,
+    3) sum_i G_i^2 and "H" (R, 3, dim, 3) sum_i H_i in the layout of xi,
+    H[r, a, d, b] = (H_d)_ab with H_i = I_i G_i + G_i I_i per direction.
+    Both sums are built in closed form from C(x) C(y) = y x^T - (x . y) I:
+    G_i^2 = g_i g_i^T - |g_i|^2 I and H_i = g_i dg_i^T + dg_i g_i^T - 2
+    (g_i . dg_i) I. A step contracts g and dg with its increments and adds
+    sum_i dW_i G_i and sum_i dW_i I_i to the drift sums in place; the drift
+    of xi does not depend on the increments, so only its sums over the
+    noise index are kept.
     """
-    qp = space.distinct_points
-    g = coeffs.g_at(np.vstack([qp, space.mesh.vertices]))   # (q, P+N, 3)
-    dg = np.moveaxis(coeffs.jac_at(qp), -1, 2)      # (q, P, dim, 3)
-    gq = g[:, :len(qp)]
-    G2 = np.einsum("ipa,ipb->pab", gq, gq)
-    gg = np.einsum("ipa,ipa->p", gq, gq)
+    points = np.vstack([space.quad_points.reshape(-1, space.mesh.dim),
+                        space.mesh.vertices])
+    g = coeffs.g_at(points)                         # (q, n, 3)
+    jac = coeffs.jac_at(points)                     # (q, n, 3, dim)
+    index, first = _group_points(g, jac)
+    # np.take keeps C order, so each row's sums over the noise index read
+    # their operands in the layout of a per-point evaluation
+    g, jac = np.take(g, first, axis=1), np.take(jac, first, axis=1)
+    dg = np.moveaxis(jac, -1, 2)                    # (q, R, dim, 3)
+    G2 = np.einsum("ipa,ipb->pab", g, g)
+    gg = np.einsum("ipa,ipa->p", g, g)
     # summed over i by hand, several times faster than one einsum over
     # "ipa,ipda" for q > 1. The bits are the einsum's on every preset and
     # for constant `vectors` (dg = 0); three or more spatially varying
     # components, built only through the Python API, may differ in
     # round-off
-    gdg = np.einsum("pa,pda->pd", gq[0], dg[0])
-    for gi, dgi in zip(gq[1:], dg[1:]):
+    gdg = np.einsum("pa,pda->pd", g[0], dg[0])
+    for gi, dgi in zip(g[1:], dg[1:]):
         gdg += np.einsum("pa,pda->pd", gi, dgi)
-    T = np.einsum("ipa,ipdb->padb", gq, dg)
+    T = np.einsum("ipa,ipdb->padb", g, dg)
     # C order, so that the steps' reshapes of H, dg and xi are views
     H = np.add(T, T.transpose(0, 3, 2, 1), order="C")
     dg = np.ascontiguousarray(dg)
     for a in range(3):
         G2[:, a, a] -= gg
         H[:, a, :, a] -= 2.0 * gdg
-    return {"g": g, "dg": dg, "G2": G2, "H": H}
+    return {"g": g, "dg": dg, "G2": G2, "H": H, "index": index}
+
+
+def _group_points(*values):
+    """(index, first) grouping the points of the arrays `values`, each of
+    shape (q, n, ...), by their entries bit for bit: point p is in group
+    index[p], and first holds one point per group. Only the entries that
+    vary over the points are sorted; with none there is one group."""
+    keys = []
+    for x in values:
+        bits = x.reshape(x.shape[:2] + (-1,)).view(np.int64)
+        vary = (bits != bits[:, :1]).any(axis=1)
+        keys += [bits[i, :, c] for i, c in zip(*np.nonzero(vary))]
+    n = values[0].shape[1]
+    if not keys:
+        return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    order = np.lexsort(keys)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    index = np.empty(n, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return index, order[new]
 
 
 def init_rotation_field(space, coeffs):
@@ -248,35 +278,30 @@ def evolve_step(field, dW, k):
         raise ValueError("non-finite Wiener increment")
     if not k > 0:
         raise ValueError(f"time step must be positive, got {k}")
-    # One block of points at a time, each written into slices of Z1 and
-    # xi1, so that the per-point temporaries stay a few MB at any mesh size.
-    # xi lives on the first P rows of Z, the quadrature points.
-    P, dim = len(field.xi), field.xi.shape[2]
+    # One block of rows at a time, each written into slices of Z1 and xi1,
+    # so that the per-row temporaries stay a few MB at any row count
+    R, dim = field.xi.shape[0], field.xi.shape[2]
     Z1 = np.empty(field.Z.shape)
     xi1 = np.empty(field.xi.shape)      # C order, so its reshape is a view
-    xi, out = field.xi.reshape(P, 3, 3 * dim), xi1.reshape(P, 3, 3 * dim)
-    for p0 in range(0, len(Z1), _BLOCK):
-        rows = slice(p0, p0 + _BLOCK)
+    xi, out = field.xi.reshape(R, 3, 3 * dim), xi1.reshape(R, 3, 3 * dim)
+    for r0 in range(0, R, _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
         # G_i u = u x g_i = -g_i x u, so sum_i dW_i G_i = C(a) with
         # a = -sum_i dW_i g_i, and likewise sum_i dW_i I_i = C(e)
         a = -np.einsum("i,ipa->pa", dW, c["g"][:, rows])
         np.matmul(rodrigues_exp(a), field.Z[rows], out=Z1[rows])
-        n = min(len(a), P - p0)         # quadrature rows in this block
-        if n <= 0:
-            continue
-        q = slice(p0, p0 + n)
         # M and N start from their drift sums and take the cross-product
         # matrices in place, one direction of N at a time
-        M = 0.5 * k * c["G2"][q]
-        _add_cross(M, a[:n])
-        N = 0.5 * k * c["H"][q]
-        e = -np.tensordot(dW, c["dg"][:, q], 1)
+        M = 0.5 * k * c["G2"][rows]
+        _add_cross(M, a)
+        N = 0.5 * k * c["H"][rows]
+        e = -np.tensordot(dW, c["dg"][:, rows], 1)
         for d in range(dim):
             _add_cross(N[:, :, d], e[:, d])
-        np.matmul(M, xi[q], out=out[q])
-        out[q] += (N.reshape(n, 3 * dim, 3) @ field.Z[q]).reshape(n, 3,
-                                                                  3 * dim)
-        out[q] += xi[q]
+        np.matmul(M, xi[rows], out=out[rows])
+        out[rows] += (N.reshape(-1, 3 * dim, 3) @ field.Z[rows]).reshape(
+            -1, 3, 3 * dim)
+        out[rows] += xi[rows]
     return RotationField(field.space, field.j + 1, Z1, xi1, c)
 
 
@@ -326,7 +351,7 @@ def assemble_rotated_stiffness(field):
 
     KZ is assembled as K (x) I + Kxi (module docstring), and Kxi reads the
     field only through A = sum_d xi_d^T xi_d and B_d = Z^T xi_d, one
-    product each per distinct point. The cell blocks
+    product each per row of the field, gathered to the quadrature points. The cell blocks
     V[l, m] = sum_qp w (1/2 phi_l phi_m A + phi_m sum_d d_d phi_l B_d)
     carry half the A term and the third term of the block formula; the
     second term is the transpose of the third with l and m swapped. So
@@ -338,14 +363,15 @@ def assemble_rotated_stiffness(field):
     space = field.space
     mesh = space.mesh
     n_c, n_q, dim, d1 = mesh.n_cells, space.n_qp, mesh.dim, mesh.dim + 1
-    P = len(field.xi)
-    X = field.xi.reshape(P, 3 * dim, 3)
+    R = len(field.xi)
+    X = field.xi.reshape(R, 3 * dim, 3)
     A = np.ascontiguousarray(np.swapaxes(X, 1, 2)) @ X
-    B = np.swapaxes(field.Z[:P], 1, 2) @ field.xi.reshape(P, 3, 3 * dim)
+    B = np.swapaxes(field.Z, 1, 2) @ field.xi.reshape(R, 3, 3 * dim)
+    rows = field._qp_rows()
     w = space.quad_weights[:, :, None]
-    Aw = space.at_qp(A.reshape(P, 9)).reshape(n_c, n_q, 9)
+    Aw = np.take(A.reshape(R, 9), rows, axis=0)                # (c, q, 9)
     Aw *= w
-    Bw = space.at_qp(B.reshape(P, 9 * dim)).reshape(n_c, n_q, 9 * dim)
+    Bw = np.take(B.reshape(R, 9 * dim), rows, axis=0)
     Bw *= w
     phi = space.phi_qp
     half_phi2 = 0.5 * (phi[:, :, None] * phi[:, None, :]).reshape(n_q, -1)
@@ -382,10 +408,10 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
     u_qp, gu = space.values_at_qp(u), space.grads_at_qp(u)
     v_qp, gv = space.values_at_qp(v), space.grads_at_qp(v)
     c = field._cache
-    idx = space.qp_index
+    rows = field._qp_rows().ravel()
     shape = (coeffs.q, space.mesh.n_cells, space.n_qp, space.mesh.dim, 3, 3)
-    G = -cross_matrix(c["g"][:, :len(field.xi)][:, idx])[:, :, None]
-    Ii = -cross_matrix(c["dg"][:, idx])
+    G = -cross_matrix(np.take(c["g"], rows, axis=1))[:, :, None]
+    Ii = -cross_matrix(np.take(c["dg"], rows, axis=1))
     Bi = (0.5 * (Ii @ G - G @ Ii)).reshape(shape)
     Ii = Ii.reshape(shape)
 

@@ -7,9 +7,6 @@ from sllgfem import (Mesh, NormalizationError, P1Space, assemble_lumped_mass,
                      assemble_stiffness, build_structured_mesh,
                      check_offdiag_condition, interpolate_nodal,
                      normalize_nodal)
-from sllgfem.mesh import read_mesh_text, write_mesh_text
-from sllgfem.noise import make_noise
-from sllgfem.rotation import init_rotation_field
 
 
 @pytest.fixture(scope="module")
@@ -46,39 +43,6 @@ def test_quadrature_degree_two_3d(space3):
     for f, exact in ((x[..., 0] ** 2, 1.0 / 3.0),
                      (x[..., 0] * x[..., 2], 1.0 / 4.0)):
         assert abs(space3.integrate(f) - exact) < 1e-14
-
-
-def check_shared_points(space):
-    # every cell-major point reads back bit for bit from its distinct row,
-    # and the 2D edge-midpoint rule has one distinct point per edge
-    flat = space.quad_points.reshape(-1, 2)
-    assert np.array_equal(space.distinct_points[space.qp_index], flat)
-    edges = {tuple(sorted((int(c[a]), int(c[b]))))
-             for c in space.mesh.cells for a in range(3) for b in range(a)}
-    assert len(space.distinct_points) == len(edges)
-
-
-@pytest.mark.parametrize("n", [1, 3, 16])
-def test_2d_quadrature_points_shared_per_edge(n):
-    check_shared_points(P1Space(build_structured_mesh(2, n)))
-
-
-def test_2d_shared_points_survive_rotated_vertex_order(tmp_path):
-    mesh = build_structured_mesh(2, 3)
-    shift = np.arange(mesh.n_cells) % 3
-    cells = np.array([np.roll(c, s) for c, s in zip(mesh.cells, shift)])
-    p = tmp_path / "mesh.txt"
-    write_mesh_text(Mesh(mesh.vertices, cells), p)
-    back = read_mesh_text(p)
-    assert np.array_equal(back.cells, cells)
-    check_shared_points(P1Space(back))
-
-
-def test_3d_quadrature_points_stay_views(space3):
-    assert space3.qp_index == slice(None)
-    field = init_rotation_field(space3, make_noise("linear-gradient"))
-    assert np.shares_memory(field.Z_quad(), field.Z)
-    assert np.shares_memory(field.xi_quad(), field.xi)
 
 
 def test_stiffness_symmetric_and_conservative(space2):

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from sllgfem.fem import P1Space, interpolate_nodal
-from sllgfem.mesh import build_structured_mesh
+from sllgfem.mesh import (Mesh, build_structured_mesh, read_mesh_text,
+                          write_mesh_text)
 from sllgfem.noise import (NoiseComponent, NoiseCoefficients, make_noise)
 from sllgfem.rotation import (
     assemble_rotated_stiffness, compute_F_direct,
@@ -237,8 +238,9 @@ def test_q1_varying_g_matches_analytic_solution():
     Z_exact = rodrigues_exp(-WT * coeffs.g_at(X)[0])
     assert np.linalg.norm(field.Z_nodes - Z_exact, axis=(1, 2)).max() <= 1e-12
 
-    # xi lives at the distinct quadrature points only
-    X = space.distinct_points
+    # xi at every cell-major quadrature point
+    X = space.quad_points.reshape(-1, 2)
+    xi = field.xi_quad().reshape(len(X), 3, 2, 3)
     delta = 1e-5
     for d in range(2):
         Xp, Xm = X.copy(), X.copy()
@@ -246,7 +248,7 @@ def test_q1_varying_g_matches_analytic_solution():
         Xm[:, d] -= delta
         fd = (rodrigues_exp(-WT * coeffs.g_at(Xp)[0])
               - rodrigues_exp(-WT * coeffs.g_at(Xm)[0])) / (2 * delta)
-        err = np.linalg.norm(field.xi[:, :, d] - fd, axis=(1, 2)).max()
+        err = np.linalg.norm(xi[:, :, d] - fd, axis=(1, 2)).max()
         assert err <= 2e-2  # Euler-Maruyama error at k = 0.25/1024
 
 
@@ -259,6 +261,50 @@ def test_evolve_step_rejects_bad_increments():
         evolve_step(field, np.array([0.1, np.nan]), 0.01)
     with pytest.raises(ValueError):
         evolve_step(field, np.array([0.1, 0.2]), 0.0)
+
+
+def rotated_order_mesh(tmp_path):
+    """The 2D 3^2 mesh with each cell's vertices rotated by its index
+    modulo 3, written to a file and read back."""
+    mesh = build_structured_mesh(2, 3)
+    shift = np.arange(mesh.n_cells) % 3
+    cells = np.array([np.roll(c, s) for c, s in zip(mesh.cells, shift)])
+    path = tmp_path / "mesh.txt"
+    write_mesh_text(Mesh(mesh.vertices, cells), path)
+    back = read_mesh_text(path)
+    assert np.array_equal(back.cells, cells)
+    return back
+
+
+# distinct rows of linear-gradient, one per distinct first coordinate
+_LINEAR_ROWS = {(2, 32): 65, (3, 8): 66}
+
+
+@pytest.mark.parametrize("noise", ["zero", "constant-z", "pair-noncommuting",
+                                   "linear-gradient", "pair-varying"])
+@pytest.mark.parametrize("dim, divisions", [(2, 1), (2, 3), (2, "rotated"),
+                                            (2, 32), (3, 2), (3, 8)])
+def test_every_point_reads_its_coefficients_through_the_index(
+        dim, divisions, noise, tmp_path):
+    mesh = (rotated_order_mesh(tmp_path) if divisions == "rotated"
+            else build_structured_mesh(dim, divisions))
+    space = P1Space(mesh)
+    coeffs = pair_varying() if noise == "pair-varying" else make_noise(noise)
+    cache = init_rotation_field(space, coeffs)._cache
+    points = per_qp_points(space)
+    index = cache["index"]
+    assert index.shape == (len(points),)
+    np.testing.assert_array_equal(cache["g"][:, index].view(np.int64),
+                                  coeffs.g_at(points).view(np.int64))
+    dg = np.moveaxis(coeffs.jac_at(points), -1, 2)
+    np.testing.assert_array_equal(cache["dg"][:, index].view(np.int64),
+                                  dg.view(np.int64))
+    rows = len(cache["g"][0])
+    assert np.array_equal(np.unique(index), np.arange(rows))
+    if noise in ("zero", "constant-z", "pair-noncommuting"):
+        assert rows == 1
+    elif noise == "linear-gradient" and (dim, divisions) in _LINEAR_ROWS:
+        assert rows == _LINEAR_ROWS[dim, divisions]
 
 
 @pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2)])

@@ -3,6 +3,10 @@ refinement order rows, and the artifact files."""
 
 import csv
 import io
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -326,3 +330,51 @@ def test_non_finite_invariant_quantity_fails(bad):
     failures = studies._invariant_failures(quantities, theta=1.0,
                                            offdiag_holds=True, seed=0)
     assert len(failures) == 1 and "max_tangency" in failures[0]
+
+
+# One trajectory, timed in a child process: its CPU time over its wall time
+_CPU_PER_WALL = """\
+import resource, sys, time
+from sllgfem import load_config, studies
+config = load_config(sys.argv[1])
+r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+studies._trajectory(config, 0, 0, None, False)
+t1, r1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+cpu = r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime
+print(cpu / (t1 - t0))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+def test_unpinned_blas_keeps_one_trajectory_on_one_core(tmp_path):
+    # Users do not pin BLAS. A step-loop BLAS call that wakes OpenBLAS's
+    # threads leaves a worker spinning on a second core for the rest of the
+    # run, which doubles the CPU time and takes the core the monitor
+    # overlap would use
+    path = tmp_path / "guard.ini"
+    path.write_text("""\
+[mesh]
+divisions = 32
+
+[scheme]
+J = 60
+T = 0.1
+
+[noise]
+preset = linear-gradient
+
+[initial]
+preset = spiral
+tilt = 0.3
+""")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _CPU_PER_WALL, str(path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    ratio = float(proc.stdout)
+    assert ratio <= 1.3, f"CPU time / wall time {ratio:.2f}"
