@@ -44,22 +44,36 @@ class NoiseCoefficients:
         return len(self.components)
 
     def g_at(self, points):
-        """Values of all components, shape (q, P, 3)."""
+        """Values of all components, shape (q, P, 3). A component whose
+        values are not (P, 3) raises ValueError."""
         points = np.asarray(points, dtype=float)
-        out = np.stack([np.asarray(c.g_fn(points), dtype=float)
-                        for c in self.components])
-        if not np.isfinite(out).all():
-            raise ValueError("non-finite noise coefficient value")
-        return out
+        return _evaluate([c.g_fn for c in self.components], points,
+                         (len(points), 3), "coefficient value")
 
     def jac_at(self, points):
-        """Jacobians of all components, shape (q, P, 3, dim)."""
+        """Jacobians of all components, shape (q, P, 3, dim). A component
+        whose Jacobians are not (P, 3, dim) raises ValueError; in 3D a
+        transposed Jacobian, (P, dim, 3), has the right shape and is not
+        caught."""
         points = np.asarray(points, dtype=float)
-        out = np.stack([np.asarray(c.jac_fn(points), dtype=float)
-                        for c in self.components])
-        if not np.isfinite(out).all():
-            raise ValueError("non-finite noise Jacobian value")
-        return out
+        return _evaluate([c.jac_fn for c in self.components], points,
+                         (len(points), 3, points.shape[1]), "Jacobian value")
+
+
+def _evaluate(fns, points, shape, what):
+    """The callbacks `fns` at `points`, stacked; each result must have
+    `shape` and all of them finite entries."""
+    out = []
+    for i, fn in enumerate(fns):
+        vals = np.asarray(fn(points), dtype=float)
+        if vals.shape != shape:
+            raise ValueError(f"noise component {i} returned {what}s of "
+                             f"shape {vals.shape}, expected {shape}")
+        out.append(vals)
+    out = np.stack(out)
+    if not np.isfinite(out).all():
+        raise ValueError(f"non-finite noise {what}")
+    return out
 
 
 def constant_component(vector):

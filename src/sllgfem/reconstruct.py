@@ -17,9 +17,9 @@ filled in at the last step.
 
 Per interval the integrand is linear in (psi, grad psi), so each step
 forms two fields at the quadrature points that serve every test field.
-With m = m'(t_mid), dm = dm'/dt, c_d = xi_d m, a = sum_d xi_d^T (c_d +
-Z d_d m) and b_d = Z^T c_d (so grad_d(Z m) = Z (d_d m + b_d), Z being
-orthogonal), they are
+With m = m'(t_mid), dm = dm'/dt and the fields a = sum_d xi_d^T
+grad_d(Z m) and b_d = Z^T xi_d m of rotation.rotated_gradient_pairing (so
+grad_d(Z m) = Z (d_d m + b_d), Z being orthogonal), they are
 
   R   = lambda1 (m x dm) x m - lambda2 dm x m - mu (a x m + sum_d b_d x d_d m)
   S_d = -mu (d_d m + b_d) x m
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TimeMismatchError
-from .rotation import evolve_step
+from .rotation import evolve_step, rotated_gradient_pairing
 from .rotation import init_rotation_field  # noqa: F401  (perfbench traces it)
 
 # 3-point Gauss-Legendre on [0, 1]; used where the time integrand is not
@@ -153,34 +153,24 @@ def _contracted_residual(field, space, params, m_mid, dtm, cells):
     m_mid is the nodal midpoint value of the interpolant and dtm its
     nodal time derivative. R has shape (c, q, 3) and S (c, q, dim, 3), c
     the cells of the range; both already carry the quadrature weights. See
-    the module docstring for the derivation. xi is read as (3 dim x 3)
-    matrices X with rows (a, d), so each xi contraction is one product per
-    point; c, g and bt hold one column per direction d.
+    the module docstring for the derivation; a and b come from
+    rotation.rotated_gradient_pairing.
     """
-    mu = params.mu
-    n_q, dim = space.n_qp, space.mesh.dim
-    Z = field.Z_quad(cells)
-    n_c = len(Z)
-    X = field.xi_quad(cells).reshape(n_c, n_q, 3 * dim, 3)
+    mu, dim = params.mu, space.mesh.dim
     m_qp = space.values_at_qp(m_mid, cells)                  # (c, q, 3)
     gm = space.grads_at_qp(m_mid, cells)                     # (c, dim, 3)
     dtm_qp = space.values_at_qp(dtm, cells)
-    c = np.einsum("cqkb,cqb->cqk", X, m_qp).reshape(n_c, n_q, 3, dim)
-    # grad_d(Z m) = Z d_d m + xi_d m, with Z d_d m one product per cell
-    g = (Z.reshape(n_c, n_q * 3, 3) @ np.swapaxes(gm, 1, 2)).reshape(c.shape)
-    g += c
-    a = np.einsum("cqkb,cqk->cqb", X, g.reshape(n_c, n_q, 3 * dim))
-    bt = np.swapaxes(Z, -1, -2) @ c                          # b_d = Z^T xi_d m
+    a, b = rotated_gradient_pairing(field, m_qp, gm, cells)
     # sum_d b_d x d_d m is the axial vector of P = sum_d b_d (d_d m)^T
-    P = (bt.reshape(n_c, n_q * 3, dim) @ gm).reshape(n_c, n_q, 3, 3)
+    P = (np.swapaxes(b, 2, 3).reshape(len(gm), -1, dim) @ gm).reshape(
+        a.shape + (3,))
     b_x_gm = np.stack([P[..., 1, 2] - P[..., 2, 1],
                        P[..., 2, 0] - P[..., 0, 2],
                        P[..., 0, 1] - P[..., 1, 0]], axis=-1)
     Y = (params.lambda1 * np.cross(m_qp, dtm_qp) - params.lambda2 * dtm_qp
          - mu * a)
     R = np.cross(Y, m_qp) - mu * b_x_gm
-    S = -mu * np.cross(gm[:, None] + np.swapaxes(bt, -1, -2),
-                       m_qp[:, :, None])
+    S = -mu * np.cross(gm[:, None] + b, m_qp[:, :, None])
     w = space.quad_weights[cells]
     R *= w[:, :, None]
     S *= w[:, :, None, None]

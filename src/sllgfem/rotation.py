@@ -37,6 +37,12 @@ which is the exact pathwise differential of <grad Zu, grad Zv> for any
 coefficients, needs only first derivatives of g_i, and is manifestly
 symmetric in (u, v).
 
+Since Z is orthogonal, F pairs u with w through two fields at the points:
+F(t, u, w) = sum_qp w (w . a + sum_d d_d w . b_d) with a = sum_d xi_d^T
+grad_d(Z u) and b_d = Z^T xi_d u. rotated_gradient_pairing forms (a, b) for
+the weak residual in reconstruct; it, grad_Z_apply (compute_F_identity) and
+compute_F_direct share one kernel for grad_d(Z u) = xi_d u + Z d_d u.
+
 The Gram matrix KZ of u -> grad(Z u) on vector P1 fields splits, since
 Z^T Z = I, as K (x) I plus a part Kxi that depends on the field only
 through two invariants per point, A = sum_d xi_d^T xi_d and
@@ -49,10 +55,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-
-# points per block of evolve_step
-_BLOCK = 4096
-
 
 def cross_matrix(a):
     """Matrix C(a) with C(a) u = a x u, for a of shape (..., 3)."""
@@ -206,14 +208,7 @@ def _coefficient_cache(space, coeffs):
     dg = np.moveaxis(jac, -1, 2)                    # (q, R, dim, 3)
     G2 = np.einsum("ipa,ipb->pab", g, g)
     gg = np.einsum("ipa,ipa->p", g, g)
-    # summed over i by hand, several times faster than one einsum over
-    # "ipa,ipda" for q > 1. The bits are the einsum's on every preset and
-    # for constant `vectors` (dg = 0); three or more spatially varying
-    # components, built only through the Python API, may differ in
-    # round-off
-    gdg = np.einsum("pa,pda->pd", g[0], dg[0])
-    for gi, dgi in zip(g[1:], dg[1:]):
-        gdg += np.einsum("pa,pda->pd", gi, dgi)
+    gdg = np.einsum("ipa,ipda->pd", g, dg)
     T = np.einsum("ipa,ipdb->padb", g, dg)
     # C order, so that the steps' reshapes of H, dg and xi are views
     H = np.add(T, T.transpose(0, 3, 2, 1), order="C")
@@ -278,30 +273,24 @@ def evolve_step(field, dW, k):
         raise ValueError("non-finite Wiener increment")
     if not k > 0:
         raise ValueError(f"time step must be positive, got {k}")
-    # One block of rows at a time, each written into slices of Z1 and xi1,
-    # so that the per-row temporaries stay a few MB at any row count
+    # G_i u = u x g_i = -g_i x u, so sum_i dW_i G_i = C(a) with
+    # a = -sum_i dW_i g_i, and likewise sum_i dW_i I_i = C(e)
+    a = -np.einsum("i,ipa->pa", dW, c["g"])
+    Z1 = rodrigues_exp(a) @ field.Z
+    # M and N start from their drift sums and take the cross-product
+    # matrices in place, one direction of N at a time
+    M = 0.5 * k * c["G2"]
+    _add_cross(M, a)
+    N = 0.5 * k * c["H"]
+    e = -np.tensordot(dW, c["dg"], 1)
     R, dim = field.xi.shape[0], field.xi.shape[2]
-    Z1 = np.empty(field.Z.shape)
-    xi1 = np.empty(field.xi.shape)      # C order, so its reshape is a view
-    xi, out = field.xi.reshape(R, 3, 3 * dim), xi1.reshape(R, 3, 3 * dim)
-    for r0 in range(0, R, _BLOCK):
-        rows = slice(r0, r0 + _BLOCK)
-        # G_i u = u x g_i = -g_i x u, so sum_i dW_i G_i = C(a) with
-        # a = -sum_i dW_i g_i, and likewise sum_i dW_i I_i = C(e)
-        a = -np.einsum("i,ipa->pa", dW, c["g"][:, rows])
-        np.matmul(rodrigues_exp(a), field.Z[rows], out=Z1[rows])
-        # M and N start from their drift sums and take the cross-product
-        # matrices in place, one direction of N at a time
-        M = 0.5 * k * c["G2"][rows]
-        _add_cross(M, a)
-        N = 0.5 * k * c["H"][rows]
-        e = -np.tensordot(dW, c["dg"][:, rows], 1)
-        for d in range(dim):
-            _add_cross(N[:, :, d], e[:, d])
-        np.matmul(M, xi[rows], out=out[rows])
-        out[rows] += (N.reshape(-1, 3 * dim, 3) @ field.Z[rows]).reshape(
-            -1, 3, 3 * dim)
-        out[rows] += xi[rows]
+    for d in range(dim):
+        _add_cross(N[:, :, d], e[:, d])
+    xi = field.xi.reshape(R, 3, 3 * dim)
+    xi1 = M @ xi
+    xi1 += (N.reshape(R, 3 * dim, 3) @ field.Z).reshape(xi.shape)
+    xi1 += xi
+    xi1 = xi1.reshape(field.xi.shape)
     return RotationField(field.space, field.j + 1, Z1, xi1, c)
 
 
@@ -313,19 +302,38 @@ def grad_Z_apply(field, u):
     """
     space = field.space
     u = np.asarray(u, dtype=float)
-    return _grad_Z(field.Z_quad(), field.xi_quad(),
-                   space.values_at_qp(u), space.grads_at_qp(u))
+    _, grad = _rotated_gradient(field.Z_quad(), field.xi_quad(),
+                                space.values_at_qp(u), space.grads_at_qp(u))
+    return np.swapaxes(grad, -1, -2)
 
 
-def _grad_Z(Z_quad, xi_quad, u_qp, gu):
-    """xi_d u + Z du/dx_d from the samples u_qp (c, q, 3) and the cellwise
-    gradient gu (c, dim, 3); xi_d u is one contraction against xi as
-    (3 dim x 3) matrices."""
-    c, q, _, dim, _ = xi_quad.shape
-    xi_u = np.einsum("cqkb,cqb->cqk", xi_quad.reshape(c, q, 3 * dim, 3),
-                     u_qp)
-    return (xi_u.reshape(c, q, 3, dim).swapaxes(-1, -2)
-            + np.einsum("cqab,cdb->cqda", Z_quad, gu))
+def rotated_gradient_pairing(field, u_qp, gu, cells=slice(None)):
+    """(a, b) with F(t_j, u, w) = sum_qp w (w . a + sum_d d_d w . b_d) on
+    the cell range `cells` (a slice, all cells by default), from the
+    samples u_qp (c, q, 3) and cellwise gradient gu (c, dim, 3) of u there:
+    a (c, q, 3) = sum_d xi_d^T grad_d(Z u), and b (c, q, dim, 3) holds
+    b_d = Z^T xi_d u in row d."""
+    Z, xi = field.Z_quad(cells), field.xi_quad(cells)
+    c, q, _, dim, _ = xi.shape
+    xi_u, grad = _rotated_gradient(Z, xi, u_qp, gu)
+    a = np.einsum("cqkb,cqk->cqb", xi.reshape(c, q, 3 * dim, 3),
+                  grad.reshape(c, q, 3 * dim))
+    b = np.swapaxes(Z, -1, -2) @ xi_u
+    return a, np.swapaxes(b, -1, -2)
+
+
+def _rotated_gradient(Z, xi, u_qp, gu):
+    """(xi u, grad(Z u)), both (c, q, 3, dim) with column d for direction
+    d, from Z (c, q, 3, 3), xi (c, q, 3, dim, 3), the samples u_qp
+    (c, q, 3) and the cellwise gradient gu (c, dim, 3): Z d_d u is one
+    product per cell, xi_d u one per point against xi as (3 dim x 3)."""
+    c, q, _, dim, _ = xi.shape
+    xi_u = np.einsum("cqkb,cqb->cqk", xi.reshape(c, q, 3 * dim, 3),
+                     u_qp).reshape(c, q, 3, dim)
+    grad = (Z.reshape(c, q * 3, 3) @ np.swapaxes(gu, 1, 2)).reshape(
+        xi_u.shape)
+    grad += xi_u
+    return xi_u, grad
 
 
 def compute_F_identity(field, u, v):
@@ -351,7 +359,8 @@ def assemble_rotated_stiffness(field):
 
     KZ is assembled as K (x) I + Kxi (module docstring), and Kxi reads the
     field only through A = sum_d xi_d^T xi_d and B_d = Z^T xi_d, one
-    product each per row of the field, gathered to the quadrature points. The cell blocks
+    product each per row of the field, gathered to the quadrature points.
+    The cell blocks
     V[l, m] = sum_qp w (1/2 phi_l phi_m A + phi_m sum_d d_d phi_l B_d)
     carry half the A term and the third term of the block formula; the
     second term is the transpose of the third with l and m swapped. So
@@ -420,17 +429,17 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
         Zq, xiq = field.Z_quad(), field.xi_quad()
         Zu = np.einsum("cqab,cqb->cqa", Zq, u_qp)
         Zv = np.einsum("cqab,cqb->cqa", Zq, v_qp)
-        gZu = _grad_Z(Zq, xiq, u_qp, gu)
-        gZv = _grad_Z(Zq, xiq, v_qp, gv)
+        _, gZu = _rotated_gradient(Zq, xiq, u_qp, gu)      # (c, q, 3, dim)
+        _, gZv = _rotated_gradient(Zq, xiq, v_qp, gv)
         IZu = np.einsum("icqdab,cqb->icqda", Ii, Zu)
         IZv = np.einsum("icqdab,cqb->icqda", Ii, Zv)
         BZu = np.einsum("icqdab,cqb->icqda", Bi, Zu)
         BZv = np.einsum("icqdab,cqb->icqda", Bi, Zv)
-        F1 = (np.einsum("cq,icqda,cqda->i", w, BZu, gZv)
-              + np.einsum("cq,cqda,icqda->i", w, gZu, BZv)
+        F1 = (np.einsum("cq,icqda,cqad->i", w, BZu, gZv)
+              + np.einsum("cq,cqad,icqda->i", w, gZu, BZv)
               + np.einsum("cq,icqda,icqda->i", w, IZu, IZv))
-        F2 = (np.einsum("cq,icqda,cqda->i", w, IZu, gZv)
-              + np.einsum("cq,cqda,icqda->i", w, gZu, IZv))
+        F2 = (np.einsum("cq,icqda,cqad->i", w, IZu, gZv)
+              + np.einsum("cq,cqad,icqda->i", w, gZu, IZv))
         acc += path.k * F1.sum() + float(F2 @ path.increments[s])
         field = evolve_step(field, path.increments[s], path.k)
     return float(acc)

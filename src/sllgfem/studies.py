@@ -182,8 +182,7 @@ def _trajectory(config, level, stream, snapshot_dir, overlap):
     offdiag = check_offdiag_condition(space)
     path = sample_path(config.seed, coeffs.q, p_fine.J, p_fine.T,
                        stream=stream)
-    if factor > 1:
-        path = coarsen(path, factor)
+    path = coarsen(path, factor)
 
     errs_obs, errs = interpolant_errors(space, p.k)
     fields = [make_test_field(i) for i in range(_N_TEST_FIELDS)]

@@ -1,11 +1,16 @@
 """Noise coefficient presets and Jacobian consistency."""
 
+import re
+
 import numpy as np
 import pytest
 
+from sllgfem.fem import P1Space
+from sllgfem.mesh import build_structured_mesh
 from sllgfem.noise import (PRESETS, NoiseComponent, NoiseCoefficients,
                            constant_component, linear_gradient_component,
                            make_noise)
+from sllgfem.rotation import init_rotation_field
 
 
 def _probe_points(n=40, dim=2, seed=0):
@@ -93,3 +98,30 @@ def test_nonfinite_values_rejected():
     coeffs = NoiseCoefficients((NoiseComponent(bad_g, zero_jac),))
     with pytest.raises(ValueError):
         coeffs.g_at(_probe_points(3))
+
+
+@pytest.mark.parametrize("kind, bad", [
+    ("value", ("P", 2)), ("value", (1, 3)), ("value", (3,)),
+    ("jacobian", ("P", 3)), ("jacobian", ("P", 3, 1)),
+    ("jacobian", (1, 3, 2))])
+def test_misshapen_callback_results_rejected(kind, bad):
+    # 2D points, so values must be (P, 3) and Jacobians (P, 3, 2); the
+    # error names the component and the shape it returned, also when the
+    # rotation field is the first to evaluate the noise
+    def misshapen(x):
+        return np.zeros(tuple(len(x) if n == "P" else n for n in bad))
+
+    good = linear_gradient_component()
+    comp = (NoiseComponent(misshapen, good.jac_fn) if kind == "value"
+            else NoiseComponent(good.g_fn, misshapen))
+    coeffs = NoiseCoefficients((good, comp))
+    x = _probe_points(5)
+    shape = tuple(len(x) if n == "P" else n for n in bad)
+    message = rf"noise component 1 .* shape {re.escape(str(shape))}"
+    evaluate, other = ((coeffs.g_at, coeffs.jac_at) if kind == "value"
+                       else (coeffs.jac_at, coeffs.g_at))
+    with pytest.raises(ValueError, match=message):
+        evaluate(x)
+    assert other(x).shape[:2] == (2, 5)
+    with pytest.raises(ValueError, match="noise component 1 "):
+        init_rotation_field(P1Space(build_structured_mesh(2, 2)), coeffs)

@@ -12,7 +12,8 @@ from sllgfem.noise import (NoiseComponent, NoiseCoefficients, make_noise)
 from sllgfem.rotation import (
     assemble_rotated_stiffness, compute_F_direct,
     compute_F_identity, cross_matrix, evolve_point_rotation, evolve_step,
-    grad_Z_apply, init_rotation_field, rodrigues_exp)
+    grad_Z_apply, init_rotation_field, rodrigues_exp,
+    rotated_gradient_pairing)
 from sllgfem.wiener import coarsen, sample_path
 
 
@@ -349,8 +350,8 @@ def test_field_matches_per_qp_layout(dim, divisions, noise):
     # operation order, evolved at every cell-major quadrature point (each
     # shared 2D edge midpoint once per adjacent triangle) and at every
     # vertex, with xi at the vertices too; bit-exact, since the arithmetic
-    # per point is the same. At 2D 48^2 and 3D 8^3 the kernel's points
-    # span several blocks (3D: 12288 quadrature points, 3 blocks of xi)
+    # per point is the same. 2D 48^2 with pair-varying noise stands for a
+    # field with many rows: 9409, one per distinct coefficient value
     space = P1Space(build_structured_mesh(dim, divisions))
     coeffs = (pair_varying() if noise == "pair-varying"
               else make_noise("linear-gradient", amplitude=1.3))
@@ -458,6 +459,26 @@ def test_F_identity_vanishes_for_constant_g():
         u = rng.standard_normal((space.N, 3))
         v = rng.standard_normal((space.N, 3))
         assert abs(compute_F_identity(field, u, v)) <= 1e-10
+
+
+@pytest.mark.parametrize("noise", ["linear-gradient", "pair-varying"])
+@pytest.mark.parametrize("dim, divisions", [(2, 8), (3, 3)])
+def test_rotated_gradient_pairing_is_F(dim, divisions, noise):
+    # F(t, u, w) = sum_qp w (w . a + sum_d d_d w . b_d), the form the weak
+    # residual pairs with m x psi, against the identity form
+    space = P1Space(build_structured_mesh(dim, divisions))
+    coeffs = (pair_varying() if noise == "pair-varying"
+              else make_noise("linear-gradient"))
+    field = evolve_field(space, coeffs, sample_path(34, coeffs.q, 10, 0.5))
+    u, w = np.random.default_rng(35).standard_normal((2, space.N, 3))
+    a, b = rotated_gradient_pairing(field, space.values_at_qp(u),
+                                    space.grads_at_qp(u))
+    weights = space.quad_weights
+    paired = (np.einsum("cq,cqa,cqa->", weights, space.values_at_qp(w), a)
+              + np.einsum("cq,cda,cqda->", weights, space.grads_at_qp(w), b))
+    F = compute_F_identity(field, u, w)
+    assert abs(F) > 1e-3
+    assert abs(paired - F) <= 1e-10 * abs(F)
 
 
 def test_F_direct_zero_horizon():
