@@ -1,6 +1,7 @@
 """P1 finite elements: space metadata, assembly, interpolation, nodal norms.
 
-Matrices are scipy.sparse CSR. The quadrature rule is exact for quadratics
+Matrices are scipy.sparse CSR, except the step matrix layout (StepLayout),
+which is CSC for SuperLU. The quadrature rule is exact for quadratics
 (3-point edge-midpoint rule on triangles, 4-point interior rule on
 tetrahedra), which is exact for products of P1 gradients and is the accuracy
 the scheme needs for the rotation-twisted integrands.
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, MeshError, NormalizationError
 from .mesh import Mesh
@@ -80,6 +82,7 @@ class P1Space:
         self._stiffness = None
         self._lumped = None
         self._pair_pattern = None
+        self._step_layout = None
 
     # cached assemblies ---------------------------------------------------
 
@@ -120,6 +123,12 @@ class P1Space:
             transpose = np.searchsorted(keys[starts], indices * self.N + rows)
             self._pair_pattern = (indptr, indices, scatter, transpose)
         return self._pair_pattern
+
+    def step_layout(self):
+        """The StepLayout of the (2N, 2N) tangent-plane step matrix."""
+        if self._step_layout is None:
+            self._step_layout = StepLayout(self)
+        return self._step_layout
 
     # pointwise sampling ---------------------------------------------------
 
@@ -168,6 +177,93 @@ def assemble_lumped_mass(space: P1Space):
     share = mesh.volumes / (mesh.dim + 1)
     return np.bincount(mesh.cells.ravel(), np.repeat(share, mesh.dim + 1),
                        minlength=space.N)
+
+
+class StepLayout:
+    """The fixed sparse structure of a (2N, 2N) matrix in 2x2 node blocks
+    on the nonzero pattern of the stiffness K, and its fill-reducing order.
+
+    K's explicit zeros (edges opposite right angles) are dropped: they
+    would only add LU fill. Unknown 2n + a is node n's a-th coefficient
+    (node-major), and slot s of the pattern holds the block of the node
+    pair (rows[s], cols[s]), in CSR order.
+
+    Attributes
+    ----------
+    rows, cols : (nnz,) int arrays, the node pairs of K's nonzeros.
+    values : (nnz,) K's entries on them.
+    diagonal : (N,) the slot of (n, n), node by node.
+    order : (2N,) the fill-reducing order p; the permuted matrix is
+        A[p][:, p]. It is the minimum-degree order of the scalar K +
+        diag(L), L the lumped mass (SuperLU's MMD on its A^T + A), with
+        each node's two unknowns kept side by side. The pattern is fixed,
+        so the order is too.
+    inverse : (2N,) argsort(order), which takes a permuted solution back
+        to node-major.
+    shape : (2N, 2N).
+    """
+
+    def __init__(self, space):
+        N = space.N
+        K = space.stiffness()
+        transpose = space.cell_pair_pattern()[3]
+        keep = np.flatnonzero(K.data)
+        renumber = np.full(len(K.data), -1)
+        renumber[keep] = np.arange(len(keep))
+        self.rows = np.repeat(np.arange(N), np.diff(K.indptr))[keep]
+        self.cols = K.indices[keep]
+        self.values = K.data[keep]
+        self.diagonal = np.flatnonzero(self.rows == self.cols)
+        nnz = len(keep)
+        degree = np.bincount(self.rows, minlength=N)
+        row_ptr = np.append(0, np.cumsum(degree))
+        start = row_ptr[:-1]
+        # K is exactly symmetric, so column j lists the neighbours of node
+        # j in the order of row j, and the block of (i, j) sits at the
+        # transposed slot of (j, i). Column 2j + b of the matrix holds, for
+        # each slot u of row j, the entries (2 cols[u] + a, 2j + b).
+        col_start = 4 * start[:, None] + 2 * degree[:, None] * np.arange(2)
+        self._indptr = np.append(col_start.ravel(), 4 * nnz).astype(np.intc)
+        a = np.arange(2)[:, None]
+        b = np.arange(2)
+        pos = (col_start[self.rows][:, None, :]
+               + 2 * (np.arange(nnz) - start[self.rows])[:, None, None] + a)
+        self._gather = np.empty(4 * nnz, dtype=np.intp)
+        self._gather[pos] = (4 * renumber[transpose[keep]][:, None, None]
+                             + 2 * a + b)
+        self._indices = np.empty(4 * nnz, dtype=np.intc)
+        self._indices[pos] = 2 * self.cols[:, None, None] + a
+        self.shape = (2 * N, 2 * N)
+
+        scalar = self.values.copy()
+        scalar[self.diagonal] += space.lumped_mass_diagonal()
+        # K's pattern is symmetric, so its CSR arrays are a CSC matrix too
+        perm_c = spla.splu(
+            sp.csc_matrix((scalar, self.cols, row_ptr), shape=(N, N)),
+            permc_spec="MMD_AT_PLUS_A").perm_c
+        self.order = (2 * np.argsort(perm_c)[:, None] + np.arange(2)).ravel()
+        self.inverse = np.argsort(self.order)
+        # the permuted matrix's CSC structure, rows sorted in each column
+        new_rows = self.inverse[self._indices]
+        new_cols = np.repeat(self.inverse, np.diff(self._indptr))
+        self._perm_gather = np.argsort(new_cols * (2 * N) + new_rows)
+        self._perm_indices = new_rows[self._perm_gather].astype(np.intc)
+        self._perm_indptr = np.zeros(2 * N + 1, dtype=np.intc)
+        np.cumsum(np.bincount(new_cols, minlength=2 * N),
+                  out=self._perm_indptr[1:])
+
+    def matrix(self, blocks):
+        """The node-major CSC matrix whose block on slot s is the 2x2
+        blocks[s], for blocks of shape (nnz, 2, 2)."""
+        data = np.take(blocks.reshape(-1), self._gather)
+        return sp.csc_matrix((data, self._indices, self._indptr),
+                             shape=self.shape)
+
+    def permuted(self, matrix):
+        """A[p][:, p] in CSC, p = order, for a matrix A made by `matrix`."""
+        data = np.take(matrix.data, self._perm_gather)
+        return sp.csc_matrix((data, self._perm_indices, self._perm_indptr),
+                             shape=self.shape)
 
 
 # off-diagonal stiffness entries up to this size count as nonpositive

@@ -359,42 +359,73 @@ def assemble_rotated_stiffness(field):
 
     KZ is assembled as K (x) I + Kxi (module docstring), and Kxi reads the
     field only through A = sum_d xi_d^T xi_d and B_d = Z^T xi_d, one
-    product each per row of the field, gathered to the quadrature points.
-    The cell blocks
-    V[l, m] = sum_qp w (1/2 phi_l phi_m A + phi_m sum_d d_d phi_l B_d)
+    product each per row of the field. The slot blocks D of the pattern,
+    the scattered cell blocks
+    V[l, m] = sum_qp w (1/2 phi_l phi_m A + phi_m sum_d d_d phi_l B_d),
     carry half the A term and the third term of the block formula; the
     second term is the transpose of the third with l and m swapped. So
-    Kxi = D + D^T for D the scattered V, which makes KZ exactly
-    symmetric. The stiffness K is assembled on the pattern of
-    cell_pair_pattern, so its data add to the diagonals of the 3x3 blocks
-    slot by slot.
+    Kxi = D + D^T, which makes KZ exactly symmetric. D is linear in the
+    rows' A and B_d, with coefficients fixed by the mesh and the field's
+    row index, so D = W [A; B], the product of the run's operator W (see
+    _kz_operator) with the (R (1 + dim), 9) stack of the invariants. The
+    stiffness K is assembled on the pattern of cell_pair_pattern, so its
+    data add to the diagonals of the 3x3 blocks slot by slot.
     """
     space = field.space
-    mesh = space.mesh
-    n_c, n_q, dim, d1 = mesh.n_cells, space.n_qp, mesh.dim, mesh.dim + 1
-    R = len(field.xi)
+    R, dim = field.xi.shape[0], field.xi.shape[2]
+    AB = np.empty((R * (1 + dim), 9))
     X = field.xi.reshape(R, 3 * dim, 3)
-    A = np.ascontiguousarray(np.swapaxes(X, 1, 2)) @ X
-    B = np.swapaxes(field.Z, 1, 2) @ field.xi.reshape(R, 3, 3 * dim)
-    rows = field._qp_rows()
-    w = space.quad_weights[:, :, None]
-    Aw = np.take(A.reshape(R, 9), rows, axis=0)                # (c, q, 9)
-    Aw *= w
-    Bw = np.take(B.reshape(R, 9 * dim), rows, axis=0)
-    Bw *= w
-    phi = space.phi_qp
-    half_phi2 = 0.5 * (phi[:, :, None] * phi[:, None, :]).reshape(n_q, -1)
-    V = (half_phi2.T @ Aw).reshape(n_c, d1, -1)          # (c, l, (m, e, b))
-    Bm = (phi.T @ Bw).reshape(n_c, d1, 3, dim, 3)        # (c, m, e, d, b)
-    V += space.grad_phi @ np.moveaxis(Bm, 3, 1).reshape(n_c, dim, -1)
-    indptr, indices, scatter, transpose = space.cell_pair_pattern()
-    D = (scatter @ V.reshape(-1, 9)).reshape(-1, 3, 3)
+    np.matmul(np.ascontiguousarray(np.swapaxes(X, 1, 2)), X,
+              out=AB[:R].reshape(R, 3, 3))
+    np.matmul(np.swapaxes(field.Z, 1, 2)[:, None],
+              np.moveaxis(field.xi, 2, 1), out=AB[R:].reshape(R, dim, 3, 3))
+    indptr, indices, _, transpose = space.cell_pair_pattern()
+    D = (_kz_operator(field) @ AB).reshape(-1, 3, 3)
     data = D + np.swapaxes(D[transpose], 1, 2)
     K = space.stiffness().data
     for a in range(3):
         data[:, a, a] += K
     return sp.bsr_matrix((data, indices, indptr),
                          shape=(3 * space.N, 3 * space.N))
+
+
+def _kz_operator(field):
+    """The sparse W with W [A; B] the slot blocks D of KZ (see
+    assemble_rotated_stiffness), shared by all fields of a run.
+
+    W has one row per cell_pair_pattern slot. Column r takes row r's A,
+    column R + dim r + d its B_d. It depends only on the mesh and the row
+    index, so it is built on the first call of a run and kept in the
+    cache the run's fields share; the steps then form no per-point array.
+    Built as scatter @ Wc, where Wc has one row per local node pair
+    (c, l, m), flattened c-major as the scatter's columns, and, per
+    quadrature point q of cell c with row r, the entries
+    1/2 w phi_l phi_m in column r and w phi_m d_d phi_l in column
+    R + dim r + d.
+    """
+    cache = field._cache
+    if "kz" not in cache:
+        space = field.space
+        n_c, n_q, dim = space.mesh.n_cells, space.n_qp, space.mesh.dim
+        d1, R = dim + 1, len(field.Z)
+        rows = field._qp_rows().astype(np.intc)[:, None, None, :]
+        shape = (n_c, d1, d1, n_q, 1 + dim)           # (c, l, m, q, column)
+        cols = np.empty(shape, dtype=np.intc)
+        cols[..., 0] = rows
+        cols[..., 1:] = R + dim * rows[..., None] + np.arange(dim)
+        wphi = (space.quad_weights[:, :, None] * space.phi_qp).transpose(
+            0, 2, 1)[:, None, :, :]                     # (c, 1, m, q)
+        vals = np.empty(shape)
+        np.multiply(wphi, 0.5 * space.phi_qp.T[:, None, :], out=vals[..., 0])
+        np.multiply(wphi[..., None], space.grad_phi[:, :, None, None, :],
+                    out=vals[..., 1:])
+        n_row = n_q * (1 + dim)
+        Wc = sp.csr_matrix(
+            (vals.reshape(-1), cols.reshape(-1),
+             np.arange(0, vals.size + 1, n_row)),
+            shape=(n_c * d1 * d1, R * (1 + dim)))
+        cache["kz"] = space.cell_pair_pattern()[2] @ Wc
+    return cache["kz"]
 
 
 def compute_F_direct(path, coeffs, u, v, j_end, space):

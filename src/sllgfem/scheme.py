@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure, TimeMismatchError
-from .fem import normalize_nodal
+from .fem import StepLayout, normalize_nodal
 from .rotation import (RotationField, assemble_rotated_stiffness,
                        evolve_step, init_rotation_field)
 
@@ -129,11 +129,16 @@ class NodalState:
 
 @dataclass(frozen=True)
 class StepSystem:
-    """Assembled tangent-coordinate system for one step."""
+    """Assembled tangent-coordinate system for one step.
+
+    `matrix` has the fixed structure of `layout` (the space's
+    P1Space.step_layout()), which solve_step reads to permute it.
+    """
 
     matrix: sp.csc_matrix    # (2N, 2N), node-major 2x2 blocks
     rhs: np.ndarray          # (2N,)
     tau: np.ndarray          # (N, 2, 3) tangent frame
+    layout: StepLayout
 
 
 def assemble_step_system(state, tau, field, params, space):
@@ -149,27 +154,28 @@ def assemble_step_system(state, tau, field, params, space):
     node n's diagonal block also holds L_n (-lambda2 I + lambda1 C_n) with
     C_n[b, a] = tau_(n,b) . (m_n x tau_(n,a)), L the lumped mass. The load
     is rhs_(n,a) = tau_(n,a) . (mu KZ m)_n.
+
+    The pattern is K's nonzeros in every step, so the space's StepLayout,
+    built on its first step, holds it: the blocks are written straight
+    into the data of its node-major CSC matrix.
     """
     if field.j != state.j:
         raise TimeMismatchError(f"rotation field at index {field.j}, "
                                 f"state at index {state.j}")
     m = state.m
     N = len(m)
-    K = space.stiffness().copy()
-    K.eliminate_zeros()      # exact zeros (right-angle edges) only add LU fill
+    layout = space.step_layout()
     lumped = space.lumped_mass_diagonal()
-    rows = np.repeat(np.arange(N), np.diff(K.indptr))
-    blocks = tau[rows] @ tau[K.indices].transpose(0, 2, 1)
-    blocks *= (-params.mu * params.k * params.theta * K.data)[:, None, None]
+    blocks = tau[layout.rows] @ tau[layout.cols].transpose(0, 2, 1)
+    blocks *= (-params.mu * params.k * params.theta
+               * layout.values)[:, None, None]
     C = np.einsum("nbc,nac->nba", tau, np.cross(m[:, None, :], tau))
-    node_blocks = lumped[:, None, None] * (params.lambda1 * C
-                                           - params.lambda2 * np.eye(2))
-    diag = np.flatnonzero(K.indices == rows)
-    blocks[diag] += node_blocks[rows[diag]]
-    A = sp.bsr_matrix((blocks, K.indices, K.indptr), shape=(2 * N, 2 * N))
+    blocks[layout.diagonal] += lumped[:, None, None] * (
+        params.lambda1 * C - params.lambda2 * np.eye(2))
     load = params.mu * (assemble_rotated_stiffness(field) @ m.ravel())
     rhs = np.einsum("nac,nc->na", tau, load.reshape(N, 3)).ravel()
-    return StepSystem(matrix=A.tocsc(), rhs=rhs, tau=tau)
+    return StepSystem(matrix=layout.matrix(blocks), rhs=rhs, tau=tau,
+                      layout=layout)
 
 
 @dataclass(frozen=True)
@@ -189,20 +195,21 @@ class SolveResult:
 def solve_step(system, params):
     """Solve for the tangent coefficients and rebuild the nodal update v.
 
-    One sparse LU factorization (SuperLU) of the step matrix, then a check
-    of the relative residual |A c - b| / |b| (|A c - b| when b = 0, as for
-    a uniform field) against params.solver_tol. A singular factorization, a
-    non-finite solution, or a residual above the tolerance raises
-    SolverFailure.
+    One sparse LU factorization (SuperLU) of the step matrix in the fill-
+    reducing order of its layout, A[p][:, p] with p = layout.order, taken
+    as given (permc_spec="NATURAL"): the order depends only on the
+    pattern, so the layout computed it once. The solution is taken back to
+    node-major, then the relative residual |A c - b| / |b| (|A c - b| when
+    b = 0, as for a uniform field) of the node-major system is checked
+    against params.solver_tol. A singular factorization, a non-finite
+    solution, or a residual above the tolerance raises SolverFailure.
     """
-    A, b = system.matrix, system.rhs
+    A, b, layout = system.matrix, system.rhs, system.layout
     try:
-        # the pattern is symmetric (K's, in 2x2 blocks), so order on A + A^T:
-        # less fill, memory and time than the default column ordering
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(layout.permuted(A), permc_spec="NATURAL")
     except RuntimeError as e:          # SuperLU: factor is exactly singular
         raise SolverFailure(f"sparse LU failed: {e}", residual=np.inf)
-    c = lu.solve(b)
+    c = lu.solve(b[layout.order])[layout.inverse]
     residual = float(np.linalg.norm(A @ c - b) / (np.linalg.norm(b) or 1.0))
     if not residual <= params.solver_tol:
         raise SolverFailure(f"linear solve reached relative residual "

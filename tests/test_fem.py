@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import bsr_matrix
 
 from sllgfem import (Mesh, NormalizationError, P1Space, assemble_lumped_mass,
                      assemble_stiffness, build_structured_mesh,
@@ -61,6 +62,38 @@ def test_stiffness_is_exactly_symmetric_on_the_cell_pair_pattern(dim,
     np.testing.assert_array_equal(K.indptr, indptr)
     np.testing.assert_array_equal(K.indices, indices)
     assert np.array_equal(K.data, K.data[transpose])
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 3)])
+def test_step_layout_matches_block_matrix_in_csc(dim, divisions):
+    # reference: K without its explicit zeros, random 2x2 blocks on its
+    # slots as a BSR matrix, converted to CSC by scipy
+    space = P1Space(build_structured_mesh(dim, divisions))
+    layout = space.step_layout()
+    K = space.stiffness().copy()
+    K.eliminate_zeros()
+    assert K.nnz < space.stiffness().nnz        # right-angle edges
+    rows = np.repeat(np.arange(space.N), np.diff(K.indptr))
+    np.testing.assert_array_equal(layout.rows, rows)
+    np.testing.assert_array_equal(layout.cols, K.indices)
+    np.testing.assert_array_equal(layout.values, K.data)
+    np.testing.assert_array_equal(layout.diagonal,
+                                  np.flatnonzero(rows == K.indices))
+    blocks = np.random.default_rng(3).standard_normal((K.nnz, 2, 2))
+    shape = (2 * space.N, 2 * space.N)
+    ref = bsr_matrix((blocks, K.indices, K.indptr), shape=shape).tocsc()
+    A = layout.matrix(blocks)
+    assert A.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(A, name), getattr(ref, name))
+    # the permuted matrix is A[p][:, p], rows sorted in each column
+    p = layout.order
+    np.testing.assert_array_equal(np.sort(p), np.arange(2 * space.N))
+    np.testing.assert_array_equal(p[layout.inverse], np.arange(2 * space.N))
+    np.testing.assert_array_equal(p.reshape(-1, 2) % 2, [[0, 1]] * space.N)
+    P = layout.permuted(A)
+    assert P.has_sorted_indices
+    assert np.array_equal(P.toarray(), A.toarray()[p][:, p])
 
 
 def test_stiffness_positive_semidefinite(space2):

@@ -12,7 +12,7 @@ from sllgfem.noise import (NoiseComponent, NoiseCoefficients, make_noise)
 from sllgfem.rotation import (
     assemble_rotated_stiffness, compute_F_direct,
     compute_F_identity, cross_matrix, evolve_point_rotation, evolve_step,
-    grad_Z_apply, init_rotation_field, rodrigues_exp,
+    _kz_operator, grad_Z_apply, init_rotation_field, rodrigues_exp,
     rotated_gradient_pairing)
 from sllgfem.wiener import coarsen, sample_path
 
@@ -553,12 +553,18 @@ def test_rotated_stiffness_at_time_zero_is_exactly_K_kron_I(dim, divisions):
                           sp.kron(space.stiffness(), np.eye(3)).toarray())
 
 
+@pytest.mark.parametrize("noise", ["pair-varying", "linear-gradient"])
 @pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 2), (3, 3)])
-def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions):
+def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions,
+                                                         noise):
     # reference: cell matrices by one three-operand einsum, scattered as
-    # COO triplets onto the global (3N, 3N) matrix
+    # COO triplets onto the global (3N, 3N) matrix. pair-varying has one
+    # field row per distinct point, linear-gradient a few rows
     space = P1Space(build_structured_mesh(dim, divisions))
-    field = evolve_field(space, pair_varying(), sample_path(32, 2, 20, 0.5))
+    coeffs = (pair_varying() if noise == "pair-varying"
+              else make_noise("linear-gradient"))
+    field = evolve_field(space, coeffs,
+                         sample_path(32, coeffs.q, 20, 0.5))
     gphi_dl = np.transpose(space.grad_phi, (0, 2, 1))
     T = (space.phi_qp[None, :, None, None, :, None]
          * np.moveaxis(field.xi_quad(), 3, 2)[:, :, :, :, None, :]
@@ -578,6 +584,22 @@ def test_rotated_stiffness_matches_cellwise_coo_assembly(dim, divisions):
     scale = np.abs(ref).max()
     assert np.abs(dense - ref).max() <= 1e-12 * scale
     assert np.array_equal(dense, dense.T)
+
+
+def test_fields_of_one_run_share_one_kz_operator():
+    # the operator depends only on the mesh and the row index, so the
+    # first assembly of a run builds it and every later field reuses it
+    space = small_space()
+    path = sample_path(33, 2, 10, 0.5)
+    first = evolve_field(space, pair_varying(), path, J=1)
+    later = first
+    for j in range(1, 5):
+        later = evolve_step(later, path.increments[j], path.k)
+    assert later.j == 5
+    assemble_rotated_stiffness(first)
+    operator = _kz_operator(first)
+    assemble_rotated_stiffness(later)
+    assert _kz_operator(later) is operator
 
 
 def test_F_oracle_agreement_under_k_refinement():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +249,22 @@ def test_lu_solution_matches_dense_solve(dim, divisions):
     assert sol.residual <= params.solver_tol
 
 
+@pytest.mark.parametrize("dim, divisions", [(2, 32), (3, 8)])
+def test_layout_order_fills_like_minimum_degree_on_the_step_matrix(
+        dim, divisions):
+    # the layout's order, the scalar K + diag(L) order expanded to node
+    # pairs, against SuperLU's minimum-degree order of the step matrix.
+    # It fills 0.3% more at 2D 32^2 and 1.03% more at 3D 8^3, and factors
+    # as fast as SuperLU's order of the 2N pattern, which matches MMD's fill
+    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(state, tau, field, params, space)
+    lu = spla.splu(system.layout.permuted(system.matrix),
+                   permc_spec="NATURAL")
+    ref = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
+    fill, ref_fill = lu.L.nnz + lu.U.nnz, ref.L.nnz + ref.U.nnz
+    assert abs(fill - ref_fill) <= 0.015 * ref_fill, (fill, ref_fill)
+
+
 def test_solution_satisfies_weak_form_against_random_tangents():
     space = space8()
     m = spiral_m0(space)
@@ -283,9 +300,12 @@ def test_singular_system_raises_solver_failure():
     space = space8()
     tau = build_tangent_frame(spiral_m0(space))
     n = 2 * space.N
+    # the zero matrix on the step pattern, built through the layout
+    layout = space.step_layout()
+    zero = layout.matrix(np.zeros((len(layout.rows), 2, 2)))
     # a zero load is factored too: no shortcut hands back zeros unchecked
     for rhs in (np.ones(n), np.zeros(n)):
-        system = StepSystem(matrix=sp.csc_matrix((n, n)), rhs=rhs, tau=tau)
+        system = StepSystem(matrix=zero, rhs=rhs, tau=tau, layout=layout)
         with pytest.raises(SolverFailure) as err:
             solve_step(system, default_params())
         assert err.value.residual == np.inf

@@ -15,6 +15,11 @@ import pytest
 from sllgfem import ConfigError, load_config, studies
 from sllgfem.studies import WORKERS_ENV, run_study
 
+try:
+    import resource
+except ImportError:                  # not on every platform
+    resource = None
+
 
 def make_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -378,3 +383,52 @@ tilt = 0.3
     assert proc.returncode == 0, proc.stderr[-2000:]
     ratio = float(proc.stdout)
     assert ratio <= 1.3, f"CPU time / wall time {ratio:.2f}"
+
+
+# One trajectory after a warm-up one, in a child process: its minor page
+# faults per step
+_FAULTS_PER_STEP = """\
+import resource, sys
+from sllgfem import load_config, studies
+config = load_config(sys.argv[1])
+studies._trajectory(config, 0, 0, None, False)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+studies._trajectory(config, 0, 0, None, False)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / config.params.J)
+"""
+
+
+@pytest.mark.skipif(resource is None or not hasattr(
+    resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"),
+    reason="needs resource.getrusage with ru_minflt")
+def test_steps_reuse_their_memory_instead_of_faulting_it_in(tmp_path):
+    # A step that allocates and frees multi-MB temporaries lets the
+    # allocator hand the memory back to the OS and fault it in again on
+    # the next step: thousands of minor page faults per step at 3D 8^3
+    path = tmp_path / "faults.ini"
+    path.write_text("""\
+[mesh]
+dim = 3
+divisions = 8
+
+[scheme]
+J = 40
+T = 0.1
+
+[noise]
+preset = linear-gradient
+
+[initial]
+preset = spiral
+""")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, str(path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    faults = float(proc.stdout)
+    assert faults <= 1000, f"{faults:.0f} minor page faults per step"
