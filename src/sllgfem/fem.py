@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, MeshError, NormalizationError
-from .mesh import Mesh
+from .mesh import Mesh, edge_determinants
 
 # barycentric coordinates and weights, exactness degree 2
 _TRI_QP = np.array([[0.5, 0.5, 0.0],
@@ -69,14 +69,26 @@ class P1Space:
         self.phi_qp = bary
         self.n_qp = len(bary)
 
-        x = mesh.vertices[mesh.cells]                    # (M, d+1, d)
-        edges = x[:, 1:, :] - x[:, :1, :]                # (M, d, d)
-        inv = np.linalg.inv(edges)                       # columns are grad(lambda_i), i>=1
-        grads = np.transpose(inv, (0, 2, 1))             # (M, d, d) rows grad(lambda_i)
-        grad0 = -grads.sum(axis=1, keepdims=True)
-        self.grad_phi = np.concatenate([grad0, grads], axis=1)
+        x = np.take(mesh.vertices, mesh.cells, axis=0)   # (M, d+1, d)
+        # grad(lambda_i), i = 1..d, is the i-th cofactor row of the edge
+        # matrix over its determinant, and grad(lambda_0) minus their sum;
+        # formed one (M,) component at a time
+        g = self.grad_phi = np.empty((mesh.n_cells, d + 1, d))
+        det = edge_determinants(x, cofactors=g[:, 1:])
+        for k in range(d):
+            for i in range(1, d + 1):
+                g[:, i, k] /= det
+            np.negative(sum(g[:, i, k] for i in range(1, d + 1)),
+                        out=g[:, 0, k])
 
-        self.quad_points = np.einsum("qa,cad->cqd", bary, x)
+        # one (M,) coordinate at a time, summed over the vertices in order
+        self.quad_points = np.empty((mesh.n_cells, self.n_qp, d))
+        for q, weights in enumerate(bary):
+            for k in range(d):
+                point = weights[0] * x[:, 0, k]
+                for a in range(1, d + 1):
+                    point += weights[a] * x[:, a, k]
+                self.quad_points[:, q, k] = point
         self.quad_weights = mesh.volumes[:, None] * ref_w[None, :]
 
         self._stiffness = None
@@ -97,31 +109,42 @@ class P1Space:
         return self._lumped
 
     def cell_pair_pattern(self):
-        """CSR pattern of the node pairs that share a cell, the matrix that
-        sums per-cell node-pair entries onto it, and its transpose map.
+        """CSR pattern of the node pairs that share a cell, the pattern slot
+        of each local node pair, and the transpose map.
 
-        Returns (indptr, indices, scatter, transpose). The pattern has
-        sorted column indices. `scatter` is a 0/1 CSR matrix of shape (nnz,
-        n_cells * (d+1)**2): row s picks the local node pairs (cells[c,l],
-        cells[c,m]), flattened c-major, that fall on pattern slot s, so
-        scatter @ x sums per-pair entries x of shape (n_cells * (d+1)**2,
-        k) onto the pattern. `transpose[s]` is the slot of (j, i) for the
-        slot s of (i, j); the pattern is symmetric, so it is a permutation.
+        Returns (indptr, indices, slots, transpose). The pattern has sorted
+        column indices. `slots` (n_cells * (d+1)**2,) holds the slot of
+        each local node pair (cells[c,l], cells[c,m]), flattened c-major,
+        so np.bincount(slots, x) sums per-pair entries x onto the pattern,
+        each slot's pairs in cell order. `transpose[s]` is the slot of
+        (j, i) for the slot s of (i, j); the pattern is symmetric, so it is
+        a permutation.
         """
         if self._pair_pattern is None:
-            cells = self.mesh.cells.astype(np.int64)
-            keys = (cells[:, :, None] * self.N + cells[:, None, :]).ravel()
+            N, d1 = self.N, self.mesh.dim + 1
+            cells = self.mesh.cells
+            keys = np.empty((len(cells), d1, d1), dtype=np.int64)
+            for a in range(d1):
+                np.add(cells[:, a:a + 1] * N, cells, out=keys[:, a])
+            keys = keys.ravel()
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            rows, indices = np.divmod(keys[starts], self.N)
-            indptr = np.zeros(self.N + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.N), out=indptr[1:])
-            scatter = sp.csr_matrix(
-                (np.ones(len(keys)), order, np.append(starts, len(keys))),
-                shape=(len(starts), len(keys)))
-            transpose = np.searchsorted(keys[starts], indices * self.N + rows)
-            self._pair_pattern = (indptr, indices, scatter, transpose)
+            new = np.empty(len(keys), dtype=bool)
+            new[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            rows, indices = np.divmod(keys[starts], N)
+            indptr = np.zeros(N + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=N), out=indptr[1:])
+            slots = np.empty(len(keys), dtype=np.intp)
+            slots[order] = np.cumsum(new) - 1
+            # the first pair (c, l, m) of slot (i, j) has its transpose
+            # (c, m, l) on slot (j, i), at a flat index d (m - l) further
+            l, m = np.indices((d1, d1)).reshape(2, -1)
+            shift = np.tile((d1 - 1) * (m - l), len(cells))
+            first = order[starts]
+            transpose = slots[first + shift[first]]
+            self._pair_pattern = (indptr, indices, slots, transpose)
         return self._pair_pattern
 
     def step_layout(self):
@@ -156,18 +179,25 @@ def assemble_stiffness(space: P1Space):
     scipy.sparse.csr_matrix of shape (N, N) on the pattern of
     `space.cell_pair_pattern()` (explicit zeros included), exactly
     symmetric, row sums zero. The cell matrices are symmetric entry for
-    entry and the scatter sums the cells of slot (i, j) and of slot (j, i)
-    in the same order.
+    entry and the cells of slot (i, j) and of slot (j, i) are summed in
+    the same order.
     """
     mesh = space.mesh
     bad = np.flatnonzero(~np.isfinite(space.grad_phi).all(axis=(1, 2)))
     if bad.size:
         raise AssemblyError(f"cell {bad[0]} has a singular geometry map")
-    local = np.einsum("cad,cbd->cab", space.grad_phi, space.grad_phi)
-    local *= mesh.volumes[:, None, None]
-    indptr, indices, scatter, _ = space.cell_pair_pattern()
-    return sp.csr_matrix((scatter @ local.ravel(), indices, indptr),
-                         shape=(space.N, space.N))
+    # the cell blocks vol grad_phi grad_phi^T, one (M,) entry at a time,
+    # (l, m) and (m, l) from the same product
+    g, d1 = space.grad_phi, mesh.dim + 1
+    local = np.empty((mesh.n_cells, d1, d1))
+    for l in range(d1):
+        for m in range(l, d1):
+            entry = sum(g[:, l, k] * g[:, m, k] for k in range(mesh.dim))
+            entry *= mesh.volumes
+            local[:, l, m] = local[:, m, l] = entry
+    indptr, indices, slots, _ = space.cell_pair_pattern()
+    return sp.csr_matrix((np.bincount(slots, local.ravel(), len(indices)),
+                          indices, indptr), shape=(space.N, space.N))
 
 
 def assemble_lumped_mass(space: P1Space):
@@ -237,10 +267,14 @@ class StepLayout:
 
         scalar = self.values.copy()
         scalar[self.diagonal] += space.lumped_mass_diagonal()
-        # K's pattern is symmetric, so its CSR arrays are a CSC matrix too
+        # K's pattern is symmetric, so its CSR arrays are a CSC matrix too.
+        # Only the order is kept; the factorization takes the step's
+        # supernode options (imported here, since scheme imports fem).
+        from .scheme import SUPERLU_PANEL_SIZE, SUPERLU_RELAX
         perm_c = spla.splu(
             sp.csc_matrix((scalar, self.cols, row_ptr), shape=(N, N)),
-            permc_spec="MMD_AT_PLUS_A").perm_c
+            permc_spec="MMD_AT_PLUS_A", relax=SUPERLU_RELAX,
+            panel_size=SUPERLU_PANEL_SIZE).perm_c
         self.order = (2 * np.argsort(perm_c)[:, None] + np.arange(2)).ravel()
         self.inverse = np.argsort(self.order)
         # the permuted matrix's CSC structure, rows sorted in each column

@@ -21,7 +21,8 @@ class Mesh:
     Parameters
     ----------
     vertices : (N, dim) float array
-        Vertex coordinates, dim in {2, 3}.
+        Vertex coordinates, dim in {2, 3}; a non-finite coordinate raises
+        MeshError naming the vertex.
     cells : (M, dim+1) int array
         Vertex indices per cell. Cells with negative signed measure are
         reoriented (last two indices swapped). No cells, a zero-measure
@@ -48,8 +49,13 @@ class Mesh:
             raise MeshError("mesh has no cells")
         if cells.min() < 0 or cells.max() >= len(vertices):
             raise MeshError("cell vertex index out of range")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            raise MeshError(f"vertex {bad[0]} has a non-finite coordinate "
+                            f"{tuple(float(c) for c in vertices[bad[0]])}")
 
-        vols = _signed_measures(vertices, cells)
+        x = np.take(vertices, cells, axis=0)           # (M, dim+1, dim)
+        vols = edge_determinants(x) / (2.0 if dim == 2 else 6.0)
         flip = vols < 0
         if np.any(flip):
             cells = cells.copy()
@@ -69,14 +75,7 @@ class Mesh:
         unused = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
         if unused.any():
             raise MeshError(f"vertex {unused.argmax()} belongs to no cell")
-
-        edges = vertices[cells]                      # (M, dim+1, dim)
-        diam = 0.0
-        for a in range(dim + 1):
-            for b in range(a + 1, dim + 1):
-                d = np.linalg.norm(edges[:, a] - edges[:, b], axis=1)
-                diam = max(diam, float(d.max()))
-        self.h = diam
+        self.h = _diameter(x)
 
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
@@ -92,30 +91,89 @@ class Mesh:
     def _find_facets(self):
         # every interior facet must be shared by exactly two cells
         d = self.dim
-        local_facets = [[j for j in range(d + 1) if j != i]
-                        for i in range(d + 1)]
-        faces = np.sort(self.cells[:, local_facets].reshape(-1, d), axis=1)
-        order = np.lexsort(faces.T[::-1])       # rows in lexicographic order
-        faces = faces[order]
-        new = np.ones(len(faces), dtype=bool)
-        new[1:] = np.any(faces[1:] != faces[:-1], axis=1)
+        ids = _sorted_rows(self.cells)                  # (M, d+1)
+        # facet (c, i) leaves out cell c's i-th smallest id, so it is
+        # sorted too: its k-th id is ids[c, k + 1] for i <= k, else ids[c, k]
+        cols = [np.take(ids, [k + 1] * (k + 1) + [k] * (d - k),
+                        axis=1).ravel() for k in range(d)]
+        order = np.lexsort(cols[::-1])          # rows in lexicographic order
+        cols = [c[order] for c in cols]
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        np.not_equal(cols[0][1:], cols[0][:-1], out=new[1:])
+        for c in cols[1:]:
+            new[1:] |= c[1:] != c[:-1]
         starts = np.flatnonzero(new)
-        counts = np.diff(np.append(starts, len(faces)))
+        counts = np.diff(np.append(starts, len(order)))
         over = starts[counts > 2]
         if over.size:
             # report the over-shared facet met first in cell order
             first = over[np.argmin(order[over])]
-            raise MeshError(f"facet {tuple(int(v) for v in faces[first])} "
+            raise MeshError(f"facet {tuple(int(c[first]) for c in cols)} "
                             f"shared by more than two cells")
-        return faces[starts]
+        return np.stack([c[starts] for c in cols], axis=1)
 
 
-def _signed_measures(vertices, cells):
-    x = vertices[cells]
-    e = x[:, 1:, :] - x[:, :1, :]                    # (M, dim, dim)
-    det = np.linalg.det(e)
-    fact = 2.0 if vertices.shape[1] == 2 else 6.0
-    return det / fact
+def edge_determinants(x, cofactors=None):
+    """det E per cell, E the (dim, dim) matrix whose row i - 1 is the edge
+    x_i - x_0, for cell vertex coordinates x of shape (M, dim+1, dim).
+
+    Closed form: the 2x2 determinant in 2D, the triple product
+    e1 . (e2 x e3) in 3D. If `cofactors`, an (M, dim, dim) array, is
+    given, it receives the rows of the cofactor matrix of E, so that
+    E cofactors^T = det E I: row i - 1 is det E times the gradient of the
+    barycentric coordinate lambda_i. They are (e2_y, -e2_x) and
+    (-e1_y, e1_x) in 2D, and e2 x e3, e3 x e1 and e1 x e2 in 3D. Swapping
+    the last two vertices, as Mesh does to reorient a cell, negates the
+    determinant exactly.
+    """
+    d = x.shape[2]
+    # e[i][k] is component k of edge i + 1, one (M,) array each
+    e = [[x[:, i, k] - x[:, 0, k] for k in range(d)]
+         for i in range(1, d + 1)]
+    if d == 2:
+        (ax, ay), (bx, by) = e
+        if cofactors is not None:
+            cofactors[:, 0, 0], cofactors[:, 0, 1] = by, -bx
+            cofactors[:, 1, 0], cofactors[:, 1, 1] = -ay, ax
+        return ax * by - ay * bx
+    if cofactors is None:
+        cofactors = np.empty((len(x), 1, 3))    # the determinant needs row 0
+    c = cofactors
+    for i in range(c.shape[1]):
+        a, b = e[(i + 1) % 3], e[(i + 2) % 3]
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            c[:, i, k] = a[k1] * b[k2] - a[k2] * b[k1]
+    return e[0][0] * c[:, 0, 0] + e[0][1] * c[:, 0, 1] + e[0][2] * c[:, 0, 2]
+
+
+def _sorted_rows(cells):
+    """`cells` with each row's entries in ascending order, sorted by a
+    sorting network over whole columns."""
+    cols = [cells[:, i] for i in range(cells.shape[1])]
+    pairs = (((0, 1), (1, 2), (0, 1)) if len(cols) == 3
+             else ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
+    for a, b in pairs:
+        cols[a], cols[b] = (np.minimum(cols[a], cols[b]),
+                            np.maximum(cols[a], cols[b]))
+    return np.stack(cols, axis=1)
+
+
+def _diameter(x):
+    """Largest distance between two vertices of one cell, for cell vertex
+    coordinates x (M, dim+1, dim); squares are summed component by
+    component, in order."""
+    d = x.shape[2]
+    longest = 0.0
+    for a in range(d + 1):
+        for b in range(a + 1, d + 1):
+            sq = 0.0
+            for k in range(d):
+                diff = x[:, a, k] - x[:, b, k]
+                sq = sq + diff * diff
+            longest = max(longest, float(sq.max()))
+    return float(np.sqrt(longest))
 
 
 def build_structured_mesh(dim, divisions):

@@ -61,36 +61,38 @@ class NoiseCoefficients:
 
 
 def _evaluate(fns, points, shape, what):
-    """The callbacks `fns` at `points`, stacked; each result must have
-    `shape` and all of them finite entries."""
-    out = []
+    """The callbacks `fns` at `points`, written into one (len(fns), *shape)
+    array; each result must have `shape` and all of them finite
+    entries."""
+    out = np.empty((len(fns),) + shape)
     for i, fn in enumerate(fns):
-        vals = np.asarray(fn(points), dtype=float)
-        if vals.shape != shape:
+        vals = fn(points)
+        if np.shape(vals) != shape:
             raise ValueError(f"noise component {i} returned {what}s of "
-                             f"shape {vals.shape}, expected {shape}")
-        out.append(vals)
-    out = np.stack(out)
+                             f"shape {np.shape(vals)}, expected {shape}")
+        out[i] = vals
     if not np.isfinite(out).all():
         raise ValueError(f"non-finite noise {what}")
     return out
 
 
 def constant_component(vector):
-    """g identically equal to `vector`; Jacobian zero."""
+    """g identically equal to `vector`; Jacobian zero. Both callbacks
+    return read-only broadcast views, which allocate nothing."""
     vec = np.asarray(vector, dtype=float).reshape(3)
 
     def g_fn(x):
-        return np.broadcast_to(vec, (len(x), 3)).copy()
+        return np.broadcast_to(vec, (len(x), 3))
 
     def jac_fn(x):
-        return np.zeros((len(x), 3, x.shape[1]))
+        return np.broadcast_to(0.0, (len(x), 3, x.shape[1]))
 
     return NoiseComponent(g_fn, jac_fn)
 
 
 def linear_gradient_component(amplitude=1.0):
-    """g(x) = amplitude * (x_1, 0, 1 - x_1), varying along the first axis."""
+    """g(x) = amplitude * (x_1, 0, 1 - x_1), varying along the first axis;
+    its constant Jacobian comes as a read-only broadcast view."""
     amp = float(amplitude)
 
     def g_fn(x):
@@ -100,10 +102,10 @@ def linear_gradient_component(amplitude=1.0):
         return out
 
     def jac_fn(x):
-        out = np.zeros((len(x), 3, x.shape[1]))
-        out[:, 0, 0] = amp
-        out[:, 2, 0] = -amp
-        return out
+        jac = np.zeros((3, x.shape[1]))
+        jac[0, 0] = amp
+        jac[2, 0] = -amp
+        return np.broadcast_to(jac, (len(x), 3, x.shape[1]))
 
     return NoiseComponent(g_fn, jac_fn)
 

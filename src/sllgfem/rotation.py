@@ -227,8 +227,12 @@ def _group_points(*values):
     keys = []
     for x in values:
         bits = x.reshape(x.shape[:2] + (-1,)).view(np.int64)
-        vary = (bits != bits[:, :1]).any(axis=1)
-        keys += [bits[i, :, c] for i, c in zip(*np.nonzero(vary))]
+        m = bits.shape[2]
+        flat = bits.reshape(len(bits), -1)
+        # an entry varies if it differs from the previous point's somewhere
+        changed = flat[:, m:] != flat[:, :-m]
+        keys += [bits[i, :, c] for i in range(len(bits)) for c in range(m)
+                 if changed[i, c::m].any()]
     n = values[0].shape[1]
     if not keys:
         return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
@@ -397,11 +401,11 @@ def _kz_operator(field):
     column R + dim r + d its B_d. It depends only on the mesh and the row
     index, so it is built on the first call of a run and kept in the
     cache the run's fields share; the steps then form no per-point array.
-    Built as scatter @ Wc, where Wc has one row per local node pair
-    (c, l, m), flattened c-major as the scatter's columns, and, per
-    quadrature point q of cell c with row r, the entries
-    1/2 w phi_l phi_m in column r and w phi_m d_d phi_l in column
-    R + dim r + d.
+    Built as scatter @ Wc. The 0/1 scatter puts each local node pair
+    (c, l, m), flattened c-major, on its cell_pair_pattern slot. Wc has
+    one row per local node pair and, per quadrature point q of cell c with
+    row r, the entries 1/2 w phi_l phi_m in column r and w phi_m d_d phi_l
+    in column R + dim r + d.
     """
     cache = field._cache
     if "kz" not in cache:
@@ -424,7 +428,11 @@ def _kz_operator(field):
             (vals.reshape(-1), cols.reshape(-1),
              np.arange(0, vals.size + 1, n_row)),
             shape=(n_c * d1 * d1, R * (1 + dim)))
-        cache["kz"] = space.cell_pair_pattern()[2] @ Wc
+        _, indices, slots, _ = space.cell_pair_pattern()
+        n = len(slots)
+        scatter = sp.csr_matrix((np.ones(n), (slots, np.arange(n))),
+                                shape=(len(indices), n))
+        cache["kz"] = scatter @ Wc
     return cache["kz"]
 
 

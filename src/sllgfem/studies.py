@@ -47,7 +47,7 @@ from .fem import check_offdiag_condition
 from .reconstruct import (interpolant_errors, make_test_field, reconstruct_M,
                           weak_residual)
 from .scheme import DIAGNOSTIC_COLUMNS, energy_inequality_gaps, run
-from .vtkio import write_vtk
+from .vtkio import vtk_geometry, write_vtk
 from .wiener import coarsen, sample_path
 
 WORKERS_ENV = "SLLGFEM_WORKERS"
@@ -141,13 +141,15 @@ def _rows_from(quantities, kind, mode, level, h, k, theta, seed):
 
 def _snapshot_writer(config, space, stream, snapshot_dir):
     """Observer writing M = Z m as VTK at j = 0, every config.snapshots
-    steps and at j = J."""
+    steps and at j = J; the mesh's part of the files is formatted once."""
     stride, J = config.snapshots, config.params.J
+    geometry = vtk_geometry(space.mesh)
 
     def write_snap(j, m, field):
         write_vtk(os.path.join(snapshot_dir, f"snap_{j:06d}.vtk"),
                   space.mesh, m, reconstruct_M(m, field),
-                  comment=f"step {j} seed {config.seed} stream {stream}")
+                  comment=f"step {j} seed {config.seed} stream {stream}",
+                  geometry=geometry)
 
     def snapshots(step):
         if step.j == 0:

@@ -316,8 +316,10 @@ def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
     ("2 3 1\n0 0\n1 0\n2 0\n0 1 2\n", "degenerate (measure 0.0)"),
     ("2 3 0\n0 0\n1 0\n0 1\n", "mesh has no cells"),
     ("2 4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n", "vertex 3 belongs to no cell"),
+    ("2 3 1\n0 0\nnan 0\n0 1\n0 1 2\n",
+     "vertex 1 has a non-finite coordinate (nan, 0.0)"),
 ], ids=["missing", "non-numeric-header", "degenerate-cell", "no-cells",
-        "unused-vertex"])
+        "unused-vertex", "nan-vertex"])
 def test_cli_bad_mesh_file_exit_4_before_any_write(tmp_path, capsys, text,
                                                    reason):
     mesh = tmp_path / "mesh.txt"

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import bsr_matrix
 
-from sllgfem import (Mesh, NormalizationError, P1Space, assemble_lumped_mass,
-                     assemble_stiffness, build_structured_mesh,
-                     check_offdiag_condition, interpolate_nodal,
-                     normalize_nodal)
+from sllgfem import (AssemblyError, Mesh, NormalizationError, P1Space,
+                     assemble_lumped_mass, assemble_stiffness,
+                     build_structured_mesh, check_offdiag_condition,
+                     interpolate_nodal, normalize_nodal)
+from sllgfem.mesh import edge_determinants
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +254,78 @@ def test_normalization_energy_decrease(space2):
         after = np.sum(w * (K @ w))
         assert after <= before + 1e-10
 
+
+def _edge_matrix(x):
+    return x[:, 1:] - x[:, :1]
+
+
+@st.composite
+def _shapely_cells(draw):
+    """One triangle or tetrahedron and its mirror image (the last two
+    vertices swapped), well shaped: its measure is at least a tenth of
+    the product of its edge lengths from vertex 0."""
+    dim = draw(st.sampled_from([2, 3]))
+    coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    x = np.array(draw(st.lists(coords, min_size=dim * (dim + 1),
+                               max_size=dim * (dim + 1)))).reshape(dim + 1,
+                                                                   dim)
+    lengths = np.linalg.norm(_edge_matrix(x[None])[0], axis=1)
+    assume(lengths.min() > 1e-3)
+    assume(abs(np.linalg.det(_edge_matrix(x[None])[0]))
+           >= 0.1 * np.prod(lengths))
+    mirror = x[[*range(dim - 1), dim, dim - 1]]
+    return np.stack([x, mirror])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shapely_cells())
+def test_closed_form_geometry_matches_lapack(x):
+    # both orientations: signed determinants and cofactor rows against
+    # np.linalg.det and np.linalg.inv of the edge matrix, and the mesh's
+    # measures and gradients of the reoriented cell
+    dim = x.shape[2]
+    E = _edge_matrix(x)
+    cof = np.empty((2, dim, dim))
+    det = edge_determinants(x, cofactors=cof)
+    ref_det = np.linalg.det(E)
+    np.testing.assert_allclose(det, ref_det, rtol=1e-12, atol=0)
+    assert det[0] == -det[1]
+    ref_grad = np.swapaxes(np.linalg.inv(E), 1, 2)
+    for c in range(2):
+        scale = np.abs(ref_grad[c]).max()
+        assert np.abs(cof[c] / det[c] - ref_grad[c]).max() <= 1e-12 * scale
+    fact = 2.0 if dim == 2 else 6.0
+    for c in range(2):
+        space = P1Space(Mesh(x[c], np.arange(dim + 1)[None]))
+        oriented = space.mesh.vertices[space.mesh.cells]
+        np.testing.assert_allclose(space.mesh.volumes, abs(ref_det[c]) / fact,
+                                   rtol=1e-12, atol=0)
+        grads = np.swapaxes(np.linalg.inv(_edge_matrix(oriented)), 1, 2)[0]
+        scale = np.abs(grads).max()
+        assert np.abs(space.grad_phi[0, 1:] - grads).max() <= 1e-12 * scale
+        assert np.abs(space.grad_phi[0].sum(axis=0)).max() <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([2, 3]), divisions=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_stiffness_exactly_symmetric_with_zero_row_sums(dim, divisions,
+                                                        seed):
+    # structured meshes with every vertex moved by up to 15% of a division
+    mesh = build_structured_mesh(dim, divisions)
+    jitter = np.random.default_rng(seed).uniform(-0.15, 0.15,
+                                                 mesh.vertices.shape)
+    space = P1Space(Mesh(mesh.vertices + jitter / divisions, mesh.cells))
+    K = assemble_stiffness(space)
+    assert (K != K.T).nnz == 0
+    assert np.abs(K @ np.ones(space.N)).max() <= 1e-13 * np.abs(K.data).max()
+
+
+def test_non_finite_geometry_map_raises_assembly_error():
+    # a tetrahedron so large that its cofactors and measure overflow: the
+    # mesh accepts the infinite measure, the stiffness does not
+    vertices = 1e155 * np.vstack([np.zeros(3), np.eye(3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        space = P1Space(Mesh(vertices, [[0, 1, 2, 3]]))
+    with pytest.raises(AssemblyError, match="cell 0 has a singular"):
+        assemble_stiffness(space)

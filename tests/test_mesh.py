@@ -63,6 +63,17 @@ def test_degenerate_cell_named():
         Mesh(vertices, np.array([[0, 1, 2]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("vertex", [1, 3])
+def test_non_finite_vertex_named(value, vertex):
+    # vertex 3 belongs to no cell: the coordinates are checked first
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    vertices[vertex, 1] = value
+    with pytest.raises(MeshError, match=rf"vertex {vertex} has a "
+                                        rf"non-finite coordinate"):
+        Mesh(vertices, np.array([[0, 1, 2]]))
+
+
 def test_index_out_of_range():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="out of range"):

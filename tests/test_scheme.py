@@ -1,5 +1,9 @@
 """Tangent-plane theta scheme: frames, assembly, solving, stepping."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -589,3 +593,44 @@ def test_initial_drift_recorded_and_repaired():
                space, observers=[history])
     assert traj.m0_drift == pytest.approx(1e-3, rel=1e-6)
     assert np.abs(np.linalg.norm(history.m[0], axis=1) - 1.0).max() <= 1e-12
+
+
+# Assembles and solves step 0 of a spiral state with linear-gradient noise
+# on a structured mesh: the layout's ordering factorization and the step's
+# factorization both use the supernode constants
+_FACTOR_STEP = """\
+import sys
+import numpy as np
+from sllgfem import scheme
+from sllgfem.fem import P1Space
+from sllgfem.mesh import build_structured_mesh
+from sllgfem.noise import make_noise
+from sllgfem.rotation import init_rotation_field
+space = P1Space(build_structured_mesh(int(sys.argv[1]), int(sys.argv[2])))
+angle = 2.0 * np.pi * space.mesh.vertices[:, 0]
+m = np.column_stack([np.cos(angle), np.sin(angle), np.full(space.N, 0.3)])
+m /= np.linalg.norm(m, axis=1)[:, None]
+params = scheme.SchemeParams(lambda1=1.0, lambda2=1.0, T=0.1, J=40)
+state = scheme.NodalState(j=0, m=m, energy=0.0)
+field = init_rotation_field(space, make_noise("linear-gradient"))
+system = scheme.assemble_step_system(state, scheme.build_tangent_frame(m),
+                                     field, params, space)
+print(scheme.solve_step(system, params).residual)
+"""
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 32), (3, 6)])
+def test_step_factors_with_the_supernode_constants(dim, divisions):
+    # relax=32 with panel_size=16 crashed the interpreter inside SuperLU on
+    # scipy 1.17.1; in a child process a crash fails this test, not the
+    # suite
+    assert 1 <= scheme.SUPERLU_RELAX <= scheme.SUPERLU_PANEL_SIZE
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _FACTOR_STEP, str(dim),
+                           str(divisions)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) <= 1e-12

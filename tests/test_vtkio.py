@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sllgfem.mesh import build_structured_mesh
-from sllgfem.vtkio import write_vtk
+from sllgfem.vtkio import vtk_geometry, write_vtk
 
 
 def _write(tmp_path, dim, divisions=2, comment="snap"):
@@ -129,3 +129,19 @@ def test_bytes_match_line_by_line_writer(tmp_path, dim, divisions):
     _write_line_by_line(tmp_path / "lines.vtk", mesh, m, M, "snap")
     assert ((tmp_path / "block.vtk").read_bytes()
             == (tmp_path / "lines.vtk").read_bytes())
+
+
+@pytest.mark.parametrize("dim,divisions", [(2, 5), (3, 2)])
+def test_geometry_formatted_once_serves_every_snapshot(tmp_path, dim,
+                                                       divisions):
+    # as a study's snapshot writer does: one vtk_geometry, many files
+    mesh = build_structured_mesh(dim, divisions)
+    geometry = vtk_geometry(mesh)
+    rng = np.random.default_rng(dim)
+    for j in range(3):
+        m, M = rng.standard_normal((2, mesh.n_vertices, 3))
+        write_vtk(tmp_path / "shared.vtk", mesh, m, M, comment=f"step {j}",
+                  geometry=geometry)
+        _write_line_by_line(tmp_path / "lines.vtk", mesh, m, M, f"step {j}")
+        assert ((tmp_path / "shared.vtk").read_bytes()
+                == (tmp_path / "lines.vtk").read_bytes())
