@@ -209,95 +209,86 @@ def assemble_lumped_mass(space: P1Space):
                        minlength=space.N)
 
 
+# SuperLU's supernode relaxation and panel size for every factorization
+# (_splu). On step matrices in the layout's order (2D 32^2 and 96^2, 3D 8^3
+# and 10^3, one BLAS thread) they factored faster than its defaults at
+# every size, by 4-31%, with the same nnz(L+U); CHANGES.md has the table.
+# relax <= panel_size: relax=32 with panel_size=16 crashed scipy 1.17.1.
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 1
+
+
+def _splu(matrix, permc_spec):
+    return spla.splu(matrix, permc_spec=permc_spec, relax=SUPERLU_RELAX,
+                     panel_size=SUPERLU_PANEL_SIZE)
+
+
 class StepLayout:
     """The fixed sparse structure of a (2N, 2N) matrix in 2x2 node blocks
-    on the nonzero pattern of the stiffness K, and its fill-reducing order.
+    on the nonzero pattern of the stiffness K, in its fill-reducing order.
 
     K's explicit zeros (edges opposite right angles) are dropped: they
-    would only add LU fill. Unknown 2n + a is node n's a-th coefficient
-    (node-major), and slot s of the pattern holds the block of the node
-    pair (rows[s], cols[s]), in CSR order.
+    would only add LU fill. Slot s of the pattern holds the block of the
+    node pair (rows[s], cols[s]), in CSR order. Unknown 2n + a is node n's
+    a-th coefficient (node-major), and the matrix is A[p][:, p] for the
+    node-major A: it is built in the order that `factor` factors.
 
     Attributes
     ----------
     rows, cols : (nnz,) int arrays, the node pairs of K's nonzeros.
     values : (nnz,) K's entries on them.
     diagonal : (N,) the slot of (n, n), node by node.
-    order : (2N,) the fill-reducing order p; the permuted matrix is
-        A[p][:, p]. It is the minimum-degree order of the scalar K +
-        diag(L), L the lumped mass (SuperLU's MMD on its A^T + A), with
-        each node's two unknowns kept side by side. The pattern is fixed,
-        so the order is too.
-    inverse : (2N,) argsort(order), which takes a permuted solution back
-        to node-major.
+    order : (2N,) the fill-reducing order p. It is the minimum-degree
+        order of the scalar K + diag(L), L the lumped mass (SuperLU's MMD
+        on its A^T + A), with each node's two unknowns kept side by side.
+        The pattern is fixed, so the order is too.
+    inverse : (2N,) argsort(order), each unknown's place in the order;
+        x[inverse] takes an ordered x back to node-major.
     shape : (2N, 2N).
     """
 
     def __init__(self, space):
         N = space.N
         K = space.stiffness()
-        transpose = space.cell_pair_pattern()[3]
         keep = np.flatnonzero(K.data)
-        renumber = np.full(len(K.data), -1)
-        renumber[keep] = np.arange(len(keep))
         self.rows = np.repeat(np.arange(N), np.diff(K.indptr))[keep]
         self.cols = K.indices[keep]
         self.values = K.data[keep]
         self.diagonal = np.flatnonzero(self.rows == self.cols)
-        nnz = len(keep)
-        degree = np.bincount(self.rows, minlength=N)
-        row_ptr = np.append(0, np.cumsum(degree))
-        start = row_ptr[:-1]
-        # K is exactly symmetric, so column j lists the neighbours of node
-        # j in the order of row j, and the block of (i, j) sits at the
-        # transposed slot of (j, i). Column 2j + b of the matrix holds, for
-        # each slot u of row j, the entries (2 cols[u] + a, 2j + b).
-        col_start = 4 * start[:, None] + 2 * degree[:, None] * np.arange(2)
-        self._indptr = np.append(col_start.ravel(), 4 * nnz).astype(np.intc)
-        a = np.arange(2)[:, None]
-        b = np.arange(2)
-        pos = (col_start[self.rows][:, None, :]
-               + 2 * (np.arange(nnz) - start[self.rows])[:, None, None] + a)
-        self._gather = np.empty(4 * nnz, dtype=np.intp)
-        self._gather[pos] = (4 * renumber[transpose[keep]][:, None, None]
-                             + 2 * a + b)
-        self._indices = np.empty(4 * nnz, dtype=np.intc)
-        self._indices[pos] = 2 * self.cols[:, None, None] + a
         self.shape = (2 * N, 2 * N)
 
         scalar = self.values.copy()
         scalar[self.diagonal] += space.lumped_mass_diagonal()
-        # K's pattern is symmetric, so its CSR arrays are a CSC matrix too.
-        # Only the order is kept; the factorization takes the step's
-        # supernode options (imported here, since scheme imports fem).
-        from .scheme import SUPERLU_PANEL_SIZE, SUPERLU_RELAX
-        perm_c = spla.splu(
-            sp.csc_matrix((scalar, self.cols, row_ptr), shape=(N, N)),
-            permc_spec="MMD_AT_PLUS_A", relax=SUPERLU_RELAX,
-            panel_size=SUPERLU_PANEL_SIZE).perm_c
-        self.order = (2 * np.argsort(perm_c)[:, None] + np.arange(2)).ravel()
-        self.inverse = np.argsort(self.order)
-        # the permuted matrix's CSC structure, rows sorted in each column
-        new_rows = self.inverse[self._indices]
-        new_cols = np.repeat(self.inverse, np.diff(self._indptr))
-        self._perm_gather = np.argsort(new_cols * (2 * N) + new_rows)
-        self._perm_indices = new_rows[self._perm_gather].astype(np.intc)
-        self._perm_indptr = np.zeros(2 * N + 1, dtype=np.intc)
-        np.cumsum(np.bincount(new_cols, minlength=2 * N),
-                  out=self._perm_indptr[1:])
+        # K's pattern is symmetric, so its CSR arrays are a CSC matrix too;
+        # only the order is kept: perm_c is each node's rank in it
+        row_ptr = np.searchsorted(self.rows, np.arange(N + 1))
+        rank = _splu(sp.csc_matrix((scalar, self.cols, row_ptr), shape=(N, N)),
+                     "MMD_AT_PLUS_A").perm_c.astype(np.int64)
+        self.inverse = (2 * rank[:, None] + np.arange(2)).ravel()
+        self.order = np.argsort(self.inverse)
+        # blocks[s, a, b] is entry (2 rank[rows[s]] + a, 2 rank[cols[s]] + b);
+        # one sort of int64 keys puts them column by column, rows ascending
+        new_rows = np.repeat(self.inverse.reshape(N, 2)[self.rows], 2, axis=1)
+        new_cols = np.tile(self.inverse.reshape(N, 2)[self.cols], 2)
+        self._gather = np.argsort((new_cols * (2 * N) + new_rows).ravel())
+        self._indices = new_rows.ravel()[self._gather].astype(np.intc)
+        self._indptr = np.zeros(2 * N + 1, dtype=np.intc)
+        np.cumsum(np.bincount(new_cols.ravel(), minlength=2 * N),
+                  out=self._indptr[1:])
 
     def matrix(self, blocks):
-        """The node-major CSC matrix whose block on slot s is the 2x2
-        blocks[s], for blocks of shape (nnz, 2, 2)."""
+        """The ordered CSC matrix A[p][:, p] whose node-major block on slot
+        s is the 2x2 blocks[s], for blocks of shape (nnz, 2, 2)."""
         data = np.take(blocks.reshape(-1), self._gather)
         return sp.csc_matrix((data, self._indices, self._indptr),
                              shape=self.shape)
 
-    def permuted(self, matrix):
-        """A[p][:, p] in CSC, p = order, for a matrix A made by `matrix`."""
-        data = np.take(matrix.data, self._perm_gather)
-        return sp.csc_matrix((data, self._perm_indices, self._perm_indptr),
-                             shape=self.shape)
+    def factor(self, matrix):
+        """SuperLU's LU of a matrix made by `matrix`, in its own order
+        (permc_spec="NATURAL"): the order depends only on the pattern, so
+        the layout computed it once. A singular factor raises
+        RuntimeError."""
+        return _splu(matrix, "NATURAL")
 
 
 # off-diagonal stiffness entries up to this size count as nonpositive

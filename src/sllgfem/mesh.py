@@ -25,8 +25,9 @@ class Mesh:
         MeshError naming the vertex.
     cells : (M, dim+1) int array
         Vertex indices per cell. Cells with negative signed measure are
-        reoriented (last two indices swapped). No cells, a zero-measure
-        cell, an over-shared facet or an unused vertex raise MeshError.
+        reoriented (last two indices swapped). No cells, a zero or
+        non-finite cell measure or diameter, an over-shared facet, two
+        cells on one side of a facet or an unused vertex raise MeshError.
 
     Attributes
     ----------
@@ -55,7 +56,14 @@ class Mesh:
                             f"{tuple(float(c) for c in vertices[bad[0]])}")
 
         x = np.take(vertices, cells, axis=0)           # (M, dim+1, dim)
-        vols = edge_determinants(x) / (2.0 if dim == 2 else 6.0)
+        # finite coordinates far apart can overflow: rejected, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            vols = edge_determinants(x) / (2.0 if dim == 2 else 6.0)
+            longest = _longest_edges_sq(x)
+        for values, what in ((vols, "measure"), (longest, "diameter")):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise MeshError(f"cell {bad[0]} has a non-finite {what}")
         flip = vols < 0
         if np.any(flip):
             cells = cells.copy()
@@ -75,7 +83,7 @@ class Mesh:
         unused = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
         if unused.any():
             raise MeshError(f"vertex {unused.argmax()} belongs to no cell")
-        self.h = _diameter(x)
+        self.h = float(np.sqrt(longest.max()))
 
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
@@ -89,9 +97,10 @@ class Mesh:
         return len(self.cells)
 
     def _find_facets(self):
-        # every interior facet must be shared by exactly two cells
+        # every interior facet must be shared by exactly two cells, which
+        # induce opposite orientations on it
         d = self.dim
-        ids = _sorted_rows(self.cells)                  # (M, d+1)
+        ids, odd = _sorted_rows(self.cells)             # (M, d+1), (M,)
         # facet (c, i) leaves out cell c's i-th smallest id, so it is
         # sorted too: its k-th id is ids[c, k + 1] for i <= k, else ids[c, k]
         cols = [np.take(ids, [k + 1] * (k + 1) + [k] * (d - k),
@@ -105,12 +114,18 @@ class Mesh:
             new[1:] |= c[1:] != c[:-1]
         starts = np.flatnonzero(new)
         counts = np.diff(np.append(starts, len(order)))
-        over = starts[counts > 2]
-        if over.size:
-            # report the over-shared facet met first in cell order
-            first = over[np.argmin(order[over])]
-            raise MeshError(f"facet {tuple(int(c[first]) for c in cols)} "
-                            f"shared by more than two cells")
+        # a positively oriented cell induces the orientation (-1)^i on its
+        # facet i, times its sort's parity, on the facet's ascending ids
+        sign = (odd[:, None] ^ (np.arange(d + 1) % 2 == 1)).ravel()[order]
+        over, two = starts[counts > 2], starts[counts == 2]
+        for bad, problem in ((over, "shared by more than two cells"),
+                             (two[sign[two] == sign[two + 1]],
+                              "has both its cells on one side")):
+            if bad.size:
+                # report the bad facet met first in cell order
+                first = bad[np.argmin(order[bad])]
+                raise MeshError(f"facet {tuple(int(c[first]) for c in cols)} "
+                                f"{problem}")
         return np.stack([c[starts] for c in cols], axis=1)
 
 
@@ -150,30 +165,32 @@ def edge_determinants(x, cofactors=None):
 
 def _sorted_rows(cells):
     """`cells` with each row's entries in ascending order, sorted by a
-    sorting network over whole columns."""
+    sorting network over whole columns, and each row's swap parity."""
     cols = [cells[:, i] for i in range(cells.shape[1])]
     pairs = (((0, 1), (1, 2), (0, 1)) if len(cols) == 3
              else ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
+    odd = np.zeros(len(cells), dtype=bool)
     for a, b in pairs:
+        odd ^= cols[a] > cols[b]
         cols[a], cols[b] = (np.minimum(cols[a], cols[b]),
                             np.maximum(cols[a], cols[b]))
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=1), odd
 
 
-def _diameter(x):
-    """Largest distance between two vertices of one cell, for cell vertex
+def _longest_edges_sq(x):
+    """(M,) squared length of each cell's longest edge, for cell vertex
     coordinates x (M, dim+1, dim); squares are summed component by
     component, in order."""
     d = x.shape[2]
-    longest = 0.0
+    longest = np.zeros(len(x))
     for a in range(d + 1):
         for b in range(a + 1, d + 1):
             sq = 0.0
             for k in range(d):
                 diff = x[:, a, k] - x[:, b, k]
                 sq = sq + diff * diff
-            longest = max(longest, float(sq.max()))
-    return float(np.sqrt(longest))
+            np.maximum(longest, sq, out=longest)
+    return longest
 
 
 def build_structured_mesh(dim, divisions):
@@ -255,6 +272,7 @@ def read_mesh_text(path):
         body = tokens[3:]
         vertices = np.array(body[:nv * dim], dtype=float).reshape(nv, dim)
         cells = np.array(body[nv * dim:], dtype=np.int64).reshape(nc, dim + 1)
-    except ValueError as e:     # not ASCII text, or a token not a number
+    except (ValueError, OverflowError) as e:
+        # not ASCII text, a token not a number, or an id beyond int64
         raise MeshError(f"{path}: {e}") from None
     return Mesh(vertices, cells)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure, TimeMismatchError
 from .fem import StepLayout, normalize_nodal
@@ -76,12 +75,6 @@ class SchemeParams:
 
 # c in the step-size guard k <= c h (theta = 1/2) or k <= c h^2 (theta < 1/2)
 GUARD_C = 2.0
-
-# SuperLU's supernode relaxation and panel size for every factorization of
-# a step matrix (see solve_step); relax <= panel_size, since relax=32 with
-# panel_size=16 crashed scipy 1.17.1's SuperLU
-SUPERLU_RELAX = 1
-SUPERLU_PANEL_SIZE = 1
 
 
 def check_theta_guard(params, h):
@@ -138,11 +131,11 @@ class StepSystem:
     """Assembled tangent-coordinate system for one step.
 
     `matrix` has the fixed structure of `layout` (the space's
-    P1Space.step_layout()), which solve_step reads to permute it.
+    P1Space.step_layout()), in the layout's order; `rhs` is node-major.
     """
 
-    matrix: sp.csc_matrix    # (2N, 2N), node-major 2x2 blocks
-    rhs: np.ndarray          # (2N,)
+    matrix: sp.csc_matrix    # (2N, 2N), A[p][:, p], p = layout.order
+    rhs: np.ndarray          # (2N,), node-major
     tau: np.ndarray          # (N, 2, 3) tangent frame
     layout: StepLayout
 
@@ -163,7 +156,7 @@ def assemble_step_system(state, tau, field, params, space):
 
     The pattern is K's nonzeros in every step, so the space's StepLayout,
     built on its first step, holds it: the blocks are written straight
-    into the data of its node-major CSC matrix.
+    into the data of its CSC matrix, in the order that SuperLU factors.
     """
     if field.j != state.j:
         raise TimeMismatchError(f"rotation field at index {field.j}, "
@@ -201,32 +194,27 @@ class SolveResult:
 def solve_step(system, params):
     """Solve for the tangent coefficients and rebuild the nodal update v.
 
-    One sparse LU factorization (SuperLU) of the step matrix in the fill-
-    reducing order of its layout, A[p][:, p] with p = layout.order, taken
-    as given (permc_spec="NATURAL"): the order depends only on the
-    pattern, so the layout computed it once. The solution is taken back to
-    node-major, then the relative residual |A c - b| / |b| (|A c - b| when
-    b = 0, as for a uniform field) of the node-major system is checked
-    against params.solver_tol. A singular factorization, a non-finite
-    solution, or a residual above the tolerance raises SolverFailure.
-
-    SuperLU factors with SUPERLU_RELAX and SUPERLU_PANEL_SIZE instead of
-    its defaults: on step matrices in the layout's order (2D 32^2 and
-    96^2, 3D 8^3 and 10^3, one BLAS thread) they factored faster at every
-    size, by 4-31%, with the same nnz(L+U); CHANGES.md has the table.
+    One sparse LU factorization (SuperLU, through StepLayout.factor) of
+    the step matrix, which is already in its layout's fill-reducing order.
+    The relative residual |A c - b| / |b| (|A c - b| when b = 0, as for a
+    uniform field) is checked in that order against params.solver_tol,
+    and the solution is taken back to node-major. A singular
+    factorization, a non-finite solution, or a residual above the
+    tolerance raises SolverFailure.
     """
-    A, b, layout = system.matrix, system.rhs, system.layout
+    A, layout = system.matrix, system.layout
     try:
-        lu = spla.splu(layout.permuted(A), permc_spec="NATURAL",
-                       relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE)
+        lu = layout.factor(A)
     except RuntimeError as e:          # SuperLU: factor is exactly singular
         raise SolverFailure(f"sparse LU failed: {e}", residual=np.inf)
-    c = lu.solve(b[layout.order])[layout.inverse]
+    b = system.rhs[layout.order]
+    c = lu.solve(b)
     residual = float(np.linalg.norm(A @ c - b) / (np.linalg.norm(b) or 1.0))
     if not residual <= params.solver_tol:
         raise SolverFailure(f"linear solve reached relative residual "
                             f"{residual:.3e} (tolerance "
                             f"{params.solver_tol:.3e})", residual=residual)
+    c = c[layout.inverse]
     return SolveResult(_tangent_to_nodal(c, system.tau), c, 0, residual)
 
 
@@ -291,7 +279,8 @@ def run(m0, params, path, coeffs, space, observers=(), overlap=False):
 
     Parameters
     ----------
-    m0 : (N, 3) nodal initial data; renormalized once (max drift recorded).
+    m0 : (N, 3) finite nodal initial data (else ValueError, before any
+        step); renormalized once (max drift recorded).
     params : SchemeParams
     path : WienerPath with J = params.J and matching step k.
     coeffs : NoiseCoefficients
@@ -328,6 +317,9 @@ def run(m0, params, path, coeffs, space, observers=(), overlap=False):
     m = np.asarray(m0, dtype=float)
     if m.shape != (space.N, 3):
         raise ValueError(f"m0 has shape {m.shape}, expected ({space.N}, 3)")
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+    if bad.size:
+        raise ValueError(f"m0 has a non-finite value at node {bad[0]}")
     drift = float(np.abs(np.linalg.norm(m, axis=1) - 1.0).max())
     m = normalize_nodal(m)
 

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sllgfem import ConfigError, build_structured_mesh, load_config, studies
 from sllgfem.cli import build_parser, main
 from sllgfem.config import KEYS
 from sllgfem.mesh import write_mesh_text
+from sllgfem.noise import PRESETS
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -93,6 +96,73 @@ seed = 11
     again = load_config(write_cfg(tmp_path, cfg.echo_text(), name="echo.ini"))
     assert again == cfg                  # defaulted is excluded from eq
     assert again.defaulted == ()         # echo spells out every key
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, **kw).map(repr)
+
+
+def _triples(nonzero=False):
+    triple = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+    if nonzero:
+        triple = triple.filter(any)
+    return triple.map(lambda v: " ".join(map(repr, v)))
+
+
+@st.composite
+def _valid_configs(draw):
+    """Config text setting a random subset of the keys to valid values;
+    refinement gets the divisibility it needs, and theta > 1/2 keeps the
+    step-size guard out of the way."""
+    mode = draw(st.sampled_from(["single", "monte-carlo", "refinement"]))
+    step = 4 if mode == "refinement" else 1
+    values = {
+        "mesh": {"dim": st.sampled_from(["2", "3"]),
+                 "divisions": st.integers(1, 16).map(lambda n: str(step * n))},
+        "scheme": {"theta": _floats(0.5, 1.0, exclude_min=True),
+                   "lambda1": _floats(-5.0, 5.0).filter(lambda v: v != "0.0"
+                                                        and v != "-0.0"),
+                   "lambda2": _floats(1e-3, 5.0),
+                   "T": _floats(1e-3, 10.0),
+                   "J": st.integers(1, 500).map(lambda n: str(step * n)),
+                   "solver_tol": _floats(1e-15, 1e-3)},
+        "noise": {"preset": st.sampled_from(PRESETS),
+                  "amplitude": _floats(-3.0, 3.0),
+                  "vectors": st.lists(_triples(), max_size=3).map("; ".join)},
+        "initial": {"preset": st.sampled_from(["uniform", "spiral"]),
+                    "direction": _triples(nonzero=True),
+                    "winding": _floats(-4.0, 4.0),
+                    "tilt": _floats(-1.5, 1.5)},
+        "run": {"seed": st.integers(0, 2 ** 40).map(str),
+                "samples": st.integers(2, 8).map(str),
+                "levels": st.just("3"),
+                "snapshots": st.integers(0, 5).map(str)},
+    }
+    lines = []
+    for section, keys in values.items():
+        lines.append(f"[{section}]")
+        if section == "run":
+            lines.append(f"mode = {mode}")
+        for key, strategy in keys.items():
+            if draw(st.booleans()):
+                lines.append(f"{key} = {draw(strategy)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_valid_configs())
+def test_echo_text_of_random_configs_reparses_to_same_config(config_dir,
+                                                             text):
+    cfg = load_config(write_cfg(config_dir, text))
+    again = load_config(write_cfg(config_dir, cfg.echo_text(),
+                                  name="echo.ini"))
+    assert again == cfg
+    assert again.defaulted == ()
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -318,8 +388,13 @@ def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
     ("2 4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n", "vertex 3 belongs to no cell"),
     ("2 3 1\n0 0\nnan 0\n0 1\n0 1 2\n",
      "vertex 1 has a non-finite coordinate (nan, 0.0)"),
+    ("2 3 1\n0 0\n1e160 0\n0 1e160\n0 1 2\n",
+     "cell 0 has a non-finite measure"),
+    ("2 3 2\n0 0\n1 0\n0 1\n0 1 2\n0 2 1\n",
+     "facet (1, 2) has both its cells on one side"),
 ], ids=["missing", "non-numeric-header", "degenerate-cell", "no-cells",
-        "unused-vertex", "nan-vertex"])
+        "unused-vertex", "nan-vertex", "overflowing-measure",
+        "repeated-cell"])
 def test_cli_bad_mesh_file_exit_4_before_any_write(tmp_path, capsys, text,
                                                    reason):
     mesh = tmp_path / "mesh.txt"

@@ -1,5 +1,10 @@
 """P1 space, assembly, the off-diagonal sign condition, nodal operations."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +15,7 @@ from sllgfem import (AssemblyError, Mesh, NormalizationError, P1Space,
                      assemble_lumped_mass, assemble_stiffness,
                      build_structured_mesh, check_offdiag_condition,
                      interpolate_nodal, normalize_nodal)
+from sllgfem.fem import SUPERLU_PANEL_SIZE, SUPERLU_RELAX
 from sllgfem.mesh import edge_determinants
 
 
@@ -82,21 +88,21 @@ def test_step_layout_matches_block_matrix_in_csc(dim, divisions):
     np.testing.assert_array_equal(layout.values, K.data)
     np.testing.assert_array_equal(layout.diagonal,
                                   np.flatnonzero(rows == K.indices))
-    blocks = np.random.default_rng(3).standard_normal((K.nnz, 2, 2))
-    shape = (2 * space.N, 2 * space.N)
-    ref = bsr_matrix((blocks, K.indices, K.indptr), shape=shape).tocsc()
-    A = layout.matrix(blocks)
-    assert A.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(A, name), getattr(ref, name))
-    # the permuted matrix is A[p][:, p], rows sorted in each column
+    # the layout's matrix is the reference's A[p][:, p], p = layout.order,
+    # rows sorted in each column
     p = layout.order
     np.testing.assert_array_equal(np.sort(p), np.arange(2 * space.N))
     np.testing.assert_array_equal(p[layout.inverse], np.arange(2 * space.N))
     np.testing.assert_array_equal(p.reshape(-1, 2) % 2, [[0, 1]] * space.N)
-    P = layout.permuted(A)
-    assert P.has_sorted_indices
-    assert np.array_equal(P.toarray(), A.toarray()[p][:, p])
+    blocks = np.random.default_rng(3).standard_normal((K.nnz, 2, 2))
+    shape = (2 * space.N, 2 * space.N)
+    ref = bsr_matrix((blocks, K.indices, K.indptr), shape=shape).tocsc()
+    ref = ref[p][:, p].sorted_indices()
+    A = layout.matrix(blocks)
+    assert A.shape == ref.shape
+    assert A.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(A, name), getattr(ref, name))
 
 
 def test_stiffness_positive_semidefinite(space2):
@@ -322,10 +328,54 @@ def test_stiffness_exactly_symmetric_with_zero_row_sums(dim, divisions,
 
 
 def test_non_finite_geometry_map_raises_assembly_error():
-    # a tetrahedron so large that its cofactors and measure overflow: the
-    # mesh accepts the infinite measure, the stiffness does not
-    vertices = 1e155 * np.vstack([np.zeros(3), np.eye(3)])
+    # a sliver tetrahedron of subnormal height 1e-320: its measure is
+    # positive and finite, so the mesh accepts it, but the gradient's
+    # 1 / height overflows and the stiffness rejects it. (A measure that
+    # overflows is the mesh's to reject: test_mesh.py.)
+    vertices = np.vstack([np.zeros(3), np.eye(3)])
+    vertices[3, 2] = 1e-320
     with np.errstate(over="ignore", invalid="ignore"):
         space = P1Space(Mesh(vertices, [[0, 1, 2, 3]]))
     with pytest.raises(AssemblyError, match="cell 0 has a singular"):
         assemble_stiffness(space)
+
+
+# Assembles and solves step 0 of a spiral state with linear-gradient noise
+# on a structured mesh: the layout's ordering factorization and the step's
+# factorization both use the supernode constants
+_FACTOR_STEP = """\
+import sys
+import numpy as np
+from sllgfem import scheme
+from sllgfem.fem import P1Space
+from sllgfem.mesh import build_structured_mesh
+from sllgfem.noise import make_noise
+from sllgfem.rotation import init_rotation_field
+space = P1Space(build_structured_mesh(int(sys.argv[1]), int(sys.argv[2])))
+angle = 2.0 * np.pi * space.mesh.vertices[:, 0]
+m = np.column_stack([np.cos(angle), np.sin(angle), np.full(space.N, 0.3)])
+m /= np.linalg.norm(m, axis=1)[:, None]
+params = scheme.SchemeParams(lambda1=1.0, lambda2=1.0, T=0.1, J=40)
+state = scheme.NodalState(j=0, m=m, energy=0.0)
+field = init_rotation_field(space, make_noise("linear-gradient"))
+system = scheme.assemble_step_system(state, scheme.build_tangent_frame(m),
+                                     field, params, space)
+print(scheme.solve_step(system, params).residual)
+"""
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 32), (3, 6)])
+def test_step_factors_with_the_supernode_constants(dim, divisions):
+    # relax=32 with panel_size=16 crashed the interpreter inside SuperLU on
+    # scipy 1.17.1; in a child process a crash fails this test, not the
+    # suite
+    assert 1 <= SUPERLU_RELAX <= SUPERLU_PANEL_SIZE
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _FACTOR_STEP, str(dim),
+                           str(divisions)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) <= 1e-12

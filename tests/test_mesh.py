@@ -4,8 +4,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sllgfem import Mesh, MeshError, build_structured_mesh
+from sllgfem import Mesh, MeshError, P1Space, build_structured_mesh
 from sllgfem.mesh import read_mesh_text, write_mesh_text
 
 
@@ -72,6 +74,115 @@ def test_non_finite_vertex_named(value, vertex):
     with pytest.raises(MeshError, match=rf"vertex {vertex} has a "
                                         rf"non-finite coordinate"):
         Mesh(vertices, np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("dim, flip", [(2, False), (2, True), (3, False)])
+def test_overflowing_measure_named(dim, flip):
+    # cell 1, a unit simplex scaled by 1e160, has a measure beyond the
+    # floats (-inf when flipped); no overflow warning escapes (the suite
+    # makes them errors)
+    unit = np.vstack([np.zeros(dim), np.eye(dim)])
+    if flip:
+        unit[[1, 2]] = unit[[2, 1]]
+    vertices = np.vstack([unit, 1e160 * unit])
+    cells = np.arange(2 * (dim + 1)).reshape(2, dim + 1)
+    with pytest.raises(MeshError, match="cell 1 has a non-finite measure"):
+        Mesh(vertices, cells)
+
+
+def test_overflowing_diameter_named():
+    # measure 0.5, but the squared edge length 1e320 overflows
+    vertices = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 1e-160]])
+    with pytest.raises(MeshError, match="cell 0 has a non-finite diameter"):
+        Mesh(vertices, np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("vertices, cells, message", [
+    # one triangle listed twice, the second reoriented to the first
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 2, 1]],
+     r"facet \(1, 2\) has both its cells on one side"),
+    # vertex 3 inside triangle 0, which the other three cells cover again
+    ([[0, 0], [1, 0], [0, 1], [0.2, 0.3]],
+     [[0, 1, 2], [0, 1, 3], [1, 2, 3], [0, 2, 3]],
+     r"facet \(1, 2\) has both its cells on one side"),
+    # one tetrahedron listed twice
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+     [[0, 1, 2, 3], [1, 0, 2, 3]],
+     r"facet \(1, 2, 3\) has both its cells on one side"),
+], ids=["repeated-triangle", "overlapping-triangles", "repeated-tetrahedron"])
+def test_cells_on_one_side_of_a_facet_rejected(vertices, cells, message):
+    with pytest.raises(MeshError, match=message):
+        Mesh(np.array(vertices, dtype=float), np.array(cells))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_relabelled_mesh_is_conforming_with_permuted_assembly(data):
+    # relabel the vertices, shuffle the cells and rotate each cell's list:
+    # the same mesh, so it passes the conformity check, and K and the
+    # lumped mass are the originals up to the relabelling
+    dim, n = data.draw(st.sampled_from([(2, 3), (3, 2)]))
+    base = build_structured_mesh(dim, n)
+    N, M = base.n_vertices, base.n_cells
+    perm = np.array(data.draw(st.permutations(range(N))))
+    shuffle = np.array(data.draw(st.permutations(range(M))))
+    shifts = data.draw(st.lists(st.integers(0, dim), min_size=M,
+                                max_size=M))
+    cells = np.array([np.roll(perm[base.cells[c]], shifts[c])
+                      for c in shuffle])
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    mesh = Mesh(vertices, cells)
+    K0, K1 = (P1Space(m).stiffness().toarray() for m in (base, mesh))
+    np.testing.assert_allclose(K1[perm][:, perm], K0, rtol=0,
+                               atol=1e-14 * np.abs(K0).max())
+    L0, L1 = (P1Space(m).lumped_mass_diagonal() for m in (base, mesh))
+    np.testing.assert_allclose(L1[perm], L0, rtol=1e-14)
+
+
+_COORDS = st.sampled_from(["0", "1", "-1", "0.5", "1e160", "1e-160"])
+_BAD = st.sampled_from(["nan", "1e400", "x", "99999999999999999999", "-1"])
+
+
+@st.composite
+def _mesh_texts(draw):
+    """A header of small counts, then about as many coordinates and cell
+    ids as it asks for."""
+    d = draw(st.sampled_from([2, 3]))
+    nv, nc = draw(st.integers(-1, d + 2)), draw(st.integers(-1, 2))
+    nx, ni = max(0, nv * d), max(0, nc * (d + 1))
+    coords = draw(st.lists(_COORDS, min_size=nx, max_size=nx))
+    ids = draw(st.lists(st.integers(0, max(nv - 1, 0)).map(str),
+                        min_size=ni, max_size=ni))
+    tokens = coords + ids
+    for _ in range(draw(st.integers(0, 1))):     # a bad token, or one more
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_BAD))
+    return " ".join([str(d), str(nv), str(nc)] + tokens)
+
+
+@pytest.fixture(scope="module")
+def mesh_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("meshes")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_mesh_texts(), st.lists(st.one_of(_COORDS, _BAD),
+                                         max_size=12).map(" ".join)))
+def test_mesh_text_is_a_mesh_or_a_mesh_error(mesh_dir, text):
+    path = mesh_dir / "mesh.txt"
+    path.write_text(text)
+    try:
+        mesh = read_mesh_text(path)
+    except MeshError:
+        return
+    assert isinstance(mesh, Mesh)
+
+
+def test_integer_beyond_int64_is_a_mesh_error(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("2 3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
+    with pytest.raises(MeshError, match="bad.txt"):    # not OverflowError
+        read_mesh_text(p)
 
 
 def test_index_out_of_range():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from sllgfem.fem import P1Space, interpolate_nodal
@@ -12,8 +14,8 @@ from sllgfem.noise import (NoiseComponent, NoiseCoefficients, make_noise)
 from sllgfem.rotation import (
     assemble_rotated_stiffness, compute_F_direct,
     compute_F_identity, cross_matrix, evolve_point_rotation, evolve_step,
-    _kz_operator, grad_Z_apply, init_rotation_field, rodrigues_exp,
-    rotated_gradient_pairing)
+    _group_points, _kz_operator, grad_Z_apply, init_rotation_field,
+    rodrigues_exp, rotated_gradient_pairing)
 from sllgfem.wiener import coarsen, sample_path
 
 
@@ -186,6 +188,58 @@ def test_point_rotation_strong_order_at_least_half():
 
 
 # --------------------------------------------------------- field process
+
+# entries that compare equal as floats but not bit for bit (0.0 and -0.0,
+# NaNs), and a few that do not
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, np.inf,
+                            np.nan])
+
+
+@st.composite
+def _coefficient_arrays(draw):
+    """(g, jac) of shapes (q, n, 3) and (q, n, 3, dim) whose n points are
+    copies of a few drawn points, so that repeats are planted."""
+    q, n = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    dim = draw(st.sampled_from([2, 3]))
+    size = 3 * q * (1 + dim)
+    points = draw(st.lists(st.lists(_ENTRIES, min_size=size, max_size=size),
+                           min_size=1, max_size=6))
+    pick = draw(st.lists(st.integers(0, len(points) - 1), min_size=n,
+                         max_size=n))
+    flat = np.array(points)[pick]
+    g = flat[:, :3 * q].reshape(n, q, 3).transpose(1, 0, 2)
+    jac = flat[:, 3 * q:].reshape(n, q, 3, dim).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(g), np.ascontiguousarray(jac)
+
+
+def _check_grouping(g, jac):
+    # reference: np.unique over each point's entries as int64 bits
+    n = g.shape[1]
+    bits = np.hstack([np.moveaxis(x, 1, 0).reshape(n, -1).view(np.int64)
+                      for x in (g, jac)])
+    _, ref = np.unique(bits, axis=0, return_inverse=True)
+    index, first = _group_points(g, jac)
+    groups = len(first)
+    np.testing.assert_array_equal(index[first], np.arange(groups))
+    # the same partition: each group of one is a group of the other
+    assert groups == ref.max() + 1
+    assert len(np.unique(np.stack([index, ref.ravel()]), axis=1)[0]) == groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coefficient_arrays())
+def test_group_points_matches_unique_on_the_bits(arrays):
+    _check_grouping(*arrays)
+
+
+def test_group_points_keeps_signed_zeros_apart():
+    g = np.zeros((1, 4, 3))
+    g[0, 1, 2] = g[0, 3, 2] = -0.0
+    jac = np.ones((1, 4, 3, 2))
+    index, first = _group_points(g, jac)
+    assert len(first) == 2 and index[0] == index[2] != index[1] == index[3]
+    _check_grouping(g, jac)
+
 
 def test_initial_field_is_identity():
     space = small_space()

@@ -1,9 +1,5 @@
 """Tangent-plane theta scheme: frames, assembly, solving, stepping."""
 
-import os
-import pathlib
-import subprocess
-import sys
 import threading
 import time
 import tracemalloc
@@ -176,7 +172,9 @@ def test_quadratic_form_is_negative_definite():
     for _ in range(20):
         c = rng.standard_normal(2 * space.N)
         w = np.einsum("na,nab->nb", c.reshape(space.N, 2), tau)
-        quad = float(c @ (system.matrix @ c))
+        # the matrix is in the layout's order
+        co = c[system.layout.order]
+        quad = float(co @ (system.matrix @ co))
         expected = (-params.lambda2 * np.sum(lumped * np.sum(w * w, axis=1))
                     - params.mu * params.k * params.theta
                     * float(np.sum(w * (K @ w))))
@@ -232,7 +230,8 @@ def test_assembly_matches_projected_nodal_system(dim, divisions):
     space, state, tau, field, params = evolved_step_inputs(dim, divisions)
     system = assemble_step_system(state, tau, field, params, space)
     A_ref, rhs_ref = projected_reference(space, state, tau, field, params)
-    A = system.matrix.toarray()
+    inverse = system.layout.inverse         # node-major again
+    A = system.matrix[inverse][:, inverse].toarray()
     assert A.shape == A_ref.shape == (2 * space.N, 2 * space.N)
     np.testing.assert_allclose(A, A_ref, rtol=0,
                                atol=1e-14 * np.abs(A_ref).max())
@@ -246,7 +245,9 @@ def test_lu_solution_matches_dense_solve(dim, divisions):
     space, state, tau, field, params = evolved_step_inputs(dim, divisions)
     system = assemble_step_system(state, tau, field, params, space)
     sol = solve_step(system, params)
-    c = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    inverse = system.layout.inverse         # node-major again
+    c = np.linalg.solve(system.matrix[inverse][:, inverse].toarray(),
+                        system.rhs)
     np.testing.assert_allclose(sol.coefficients, c, rtol=0,
                                atol=1e-12 * np.abs(c).max())
     assert sol.iterations == 0
@@ -262,9 +263,10 @@ def test_layout_order_fills_like_minimum_degree_on_the_step_matrix(
     # as fast as SuperLU's order of the 2N pattern, which matches MMD's fill
     space, state, tau, field, params = evolved_step_inputs(dim, divisions)
     system = assemble_step_system(state, tau, field, params, space)
-    lu = spla.splu(system.layout.permuted(system.matrix),
-                   permc_spec="NATURAL")
-    ref = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
+    lu = spla.splu(system.matrix, permc_spec="NATURAL")
+    inverse = system.layout.inverse         # node-major again
+    ref = spla.splu(system.matrix[inverse][:, inverse].sorted_indices(),
+                    permc_spec="MMD_AT_PLUS_A")
     fill, ref_fill = lu.L.nnz + lu.U.nnz, ref.L.nnz + ref.U.nnz
     assert abs(fill - ref_fill) <= 0.015 * ref_fill, (fill, ref_fill)
 
@@ -278,7 +280,8 @@ def test_solution_satisfies_weak_form_against_random_tangents():
     field = init_rotation_field(space, make_noise("zero"))
     system = assemble_step_system(state, tau, field, params, space)
     sol = solve_step(system, params)
-    resid = system.matrix @ sol.coefficients - system.rhs
+    order = system.layout.order             # the matrix's order
+    resid = system.matrix @ sol.coefficients[order] - system.rhs[order]
     rng = np.random.default_rng(2)
     bnorm = np.linalg.norm(system.rhs)
     for _ in range(20):
@@ -584,6 +587,23 @@ def test_run_rejects_mismatched_path():
             space)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_run_rejects_non_finite_m0_before_any_step(monkeypatch, value):
+    # without the gate a NaN or inf row reaches SuperLU as a singular factor
+    space = space8()
+    m0 = spiral_m0(space)
+    m0[5, 1] = value
+    params = default_params(J=5)
+
+    def no_step(*args):
+        raise AssertionError("a step was assembled")
+
+    monkeypatch.setattr(scheme, "build_tangent_frame", no_step)
+    with pytest.raises(ValueError, match="non-finite value at node 5"):
+        run(m0, params, sample_path(0, 1, 5, 0.5), make_noise("zero"),
+            space)
+
+
 def test_initial_drift_recorded_and_repaired():
     space = space8()
     m0 = spiral_m0(space) * 1.001
@@ -593,44 +613,3 @@ def test_initial_drift_recorded_and_repaired():
                space, observers=[history])
     assert traj.m0_drift == pytest.approx(1e-3, rel=1e-6)
     assert np.abs(np.linalg.norm(history.m[0], axis=1) - 1.0).max() <= 1e-12
-
-
-# Assembles and solves step 0 of a spiral state with linear-gradient noise
-# on a structured mesh: the layout's ordering factorization and the step's
-# factorization both use the supernode constants
-_FACTOR_STEP = """\
-import sys
-import numpy as np
-from sllgfem import scheme
-from sllgfem.fem import P1Space
-from sllgfem.mesh import build_structured_mesh
-from sllgfem.noise import make_noise
-from sllgfem.rotation import init_rotation_field
-space = P1Space(build_structured_mesh(int(sys.argv[1]), int(sys.argv[2])))
-angle = 2.0 * np.pi * space.mesh.vertices[:, 0]
-m = np.column_stack([np.cos(angle), np.sin(angle), np.full(space.N, 0.3)])
-m /= np.linalg.norm(m, axis=1)[:, None]
-params = scheme.SchemeParams(lambda1=1.0, lambda2=1.0, T=0.1, J=40)
-state = scheme.NodalState(j=0, m=m, energy=0.0)
-field = init_rotation_field(space, make_noise("linear-gradient"))
-system = scheme.assemble_step_system(state, scheme.build_tangent_frame(m),
-                                     field, params, space)
-print(scheme.solve_step(system, params).residual)
-"""
-
-
-@pytest.mark.parametrize("dim, divisions", [(2, 32), (3, 6)])
-def test_step_factors_with_the_supernode_constants(dim, divisions):
-    # relax=32 with panel_size=16 crashed the interpreter inside SuperLU on
-    # scipy 1.17.1; in a child process a crash fails this test, not the
-    # suite
-    assert 1 <= scheme.SUPERLU_RELAX <= scheme.SUPERLU_PANEL_SIZE
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _FACTOR_STEP, str(dim),
-                           str(divisions)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert float(proc.stdout) <= 1e-12
