@@ -27,7 +27,7 @@ from .reconstruct import (TestField, interpolant_errors, make_test_field,
                           reconstruct_M, solve_phi, weak_residual)
 from .rotation import (RotationField, assemble_rotated_stiffness,
                        compute_F_direct, compute_F_identity, cross_matrix,
-                       evolve_point_rotation, evolve_step, grad_Z_apply,
+                       evolve_point_rotation, evolve_step,
                        init_rotation_field, rodrigues_exp)
 from .scheme import (NodalState, SchemeParams, SolveResult, Step, StepSystem,
                      Trajectory, advance, assemble_step_system,
@@ -52,7 +52,7 @@ __all__ = [
     "check_offdiag_condition", "check_theta_guard", "coarsen",
     "compute_F_direct", "compute_F_identity", "constant_component",
     "cross_matrix", "diagnostics_csv_text", "energy_inequality_gaps",
-    "evolve_point_rotation", "evolve_step", "grad_Z_apply",
+    "evolve_point_rotation", "evolve_step",
     "init_rotation_field", "interpolant_errors", "interpolate_nodal",
     "linear_gradient_component",
     "load_config", "make_noise", "normalize_nodal", "read_mesh_text",

@@ -155,16 +155,13 @@ class P1Space:
 
     # pointwise sampling ---------------------------------------------------
 
-    def values_at_qp(self, u, cells=slice(None)):
-        """Sample an (N, 3) nodal field at the quadrature points of the
-        cells `cells` (all by default), shape (M, n_qp, 3)."""
-        return self.phi_qp @ u[self.mesh.cells[cells]]
+    def values_at_qp(self, u):
+        """(M, n_qp, 3) samples of an (N, 3) nodal field at the points."""
+        return self.phi_qp @ u[self.mesh.cells]
 
-    def grads_at_qp(self, u, cells=slice(None)):
-        """Cellwise-constant gradient of an (N, 3) nodal field on the cells
-        `cells` (all by default), shape (M, dim, 3)."""
-        return (np.swapaxes(self.grad_phi[cells], 1, 2)
-                @ u[self.mesh.cells[cells]])
+    def grads_at_qp(self, u):
+        """(M, dim, 3) cellwise-constant gradient of an (N, 3) nodal field."""
+        return np.swapaxes(self.grad_phi, 1, 2) @ u[self.mesh.cells]
 
     def integrate(self, values):
         """Integrate per-quadrature-point scalars of shape (M, n_qp)."""

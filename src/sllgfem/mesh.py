@@ -26,8 +26,10 @@ class Mesh:
     cells : (M, dim+1) int array
         Vertex indices per cell. Cells with negative signed measure are
         reoriented (last two indices swapped). No cells, a zero or
-        non-finite cell measure or diameter, an over-shared facet, two
-        cells on one side of a facet or an unused vertex raise MeshError.
+        non-finite cell measure or diameter, a cell so thin that its
+        barycentric gradients or stiffness would overflow, an over-shared
+        facet, two cells on one side of a facet or an unused vertex raise
+        MeshError.
 
     Attributes
     ----------
@@ -74,6 +76,17 @@ class Mesh:
         if degenerate.size:
             raise MeshError(f"cell {degenerate[0]} is degenerate "
                             f"(measure {float(vols[degenerate[0]])!r})")
+        # |grad lambda| <= d L^(d-1) / det E (L the longest edge), also over
+        # the sums that form grad lambda_0; times (d + 1) max(measure, 1) it
+        # bounds a stiffness cell block, so a sliver beyond it would overflow
+        with np.errstate(over="ignore"):
+            grad = dim * (np.sqrt(longest) if dim == 2 else longest) / (
+                (2.0 if dim == 2 else 6.0) * vols)
+            bound = (dim + 1) * grad * grad * np.maximum(vols, 1.0)
+        sliver = np.flatnonzero(~np.isfinite(bound))
+        if sliver.size:
+            raise MeshError(f"cell {sliver[0]} is too thin: its barycentric "
+                            f"gradients or stiffness would overflow")
 
         self.dim = dim
         self.vertices = vertices

@@ -17,19 +17,19 @@ filled in at the last step.
 
 Per interval the integrand is linear in (psi, grad psi), so each step
 forms two fields at the quadrature points that serve every test field.
-With m = m'(t_mid), dm = dm'/dt and the fields a = sum_d xi_d^T
-grad_d(Z m) and b_d = Z^T xi_d m of rotation.rotated_gradient_pairing (so
-grad_d(Z m) = Z (d_d m + b_d), Z being orthogonal), they are
+With m = m'(t_mid), dm = dm'/dt and the fields (a, b) of rotation.F_pairing,
+F(t, m, w) = sum_qp w (w . a + sum_d d_d w . b_d) (the one form of F in
+the rotation module docstring), they are
 
   R   = lambda1 (m x dm) x m - lambda2 dm x m - mu (a x m + sum_d b_d x d_d m)
   S_d = -mu (d_d m + b_d) x m
 
 and the interval adds k bump(t_mid) sum_qp w (Psi . R + grad Psi : S) for
 psi = bump Psi. Every test field has the same bump, so the run sums
-k bump(t_mid) (R, S) and pairs the sum with each Psi once. The
-<grad m', grad(m' x psi)> term cancels against the same term inside F;
-the rest follows from (m x psi) . X = psi . (X x m) and
-d_d m . (d_d m x psi) = 0.
+k bump(t_mid) (R, S) and pairs the sum with each Psi once. With
+w = m x psi, d_d w = d_d m x psi + m x d_d psi, and the terms follow from
+(m x psi) . X = psi . (X x m) and d_d m . (d_d m x psi) = 0;
+<grad m', grad(m' x psi)> gives the d_d m x m part of S.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TimeMismatchError
-from .rotation import evolve_step, rotated_gradient_pairing
+from .rotation import F_pairing, evolve_step
 from .rotation import init_rotation_field  # noqa: F401  (perfbench traces it)
 
 # 3-point Gauss-Legendre on [0, 1]; used where the time integrand is not
@@ -145,22 +145,18 @@ def make_test_field(index):
                      amps=amp_cycle[index % len(amp_cycle)])
 
 
-def _contracted_residual(field, space, params, m_mid, dtm, cells):
-    """The step's fields (R, S) on the cell range `cells` (a slice): a test
-    field psi = bump Psi contributes k bump(t_mid) sum w (Psi . R + grad Psi
-    : S) to the interval.
+def _contracted_residual(params, AB, rows, m_qp, gm, dtm_qp, w):
+    """One step's fields (R, S) at the quadrature points of some cells: a
+    test field psi = bump Psi contributes k bump(t_mid) sum w (Psi . R +
+    grad Psi : S) to the interval (module docstring).
 
-    m_mid is the nodal midpoint value of the interpolant and dtm its
-    nodal time derivative. R has shape (c, q, 3) and S (c, q, dim, 3), c
-    the cells of the range; both already carry the quadrature weights. See
-    the module docstring for the derivation; a and b come from
-    rotation.rotated_gradient_pairing.
+    AB holds the rotation field's invariants and rows (c, q) the points'
+    field rows; m_qp (c, q, 3) and gm (c, dim, 3) sample the midpoint value
+    of the interpolant, dtm_qp (c, q, 3) its time derivative, and w (c, q)
+    holds the weights, which R (c, q, 3) and S (c, q, dim, 3) carry.
     """
-    mu, dim = params.mu, space.mesh.dim
-    m_qp = space.values_at_qp(m_mid, cells)                  # (c, q, 3)
-    gm = space.grads_at_qp(m_mid, cells)                     # (c, dim, 3)
-    dtm_qp = space.values_at_qp(dtm, cells)
-    a, b = rotated_gradient_pairing(field, m_qp, gm, cells)
+    mu, dim = params.mu, gm.shape[1]
+    a, b = F_pairing(AB, rows, m_qp, gm)
     # sum_d b_d x d_d m is the axial vector of P = sum_d b_d (d_d m)^T
     P = (np.swapaxes(b, 2, 3).reshape(len(gm), -1, dim) @ gm).reshape(
         a.shape + (3,))
@@ -171,7 +167,6 @@ def _contracted_residual(field, space, params, m_mid, dtm, cells):
          - mu * a)
     R = np.cross(Y, m_qp) - mu * b_x_gm
     S = -mu * np.cross(gm[:, None] + b, m_qp[:, :, None])
-    w = space.quad_weights[cells]
     R *= w[:, :, None]
     S *= w[:, :, None, None]
     return R, S
@@ -186,10 +181,11 @@ def weak_residual(space, params, path, fields):
     path in lockstep with the run, from the run's own field at j = 0; each
     interval uses the midpoint value of the interpolant, the piecewise-
     constant discrete time derivative, and its left-endpoint rotation field.
-    (R, S) are formed and summed _CELL_BLOCK cells at a time.
+    A step inside the bump's support samples the interpolant over all
+    cells and forms the invariants once, then (R, S) _CELL_BLOCK cells at
+    a time.
     """
     k = params.k
-    n_cells = space.mesh.n_cells
     qp_flat = space.quad_points.reshape(-1, space.mesh.dim)
     rot = None
     # run sums of k bump(t_mid) (R, S), allocated up front: keeping the
@@ -208,11 +204,14 @@ def weak_residual(space, params, path, fields):
         b = time_profile((step.j + 0.5) * k, params.T)
         if b != 0.0:
             m_mid = 0.5 * (step.m + step.m_next)
-            dtm = (step.m_next - step.m) / k
-            for c0 in range(0, n_cells, _CELL_BLOCK):
+            AB = rot.invariants()
+            samples = (rot.qp_rows(), space.values_at_qp(m_mid),
+                       space.grads_at_qp(m_mid),
+                       space.values_at_qp((step.m_next - step.m) / k), w)
+            for c0 in range(0, len(w), _CELL_BLOCK):
                 cells = slice(c0, c0 + _CELL_BLOCK)
-                R, S = _contracted_residual(rot, space, params, m_mid, dtm,
-                                            cells)
+                R, S = _contracted_residual(params, AB,
+                                            *(x[cells] for x in samples))
                 R *= k * b
                 S *= k * b
                 acc[0][cells] += R

@@ -27,28 +27,26 @@ bit, coinciding points among them, share one row, and an index maps each
 quadrature point and vertex to its row.
 
 F(t, u, v) = <grad(Z u), grad(Z v)> - <grad u, grad v> is the stochastic
-correction that appears as an extra load in the scheme. Two routes compute
-it: the identity form (from the current Z, xi only) and an Ito-sum
-accumulation of the increment densities F_1i, F_2i along the whole path.
-The accumulation uses the gradient-pairing form of the densities
+correction that appears as an extra load in the scheme. As Z^T Z = I and
+grad_d(Z u) = xi_d u + Z d_d u, it reads the field only through the
+invariants A = sum_d xi_d^T xi_d and B_d = Z^T xi_d (formed once per row
+by RotationField.invariants), in the one form that production uses:
+
+  F(t, u, w) = sum_qp w [w . (A u + sum_d B_d^T d_d u) + sum_d d_d w . B_d u].
+
+KZ - K (x) I is its Galerkin matrix on vector P1 fields
+(assemble_rotated_stiffness), and the weak residual in reconstruct pairs it
+at the points with w = m x psi through the fields
+(a, b) = (A m + sum_d B_d^T d_d m, B_d m) of F_pairing. Only the two
+oracles form grad(Z u) itself, with one kernel: compute_F_identity (from
+the current Z, xi only) and compute_F_direct, an Ito-sum accumulation of
+the increment densities F_1i, F_2i along the whole path in their
+gradient-pairing form
 (F_1i = <B_i Zu, grad Zv> + <grad Zu, B_i Zv> + <I_i Zu, I_i Zv> with
 B_i = 1/2 H_i - G_i I_i, and F_2i = <I_i Zu, grad Zv> + <grad Zu, I_i Zv>),
 which is the exact pathwise differential of <grad Zu, grad Zv> for any
 coefficients, needs only first derivatives of g_i, and is manifestly
 symmetric in (u, v).
-
-Since Z is orthogonal, F pairs u with w through two fields at the points:
-F(t, u, w) = sum_qp w (w . a + sum_d d_d w . b_d) with a = sum_d xi_d^T
-grad_d(Z u) and b_d = Z^T xi_d u. rotated_gradient_pairing forms (a, b) for
-the weak residual in reconstruct; it, grad_Z_apply (compute_F_identity) and
-compute_F_direct share one kernel for grad_d(Z u) = xi_d u + Z d_d u.
-
-The Gram matrix KZ of u -> grad(Z u) on vector P1 fields splits, since
-Z^T Z = I, as K (x) I plus a part Kxi that depends on the field only
-through two invariants per point, A = sum_d xi_d^T xi_d and
-B_d = Z^T xi_d: its 3x3 block for local nodes (l, m) of a cell is
-sum_qp w [phi_l phi_m A + phi_l sum_d d_d phi_m B_d^T
-+ phi_m sum_d d_d phi_l B_d].
 """
 
 from __future__ import annotations
@@ -135,8 +133,8 @@ class RotationField:
     field at every point whose coefficients (g_i, dg_i) equal the cache's
     row r bit for bit. xi is stored direction-inner, xi[r, a, d, b] =
     (xi_d)_ab. The cache's int `index` gives the row of each cell-major
-    quadrature point, then of each vertex; Z_quad, xi_quad and Z_nodes
-    gather through it, and only this module knows the layout. Snapshots are
+    quadrature point, then of each vertex; qp_rows, Z_quad, xi_quad and
+    Z_nodes read it, and only this module knows the layout. Snapshots are
     immutable: each evolve_step returns a new field at index j+1 sharing
     the cached coefficient tensors.
     """
@@ -150,28 +148,41 @@ class RotationField:
         Z.setflags(write=False)
         xi.setflags(write=False)
 
-    # gathers: copies, so read each once per use ---------------------------
-
-    def _qp_rows(self, cells=slice(None)):
-        """(c, n_qp) rows of the quadrature points of the cell range
-        `cells` (a slice, all cells by default)."""
+    def qp_rows(self):
+        """(n_cells, n_qp) row of each quadrature point."""
         s = self.space
         n = s.mesh.n_cells * s.n_qp
-        return self._cache["index"][:n].reshape(-1, s.n_qp)[cells]
+        return self._cache["index"][:n].reshape(-1, s.n_qp)
 
-    def Z_quad(self, cells=slice(None)):
-        """(c, n_qp, 3, 3) on the cell range `cells` (all by default)."""
-        return np.take(self.Z, self._qp_rows(cells), axis=0)
+    def invariants(self):
+        """The (R (1 + dim), 9) stack [A; B] through which F reads the
+        field (module docstring): row r holds row r's A, row R + dim r + d
+        its B_d, each 3x3 matrix flattened row-major."""
+        R, dim = self.xi.shape[0], self.xi.shape[2]
+        AB = np.empty((R * (1 + dim), 9))
+        X = self.xi.reshape(R, 3 * dim, 3)
+        np.matmul(np.ascontiguousarray(np.swapaxes(X, 1, 2)), X,
+                  out=AB[:R].reshape(R, 3, 3))
+        np.matmul(np.swapaxes(self.Z, 1, 2)[:, None],
+                  np.moveaxis(self.xi, 2, 1),
+                  out=AB[R:].reshape(R, dim, 3, 3))
+        return AB
+
+    # gathers: copies, so read each once per use ---------------------------
+
+    def Z_quad(self):
+        """(n_cells, n_qp, 3, 3) at the quadrature points."""
+        return np.take(self.Z, self.qp_rows(), axis=0)
 
     @property
     def Z_nodes(self):
         """(N, 3, 3) at the vertices."""
         return np.take(self.Z, self._cache["index"][-self.space.N:], axis=0)
 
-    def xi_quad(self, cells=slice(None)):
-        """(c, n_qp, 3, dim, 3), [c, q, a, d, b] = (xi_d)_ab, on the cell
-        range `cells` (all by default)."""
-        return np.take(self.xi, self._qp_rows(cells), axis=0)
+    def xi_quad(self):
+        """(n_cells, n_qp, 3, dim, 3), [c, q, a, d, b] = (xi_d)_ab, at the
+        quadrature points."""
+        return np.take(self.xi, self.qp_rows(), axis=0)
 
     def orthogonality_defect(self):
         """max over points of ||Z^T Z - I||_F, read on the rows."""
@@ -298,93 +309,72 @@ def evolve_step(field, dW, k):
     return RotationField(field.space, field.j + 1, Z1, xi1, c)
 
 
-def grad_Z_apply(field, u):
-    """grad(Z u) at quadrature points by the product rule.
-
-    Returns (n_cells, n_qp, dim, 3): xi_d u + Z du/dx_d per direction d,
-    with u and grad u sampled from the P1 interpolant.
-    """
-    space = field.space
-    u = np.asarray(u, dtype=float)
-    _, grad = _rotated_gradient(field.Z_quad(), field.xi_quad(),
-                                space.values_at_qp(u), space.grads_at_qp(u))
-    return np.swapaxes(grad, -1, -2)
-
-
-def rotated_gradient_pairing(field, u_qp, gu, cells=slice(None)):
-    """(a, b) with F(t_j, u, w) = sum_qp w (w . a + sum_d d_d w . b_d) on
-    the cell range `cells` (a slice, all cells by default), from the
-    samples u_qp (c, q, 3) and cellwise gradient gu (c, dim, 3) of u there:
-    a (c, q, 3) = sum_d xi_d^T grad_d(Z u), and b (c, q, dim, 3) holds
-    b_d = Z^T xi_d u in row d."""
-    Z, xi = field.Z_quad(cells), field.xi_quad(cells)
-    c, q, _, dim, _ = xi.shape
-    xi_u, grad = _rotated_gradient(Z, xi, u_qp, gu)
-    a = np.einsum("cqkb,cqk->cqb", xi.reshape(c, q, 3 * dim, 3),
-                  grad.reshape(c, q, 3 * dim))
-    b = np.swapaxes(Z, -1, -2) @ xi_u
-    return a, np.swapaxes(b, -1, -2)
+def F_pairing(AB, rows, u_qp, gu):
+    """(a, b) with F(t, u, w) = sum_qp w (w . a + sum_d d_d w . b_d) at the
+    quadrature points whose field rows are `rows` (c, q), from the field's
+    invariants AB, the samples u_qp (c, q, 3) of u there and its cellwise
+    gradient gu (c, dim, 3): a (c, q, 3) = A u + sum_d B_d^T d_d u, and
+    b (c, q, dim, 3) holds b_d = B_d u in row d, point by point."""
+    c, dim = len(gu), gu.shape[1]
+    R = len(AB) // (1 + dim)
+    A = np.take(AB[:R].reshape(R, 3, 3), rows, axis=0)
+    # B as (3 dim x 3) per point, row (d, a) = row a of B_d
+    B = np.take(AB[R:].reshape(R, 3 * dim, 3), rows, axis=0)
+    a = np.einsum("cqab,cqb->cqa", A, u_qp)
+    a += np.einsum("cqkb,ck->cqb", B, gu.reshape(c, 3 * dim))
+    b = np.einsum("cqkb,cqb->cqk", B, u_qp)
+    return a, b.reshape(b.shape[:2] + (dim, 3))
 
 
 def _rotated_gradient(Z, xi, u_qp, gu):
-    """(xi u, grad(Z u)), both (c, q, 3, dim) with column d for direction
-    d, from Z (c, q, 3, 3), xi (c, q, 3, dim, 3), the samples u_qp
-    (c, q, 3) and the cellwise gradient gu (c, dim, 3): Z d_d u is one
+    """grad(Z u) for the oracles, (c, q, 3, dim) with column d for
+    direction d, from Z (c, q, 3, 3), xi (c, q, 3, dim, 3), the samples
+    u_qp (c, q, 3) and the cellwise gradient gu (c, dim, 3): Z d_d u is one
     product per cell, xi_d u one per point against xi as (3 dim x 3)."""
     c, q, _, dim, _ = xi.shape
-    xi_u = np.einsum("cqkb,cqb->cqk", xi.reshape(c, q, 3 * dim, 3),
-                     u_qp).reshape(c, q, 3, dim)
     grad = (Z.reshape(c, q * 3, 3) @ np.swapaxes(gu, 1, 2)).reshape(
-        xi_u.shape)
-    grad += xi_u
-    return xi_u, grad
+        c, q, 3, dim)
+    grad += np.einsum("cqkb,cqb->cqk", xi.reshape(c, q, 3 * dim, 3),
+                      u_qp).reshape(c, q, 3, dim)
+    return grad
 
 
 def compute_F_identity(field, u, v):
-    """F(t_j, u, v) = <grad(Z u), grad(Z v)>_quadrature - u^T K v."""
+    """F(t_j, u, v) = <grad(Z u), grad(Z v)>_quadrature - u^T K v, with
+    grad(Z u) formed by the product rule: the oracle for KZ and F_pairing."""
     if field.j == 0:
         return 0.0  # Z = I, xi = 0: exact zero, not two sums that cancel
     space = field.space
-    K = space.stiffness()
-    gu = grad_Z_apply(field, u)
-    gv = grad_Z_apply(field, v)
-    twisted = np.einsum("cq,cqda,cqda->", space.quad_weights, gu, gv)
-    base = float(np.sum(np.asarray(u) * (K @ np.asarray(v))))
-    return float(twisted) - base
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    Z, xi = field.Z_quad(), field.xi_quad()
+    gu, gv = (_rotated_gradient(Z, xi, space.values_at_qp(x),
+                                space.grads_at_qp(x)) for x in (u, v))
+    twisted = np.einsum("cq,cqad,cqad->", space.quad_weights, gu, gv)
+    return float(twisted) - float(np.sum(u * (space.stiffness() @ v)))
 
 
 def assemble_rotated_stiffness(field):
-    """Gram matrix of u -> grad(Z u) on vector P1 fields.
+    """Gram matrix KZ of u -> grad(Z u) on vector P1 fields.
 
-    Returns a (3N, 3N) BSR matrix KZ, in 3x3 node blocks over the pattern
-    of node pairs that share a cell, with u^T KZ v equal to the quadrature
-    value of <grad(Z u), grad(Z v)>; KZ minus the plain vector stiffness is
-    the matrix of F(t_j, ., .) restricted to P1 fields.
-
-    KZ is assembled as K (x) I + Kxi (module docstring), and Kxi reads the
-    field only through A = sum_d xi_d^T xi_d and B_d = Z^T xi_d, one
-    product each per row of the field. The slot blocks D of the pattern,
-    the scattered cell blocks
+    Returns a (3N, 3N) BSR matrix, in 3x3 node blocks over the pattern of
+    node pairs that share a cell, with u^T KZ v the quadrature value of
+    <grad(Z u), grad(Z v)>. KZ = K (x) I + Kxi, Kxi the Galerkin matrix of
+    F (module docstring): its block for local nodes (l, m) of a cell is
+    sum_qp w [phi_l phi_m A + phi_l sum_d d_d phi_m B_d^T
+    + phi_m sum_d d_d phi_l B_d]. The slot blocks D of the pattern, the
+    scattered cell blocks
     V[l, m] = sum_qp w (1/2 phi_l phi_m A + phi_m sum_d d_d phi_l B_d),
-    carry half the A term and the third term of the block formula; the
-    second term is the transpose of the third with l and m swapped. So
-    Kxi = D + D^T, which makes KZ exactly symmetric. D is linear in the
-    rows' A and B_d, with coefficients fixed by the mesh and the field's
-    row index, so D = W [A; B], the product of the run's operator W (see
-    _kz_operator) with the (R (1 + dim), 9) stack of the invariants. The
-    stiffness K is assembled on the pattern of cell_pair_pattern, so its
-    data add to the diagonals of the 3x3 blocks slot by slot.
+    carry half the first term and the third; the second is the transpose
+    of the third with l and m swapped. So Kxi = D + D^T, which makes KZ
+    exactly symmetric. D is linear in the invariants, with coefficients
+    fixed by the mesh and the field's row index, so D = W [A; B], the
+    run's operator W (_kz_operator) times the stack of the invariants. K
+    is assembled on the pattern of cell_pair_pattern, so its data add to
+    the diagonals of the 3x3 blocks slot by slot.
     """
     space = field.space
-    R, dim = field.xi.shape[0], field.xi.shape[2]
-    AB = np.empty((R * (1 + dim), 9))
-    X = field.xi.reshape(R, 3 * dim, 3)
-    np.matmul(np.ascontiguousarray(np.swapaxes(X, 1, 2)), X,
-              out=AB[:R].reshape(R, 3, 3))
-    np.matmul(np.swapaxes(field.Z, 1, 2)[:, None],
-              np.moveaxis(field.xi, 2, 1), out=AB[R:].reshape(R, dim, 3, 3))
     indptr, indices, _, transpose = space.cell_pair_pattern()
-    D = (_kz_operator(field) @ AB).reshape(-1, 3, 3)
+    D = (_kz_operator(field) @ field.invariants()).reshape(-1, 3, 3)
     data = D + np.swapaxes(D[transpose], 1, 2)
     K = space.stiffness().data
     for a in range(3):
@@ -412,7 +402,7 @@ def _kz_operator(field):
         space = field.space
         n_c, n_q, dim = space.mesh.n_cells, space.n_qp, space.mesh.dim
         d1, R = dim + 1, len(field.Z)
-        rows = field._qp_rows().astype(np.intc)[:, None, None, :]
+        rows = field.qp_rows().astype(np.intc)[:, None, None, :]
         shape = (n_c, d1, d1, n_q, 1 + dim)           # (c, l, m, q, column)
         cols = np.empty(shape, dtype=np.intc)
         cols[..., 0] = rows
@@ -449,14 +439,13 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
         raise ValueError(f"t index {j_end} beyond path horizon J = {path.J}")
     if path.q != coeffs.q:
         raise ValueError("path and coefficients disagree on q")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     field = init_rotation_field(space, coeffs)
     w = space.quad_weights
     u_qp, gu = space.values_at_qp(u), space.grads_at_qp(u)
     v_qp, gv = space.values_at_qp(v), space.grads_at_qp(v)
     c = field._cache
-    rows = field._qp_rows().ravel()
+    rows = field.qp_rows().ravel()
     shape = (coeffs.q, space.mesh.n_cells, space.n_qp, space.mesh.dim, 3, 3)
     G = -cross_matrix(np.take(c["g"], rows, axis=1))[:, :, None]
     Ii = -cross_matrix(np.take(c["dg"], rows, axis=1))
@@ -468,8 +457,8 @@ def compute_F_direct(path, coeffs, u, v, j_end, space):
         Zq, xiq = field.Z_quad(), field.xi_quad()
         Zu = np.einsum("cqab,cqb->cqa", Zq, u_qp)
         Zv = np.einsum("cqab,cqb->cqa", Zq, v_qp)
-        _, gZu = _rotated_gradient(Zq, xiq, u_qp, gu)      # (c, q, 3, dim)
-        _, gZv = _rotated_gradient(Zq, xiq, v_qp, gv)
+        gZu = _rotated_gradient(Zq, xiq, u_qp, gu)         # (c, q, 3, dim)
+        gZv = _rotated_gradient(Zq, xiq, v_qp, gv)
         IZu = np.einsum("icqdab,cqb->icqda", Ii, Zu)
         IZv = np.einsum("icqdab,cqb->icqda", Ii, Zv)
         BZu = np.einsum("icqdab,cqb->icqda", Bi, Zu)

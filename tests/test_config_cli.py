@@ -392,9 +392,11 @@ def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
      "cell 0 has a non-finite measure"),
     ("2 3 2\n0 0\n1 0\n0 1\n0 1 2\n0 2 1\n",
      "facet (1, 2) has both its cells on one side"),
+    ("2 3 1\n0 0\n1 0\n0 1e-155\n0 1 2\n", "cell 0 is too thin"),
+    ("2 3 1\n0 0\n1 0\n0 1e-320\n0 1 2\n", "cell 0 is too thin"),
 ], ids=["missing", "non-numeric-header", "degenerate-cell", "no-cells",
         "unused-vertex", "nan-vertex", "overflowing-measure",
-        "repeated-cell"])
+        "repeated-cell", "sliver", "subnormal-sliver"])
 def test_cli_bad_mesh_file_exit_4_before_any_write(tmp_path, capsys, text,
                                                    reason):
     mesh = tmp_path / "mesh.txt"

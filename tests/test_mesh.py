@@ -97,6 +97,38 @@ def test_overflowing_diameter_named():
         Mesh(vertices, np.array([[0, 1, 2]]))
 
 
+@pytest.mark.parametrize("vertices", [
+    # measure 5e-156 and gradients up to 1e155: the stiffness block's
+    # products overflow
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-155]],
+    # subnormal measure: the gradients overflow
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-320]],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-320]],
+], ids=["2d-1e-155", "2d-subnormal", "3d-subnormal"])
+def test_sliver_named(vertices):
+    # cell 1 of two: the unit simplex is accepted, the sliver named; no
+    # overflow warning escapes (the suite makes them errors)
+    sliver = np.array(vertices)
+    dim = sliver.shape[1]
+    unit = np.vstack([np.zeros(dim), np.eye(dim)]) + 2.0
+    cells = np.arange(2 * (dim + 1)).reshape(2, dim + 1)
+    with pytest.raises(MeshError, match="cell 1 is too thin: its "
+                                        "barycentric gradients or stiffness "
+                                        "would overflow"):
+        Mesh(np.vstack([unit, sliver]), cells)
+
+
+@pytest.mark.parametrize("dim, scale", [(2, 1e-150), (2, 1e150),
+                                        (3, 1e-100), (3, 1e100)])
+def test_tiny_and_huge_well_shaped_cells_accepted(dim, scale):
+    # the sliver bound scales with the cell: unit simplices scaled by
+    # 1e-150 to 1e150 (2D) and 1e-100 to 1e100 (3D) pass, with a finite
+    # stiffness
+    unit = np.vstack([np.zeros(dim), np.eye(dim)])
+    space = P1Space(Mesh(scale * unit, [list(range(dim + 1))]))
+    assert np.isfinite(space.stiffness().data).all()
+
+
 @pytest.mark.parametrize("vertices, cells, message", [
     # one triangle listed twice, the second reoriented to the first
     ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 2, 1]],

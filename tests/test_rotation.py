@@ -12,10 +12,10 @@ from sllgfem.mesh import (Mesh, build_structured_mesh, read_mesh_text,
                           write_mesh_text)
 from sllgfem.noise import (NoiseComponent, NoiseCoefficients, make_noise)
 from sllgfem.rotation import (
-    assemble_rotated_stiffness, compute_F_direct,
+    F_pairing, assemble_rotated_stiffness, compute_F_direct,
     compute_F_identity, cross_matrix, evolve_point_rotation, evolve_step,
-    _group_points, _kz_operator, grad_Z_apply, init_rotation_field,
-    rodrigues_exp, rotated_gradient_pairing)
+    _group_points, _kz_operator, _rotated_gradient, init_rotation_field,
+    rodrigues_exp)
 from sllgfem.wiener import coarsen, sample_path
 
 
@@ -28,6 +28,15 @@ def evolve_field(space, coeffs, path, J=None):
     for j in range(path.J if J is None else J):
         field = evolve_step(field, path.increments[j], path.k)
     return field
+
+
+def grad_Z(field, u):
+    """grad(Z u) at the quadrature points through the oracles' kernel,
+    (n_cells, n_qp, dim, 3) with row d for direction d."""
+    space = field.space
+    grad = _rotated_gradient(field.Z_quad(), field.xi_quad(),
+                             space.values_at_qp(u), space.grads_at_qp(u))
+    return np.swapaxes(grad, -1, -2)
 
 
 def per_qp_points(space):
@@ -447,11 +456,11 @@ def test_field_matches_per_qp_layout(dim, divisions, noise):
 
 # ---------------------------------------------------------- applications
 
-def test_grad_Z_apply_at_time_zero_is_plain_gradient():
+def test_rotated_gradient_at_time_zero_is_plain_gradient():
     space = small_space()
     field = init_rotation_field(space, pair_varying())
     u = smooth_u(space)
-    gu = grad_Z_apply(field, u)
+    gu = grad_Z(field, u)
     expected = np.transpose(space.grads_at_qp(u), (0, 1, 2, 3)) \
         if space.grads_at_qp(u).ndim == 4 else space.grads_at_qp(u)
     # grads_at_qp returns (c, dim, 3) per cell (P1 gradients are constant
@@ -467,7 +476,7 @@ def test_constant_g_preserves_gradient_energy():
     field = evolve_field(space, make_noise("pair-noncommuting"), path)
     K = space.stiffness()
     for u in (smooth_u(space), smooth_v(space)):
-        gu = grad_Z_apply(field, u)
+        gu = grad_Z(field, u)
         energy = np.einsum("cq,cqda,cqda->", space.quad_weights, gu, gu)
         base = float(np.sum(u * (K @ u)))
         assert energy == pytest.approx(base, rel=1e-12, abs=1e-12)
@@ -479,7 +488,7 @@ def test_grad_of_constant_field_is_xi_u():
     field = evolve_field(space, pair_varying(), path)
     u0 = np.array([0.3, -0.4, 0.8])
     u = np.tile(u0, (space.N, 1))
-    gu = grad_Z_apply(field, u)
+    gu = grad_Z(field, u)
     expected = np.einsum("cqadb,b->cqda", field.xi_quad(), u0)
     np.testing.assert_allclose(gu, expected, atol=1e-13)
     assert np.linalg.norm(gu) > 0.0  # nonzero once W wanders off 0
@@ -518,15 +527,16 @@ def test_F_identity_vanishes_for_constant_g():
 @pytest.mark.parametrize("noise", ["linear-gradient", "pair-varying"])
 @pytest.mark.parametrize("dim, divisions", [(2, 8), (3, 3)])
 def test_rotated_gradient_pairing_is_F(dim, divisions, noise):
-    # F(t, u, w) = sum_qp w (w . a + sum_d d_d w . b_d), the form the weak
-    # residual pairs with m x psi, against the identity form
+    # F(t, u, w) = sum_qp w (w . a + sum_d d_d w . b_d) with (a, b) from
+    # the rows' invariants, the form the weak residual pairs with m x psi,
+    # against the identity form
     space = P1Space(build_structured_mesh(dim, divisions))
     coeffs = (pair_varying() if noise == "pair-varying"
               else make_noise("linear-gradient"))
     field = evolve_field(space, coeffs, sample_path(34, coeffs.q, 10, 0.5))
     u, w = np.random.default_rng(35).standard_normal((2, space.N, 3))
-    a, b = rotated_gradient_pairing(field, space.values_at_qp(u),
-                                    space.grads_at_qp(u))
+    a, b = F_pairing(field.invariants(), field.qp_rows(),
+                     space.values_at_qp(u), space.grads_at_qp(u))
     weights = space.quad_weights
     paired = (np.einsum("cq,cqa,cqa->", weights, space.values_at_qp(w), a)
               + np.einsum("cq,cda,cqda->", weights, space.grads_at_qp(w), b))
@@ -588,7 +598,7 @@ def test_rotated_stiffness_matches_F_identity():
     K = space.stiffness()
     u, v = smooth_u(space), smooth_v(space)
     quad = np.einsum("cq,cqda,cqda->", space.quad_weights,
-                     grad_Z_apply(field, u), grad_Z_apply(field, v))
+                     grad_Z(field, u), grad_Z(field, v))
     via_matrix = float(u.ravel() @ (KZ @ v.ravel()))
     assert via_matrix == pytest.approx(quad, rel=1e-12, abs=1e-12)
     F_matrix = via_matrix - float(np.sum(u * (K @ v)))
