@@ -71,31 +71,42 @@ def interpolant_errors(space, k):
     "unit_defect_sq" (squared L2 norm of |m_lin| - 1; 3-point Gauss per
     interval), and "v_minus_dtm_l1" (L1 distance between v and the discrete
     time derivative; exact in t, quadrature in space).
+
+    Each step samples m_next and v - (m_next - m)/k once; m's samples are
+    the previous step's. |(1 - a) m + a m_next|^2 at a Gauss time a is
+    formed from the per-point |m|^2, m . m_next and |m_next|^2.
     """
     errors = {"m_minus_mleft_sq": 0.0, "unit_defect_sq": 0.0,
               "v_minus_dtm_l1": 0.0}
-    prev, prev_qp = None, None      # the last m_next seen and its samples
+    last = (None, None, None)       # the last m_next seen, its samples, |.|^2
 
     def observe(step):
-        nonlocal prev, prev_qp
-        # run hands the previous m_next on as this step's m, so each state
-        # is sampled once; differences are formed at the points by linearity
-        m_qp = prev_qp if step.m is prev else space.values_at_qp(step.m)
+        nonlocal last
+        prev, m_qp, m_sq = last
+        if step.m is not prev:      # run hands the previous m_next on as m
+            m_qp = space.values_at_qp(step.m)
+            m_sq = _dot(m_qp, m_qp)
         m_next_qp = space.values_at_qp(step.m_next)
-        prev, prev_qp = step.m_next, m_next_qp
+        last = (step.m_next, m_next_qp, _dot(m_next_qp, m_next_qp))
+        both, next_sq = _dot(m_qp, m_next_qp), last[2]
         diff_qp = m_next_qp - m_qp
         errors["m_minus_mleft_sq"] += (k / 3.0) * space.integrate(
-            np.sum(diff_qp * diff_qp, axis=-1))
+            _dot(diff_qp, diff_qp))
         for a, wgt in zip(_GAUSS_A, _GAUSS_W):
-            sample = (1.0 - a) * m_qp + a * m_next_qp
-            norms = np.linalg.norm(sample, axis=-1)
+            norms = np.sqrt((1.0 - a) ** 2 * m_sq + (2.0 * a * (1.0 - a))
+                            * both + a ** 2 * next_sq)
             errors["unit_defect_sq"] += (k * wgt
                                          * space.integrate((norms - 1.0) ** 2))
-        gap = space.values_at_qp(step.v) - diff_qp / k
+        gap = space.values_at_qp(step.v - (step.m_next - step.m) / k)
         errors["v_minus_dtm_l1"] += k * space.integrate(
-            np.linalg.norm(gap, axis=-1))
+            np.sqrt(_dot(gap, gap)))
 
     return observe, errors
+
+
+def _dot(x, y):
+    """Per-point dot products of (c, q, 3) samples."""
+    return np.einsum("cqa,cqa->cq", x, y)
 
 
 def time_profile(t, T):
@@ -153,23 +164,31 @@ def _contracted_residual(params, AB, rows, m_qp, gm, dtm_qp, w):
     AB holds the rotation field's invariants and rows (c, q) the points'
     field rows; m_qp (c, q, 3) and gm (c, dim, 3) sample the midpoint value
     of the interpolant, dtm_qp (c, q, 3) its time derivative, and w (c, q)
-    holds the weights, which R (c, q, 3) and S (c, q, dim, 3) carry.
+    holds the weights, which R (c, q, 3) and S (c, q, dim, 3) carry. Cross
+    products are formed one component at a time, on (c, q) planes.
     """
     mu, dim = params.mu, gm.shape[1]
     a, b = F_pairing(AB, rows, m_qp, gm)
-    # sum_d b_d x d_d m is the axial vector of P = sum_d b_d (d_d m)^T
-    P = (np.swapaxes(b, 2, 3).reshape(len(gm), -1, dim) @ gm).reshape(
-        a.shape + (3,))
-    b_x_gm = np.stack([P[..., 1, 2] - P[..., 2, 1],
-                       P[..., 2, 0] - P[..., 0, 2],
-                       P[..., 0, 1] - P[..., 1, 0]], axis=-1)
-    Y = (params.lambda1 * np.cross(m_qp, dtm_qp) - params.lambda2 * dtm_qp
-         - mu * a)
-    R = np.cross(Y, m_qp) - mu * b_x_gm
-    S = -mu * np.cross(gm[:, None] + b, m_qp[:, :, None])
-    R *= w[:, :, None]
-    S *= w[:, :, None, None]
-    return R, S
+    m, dm, a = (np.moveaxis(x, -1, 0) for x in (m_qp, dtm_qp, a))
+    R = _cross(params.lambda1 * _cross(m, dm) - params.lambda2 * dm - mu * a,
+               m)
+    # S_d = (d_d m + b_d) x m', with m' = -mu w m
+    mw = -mu * w * m
+    S = np.empty((dim, 3) + w.shape)
+    g = np.moveaxis(gm, 0, -1)[..., None]           # (dim, 3, c, 1)
+    for d in range(dim):
+        bd = np.moveaxis(b[..., d, :], -1, 0)
+        R -= mu * _cross(bd, g[d])
+        S[d] = _cross(g[d] + bd, mw)
+    R *= w
+    return np.moveaxis(R, 0, -1), np.moveaxis(S, (0, 1), (-2, -1))
+
+
+def _cross(x, y):
+    """x x y for vectors stored component-first, x[i] and y[i] the planes
+    of component i."""
+    return np.stack([x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+                     x[0] * y[1] - x[1] * y[0]])
 
 
 def weak_residual(space, params, path, fields):
@@ -181,9 +200,10 @@ def weak_residual(space, params, path, fields):
     path in lockstep with the run, from the run's own field at j = 0; each
     interval uses the midpoint value of the interpolant, the piecewise-
     constant discrete time derivative, and its left-endpoint rotation field.
-    A step inside the bump's support samples the interpolant over all
-    cells and forms the invariants once, then (R, S) _CELL_BLOCK cells at
-    a time.
+    A step inside the bump's support makes three samplings over all
+    cells, values_at_qp of m_mid and of (m_next - m) / k and grads_at_qp
+    of m_mid, and forms the invariants once, then (R, S) _CELL_BLOCK cells
+    at a time; a step outside it samples nothing.
     """
     k = params.k
     qp_flat = space.quad_points.reshape(-1, space.mesh.dim)
@@ -207,13 +227,12 @@ def weak_residual(space, params, path, fields):
             AB = rot.invariants()
             samples = (rot.qp_rows(), space.values_at_qp(m_mid),
                        space.grads_at_qp(m_mid),
-                       space.values_at_qp((step.m_next - step.m) / k), w)
+                       space.values_at_qp((step.m_next - step.m) / k),
+                       (k * b) * w)
             for c0 in range(0, len(w), _CELL_BLOCK):
                 cells = slice(c0, c0 + _CELL_BLOCK)
                 R, S = _contracted_residual(params, AB,
                                             *(x[cells] for x in samples))
-                R *= k * b
-                S *= k * b
                 acc[0][cells] += R
                 acc[1][cells] += S
         if step.j == params.J - 1:

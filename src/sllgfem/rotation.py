@@ -314,16 +314,30 @@ def F_pairing(AB, rows, u_qp, gu):
     quadrature points whose field rows are `rows` (c, q), from the field's
     invariants AB, the samples u_qp (c, q, 3) of u there and its cellwise
     gradient gu (c, dim, 3): a (c, q, 3) = A u + sum_d B_d^T d_d u, and
-    b (c, q, dim, 3) holds b_d = B_d u in row d, point by point."""
-    c, dim = len(gu), gu.shape[1]
+    b (c, q, dim, 3) holds b_d = B_d u in row d, point by point. A and
+    every B_d are gathered entry-major in one go, so that each product is
+    one pass over the points per matrix entry."""
+    dim = gu.shape[1]
     R = len(AB) // (1 + dim)
-    A = np.take(AB[:R].reshape(R, 3, 3), rows, axis=0)
-    # B as (3 dim x 3) per point, row (d, a) = row a of B_d
-    B = np.take(AB[R:].reshape(R, 3 * dim, 3), rows, axis=0)
-    a = np.einsum("cqab,cqb->cqa", A, u_qp)
-    a += np.einsum("cqkb,ck->cqb", B, gu.reshape(c, 3 * dim))
-    b = np.einsum("cqkb,cqb->cqk", B, u_qp)
-    return a, b.reshape(b.shape[:2] + (dim, 3))
+    idx = np.empty((1 + dim,) + rows.shape, dtype=np.intp)
+    idx[0] = rows
+    idx[1:] = R + dim * rows + np.arange(dim)[:, None, None]
+    # G[i, j, 0] is A_ij and G[i, j, 1 + d] is (B_d)_ij, (c, q) each
+    G = AB.T[:, idx].reshape((3, 3, 1 + dim) + rows.shape)
+    u = np.moveaxis(u_qp, -1, 0)
+    g = np.moveaxis(gu, 0, -1)[..., None]           # (dim, 3, c, 1)
+    a = np.empty((3,) + rows.shape)
+    b = np.empty((dim, 3) + rows.shape)
+    for i in range(3):
+        a[i] = _dot3(G[i, :, 0], u)
+        for d in range(dim):
+            a[i] += _dot3(G[:, i, 1 + d], g[d])
+            b[d, i] = _dot3(G[i, :, 1 + d], u)
+    return np.moveaxis(a, 0, -1), np.moveaxis(b, (0, 1), (-2, -1))
+
+
+def _dot3(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _rotated_gradient(Z, xi, u_qp, gu):

@@ -4,7 +4,8 @@ One step: build an orthonormal tangent frame at every node, assemble the
 nonsymmetric linear system for the update velocity v directly in the
 2N-dimensional nodal tangent space, solve it with one sparse LU
 factorization (no nonlinear iteration), move m by k*v, renormalize nodally,
-and advance the rotation field along the Wiener path in lockstep.
+and advance the rotation field along the Wiener path in lockstep. `run`
+then hands the step to its observers, inline, before the next step.
 
 Discrete pairings: <v, w> and <m x v, w> use the lumped nodal pairing (the
 cross term is then exactly skew, which the per-path energy chain needs) while
@@ -20,8 +21,6 @@ no positive off-diagonal entries.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -270,7 +269,7 @@ class Trajectory:
         return self.params.J
 
 
-def run(m0, params, path, coeffs, space, observers=(), overlap=False):
+def run(m0, params, path, coeffs, space, observers=()):
     """Run the scheme for J steps along one Wiener path.
 
     This is the only time loop: anything that needs the nodal states or
@@ -287,21 +286,10 @@ def run(m0, params, path, coeffs, space, observers=(), overlap=False):
     space : P1Space
     observers : callables, each called as observer(step) once per step,
         j = 0, ..., J-1, in the order given, with the frozen Step record of
-        that step (see Step). The arrays and fields are the loop's own and
+        that step (see Step), right after the step is solved and before the
+        next one is assembled. The arrays and fields are the loop's own and
         later steps read them: observers must not mutate them, and may keep
-        references to them.
-    overlap : if true, each step's observers run on one background thread
-        while the next step is assembled and solved. Only the step's numpy
-        work overlaps with them: SuperLU's factorization holds the GIL
-        (scipy 1.17.1), so each factorization stalls the observer thread.
-        The observers still run one step at a time, in the order given, on
-        the same Step records, so they compute the same values. Step j's
-        batch is waited for before step j+1's is handed over, so at most
-        one step is in flight, and the last batch is waited for before
-        `run` returns; the thread does not outlive the call. An observer's
-        exception is raised at the next step boundary at the latest; if a
-        step fails while a batch is in flight, the batch is waited for and
-        the step's error is raised.
+        references to them. An observer's exception ends the run.
 
     Returns
     -------
@@ -328,38 +316,21 @@ def run(m0, params, path, coeffs, space, observers=(), overlap=False):
 
     diagnostics = np.empty(J, dtype=DIAGNOSTICS_DTYPE)
     state = NodalState(j=0, m=m, energy=_dirichlet_energy(space, m))
-
-    # leaving the block waits for a batch in flight, whatever the outcome
-    with (ThreadPoolExecutor(max_workers=1) if overlap
-          else nullcontext()) as pool:
-        pending = None              # the future of the batch in flight
-        for j in range(J):
-            v = _update(state, field, params, space, diagnostics[j])
-            next_state = advance(state, v, params, space)
-            next_field = evolve_step(field, path.increments[j], k)
-            if pending is not None:
-                pending.result()    # raises the batch's exception, if any
-            step = Step(j=j, m=state.m, v=v, m_next=next_state.m,
-                        field=field, field_next=next_field)
-            if pool is None:
-                _observe(observers, step)
-            else:
-                pending = pool.submit(_observe, observers, step)
-            # without the overlap this frees the field at t_j before the
-            # next solve; with it, the batch holds it until it finishes
-            del step
-            state, field = next_state, next_field
-        if pending is not None:
-            pending.result()
+    for j in range(J):
+        v = _update(state, field, params, space, diagnostics[j])
+        next_state = advance(state, v, params, space)
+        next_field = evolve_step(field, path.increments[j], k)
+        step = Step(j=j, m=state.m, v=v, m_next=next_state.m,
+                    field=field, field_next=next_field)
+        for observe in observers:
+            observe(step)
+        # frees the field at t_j before the next solve
+        del step
+        state, field = next_state, next_field
 
     return Trajectory(params=params, m=state.m,
                       energy=np.append(diagnostics["energy"], state.energy),
                       diagnostics=diagnostics, m0_drift=drift)
-
-
-def _observe(observers, step):
-    for observe in observers:
-        observe(step)
 
 
 def _update(state, field, params, space, row):

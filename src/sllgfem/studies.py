@@ -161,17 +161,15 @@ def _snapshot_writer(config, space, stream, snapshot_dir):
     return snapshots
 
 
-def _trajectory(config, level, stream, snapshot_dir, overlap):
+def _trajectory(config, level, stream, snapshot_dir):
     """One trajectory of a study, with every monitor attached.
 
     Level `level` of a refinement study divides config.divisions and J by
     2^(levels-1-level) and coarsens the finest-level path of `stream`;
     the other modes have the one level 0. VTK snapshots go to
-    `snapshot_dir` when it is set and config.snapshots > 0. `overlap` is
-    run's: the monitors run one step behind the solve on a background
-    thread. Returns the run rows, the invariant failures and the
-    diagnostics CSV text; the calling process writes all files but the
-    snapshots.
+    `snapshot_dir` when it is set and config.snapshots > 0. Returns the
+    run rows, the invariant failures and the diagnostics CSV text; the
+    calling process writes all files but the snapshots.
     """
     factor = (2 ** (config.levels - 1 - level)
               if config.mode == "refinement" else 1)
@@ -196,8 +194,7 @@ def _trajectory(config, level, stream, snapshot_dir, overlap):
         observers.append(_snapshot_writer(config, space, stream,
                                           snapshot_dir))
     try:
-        traj = run(m0, p, path, coeffs, space, observers=observers,
-                   overlap=overlap)
+        traj = run(m0, p, path, coeffs, space, observers=observers)
     except SolverFailure as e:
         raise SolverFailure(f"level {level} stream {stream} (base seed "
                             f"{config.seed}): {e}", residual=e.residual)
@@ -274,12 +271,10 @@ def run_study(config):
     return its report.
 
     The tasks run in a process pool when SLLGFEM_WORKERS, the task count
-    and the CPU count all exceed 1, and in this process otherwise. When
-    fewer processes than CPUs run, each trajectory's monitors run on a
-    background thread, one step behind the solve (run's `overlap`), which
-    changes no output. Rows and files follow task order: each level's run
-    rows, then its aggregate rows (not in single mode), then the
-    refinement orders.
+    and the CPU count all exceed 1, and in this process otherwise; each
+    trajectory's monitors run inline in its process, after every step.
+    Rows and files follow task order: each level's run rows, then its
+    aggregate rows (not in single mode), then the refinement orders.
     """
     requested = _worker_count()     # a bad value fails before any write
     levels = config.levels if config.mode == "refinement" else 1
@@ -288,10 +283,8 @@ def run_study(config):
              for stream in range(streams)]
     _prepare_out(config)
     snapshot_dir = config.out if config.mode == "single" else None
-    cpus = os.cpu_count() or 1
-    workers = min(requested, len(tasks), cpus)
-    task = partial(_trajectory, config, snapshot_dir=snapshot_dir,
-                   overlap=workers < cpus)
+    workers = min(requested, len(tasks), os.cpu_count() or 1)
+    task = partial(_trajectory, config, snapshot_dir=snapshot_dir)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, *zip(*tasks)))

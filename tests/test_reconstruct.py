@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from sllgfem.errors import TimeMismatchError
 from sllgfem.fem import P1Space, interpolate_nodal, normalize_nodal
 from sllgfem.mesh import build_structured_mesh
-from sllgfem.noise import make_noise
-from sllgfem.reconstruct import (_CELL_BLOCK, TestField,
+from sllgfem.noise import NoiseCoefficients, NoiseComponent, make_noise
+from sllgfem.reconstruct import (_CELL_BLOCK, _GAUSS_A, _GAUSS_W, TestField,
                                  _contracted_residual, interpolant_errors,
                                  make_test_field, reconstruct_M, solve_phi,
                                  time_profile, weak_residual)
-from sllgfem.rotation import RotationField, init_rotation_field, evolve_step
+from sllgfem.rotation import (F_pairing, RotationField, compute_F_identity,
+                              evolve_step, init_rotation_field)
 from sllgfem.scheme import SchemeParams, run
 from sllgfem.wiener import sample_path
 
@@ -421,6 +422,176 @@ def test_weak_residual_evaluates_each_test_field_once(monkeypatch):
     assert sum(time_profile((j + 0.5) * params.k, params.T) > 0.0
                for j in range(params.J)) == 28
     assert calls == fields and np.all(totals != 0.0)
+
+
+# ------------------------------------------- many-row oracles, sample counts
+
+def many_row_noise():
+    """Two components that vary with every coordinate of the point, so
+    that nearly every quadrature point and vertex has a row of its own."""
+    def g1(x):
+        s = x.sum(axis=1)
+        return np.stack([np.sin(2.0 * x[:, 0] + x[:, 1]), np.cos(s),
+                         x[:, 0] * x[:, 1] + 0.5 * s], axis=1)
+
+    def j1(x):
+        dim = x.shape[1]
+        out = np.zeros((len(x), 3, dim))
+        out[:, 0, 0] = 2.0 * np.cos(2.0 * x[:, 0] + x[:, 1])
+        out[:, 0, 1] = np.cos(2.0 * x[:, 0] + x[:, 1])
+        out[:, 1, :] = -np.sin(x.sum(axis=1))[:, None]
+        out[:, 2, :] = 0.5
+        out[:, 2, 0] += x[:, 1]
+        out[:, 2, 1] += x[:, 0]
+        return out
+
+    def g2(x):
+        return np.stack([x[:, 1], 0.5 + 0 * x[:, 0], x[:, 0] ** 2], axis=1)
+
+    def j2(x):
+        out = np.zeros((len(x), 3, x.shape[1]))
+        out[:, 0, 1] = 1.0
+        out[:, 2, 0] = 2.0 * x[:, 0]
+        return out
+
+    return NoiseCoefficients((NoiseComponent(g1, j1),
+                              NoiseComponent(g2, j2)))
+
+
+def _oracle_interpolant_errors(space, k, steps):
+    """The interpolant errors with each Gauss point's interpolant sampled
+    as a (c, q, 3) array and v sampled apart from m and m_next."""
+    errors = dict.fromkeys(("m_minus_mleft_sq", "unit_defect_sq",
+                            "v_minus_dtm_l1"), 0.0)
+    for step in steps:
+        m_qp = space.values_at_qp(step.m)
+        m_next_qp = space.values_at_qp(step.m_next)
+        diff_qp = m_next_qp - m_qp
+        errors["m_minus_mleft_sq"] += (k / 3.0) * space.integrate(
+            np.sum(diff_qp * diff_qp, axis=-1))
+        for a, wgt in zip(_GAUSS_A, _GAUSS_W):
+            norms = np.linalg.norm((1.0 - a) * m_qp + a * m_next_qp, axis=-1)
+            errors["unit_defect_sq"] += (k * wgt
+                                         * space.integrate((norms - 1.0) ** 2))
+        gap = space.values_at_qp(step.v) - diff_qp / k
+        errors["v_minus_dtm_l1"] += k * space.integrate(
+            np.linalg.norm(gap, axis=-1))
+    return errors
+
+
+def _oracle_F_pairing(AB, rows, u_qp, gu):
+    """(a, b) of rotation.F_pairing with per-point gathers of A and B and
+    einsum products."""
+    c, dim = len(gu), gu.shape[1]
+    R = len(AB) // (1 + dim)
+    A = np.take(AB[:R].reshape(R, 3, 3), rows, axis=0)
+    B = np.take(AB[R:].reshape(R, 3 * dim, 3), rows, axis=0)
+    a = np.einsum("cqab,cqb->cqa", A, u_qp)
+    a += np.einsum("cqkb,ck->cqb", B, gu.reshape(c, 3 * dim))
+    b = np.einsum("cqkb,cqb->cqk", B, u_qp)
+    return a, b.reshape(b.shape[:2] + (dim, 3))
+
+
+def _oracle_weak_residual(space, params, steps, fields):
+    """The weak residual's totals with (R, S) formed by np.cross on
+    (c, q, 3) and (c, q, dim, 3) broadcasts, over all cells at once."""
+    mu, k = params.mu, params.k
+    w = space.quad_weights
+    acc_R, acc_S = 0.0, 0.0
+    for step in steps:
+        bump = time_profile((step.j + 0.5) * k, params.T)
+        if bump == 0.0:
+            continue
+        m_mid = 0.5 * (step.m + step.m_next)
+        m_qp, gm = space.values_at_qp(m_mid), space.grads_at_qp(m_mid)
+        dtm_qp = space.values_at_qp((step.m_next - step.m) / k)
+        a, b = _oracle_F_pairing(step.field.invariants(),
+                                 step.field.qp_rows(), m_qp, gm)
+        b_x_gm = np.cross(b, gm[:, None]).sum(axis=2)
+        R = (np.cross(params.lambda1 * np.cross(m_qp, dtm_qp)
+                      - params.lambda2 * dtm_qp - mu * a, m_qp)
+             - mu * b_x_gm)
+        S = -mu * np.cross(gm[:, None] + b, m_qp[:, :, None])
+        acc_R = acc_R + k * bump * w[:, :, None] * R
+        acc_S = acc_S + k * bump * w[:, :, None, None] * S
+    qp = space.quad_points.reshape(-1, space.mesh.dim)
+    totals = []
+    for f in fields:
+        psi, grad_psi = f.evaluate(qp)
+        totals.append(psi.ravel() @ acc_R.ravel()
+                      + grad_psi.ravel() @ acc_S.ravel())
+    return np.array(totals)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 4)])
+def test_monitors_match_oracles_on_a_many_row_field(dim, n):
+    # 1089 rows in 2D (one per distinct point: the quadrature points are
+    # the edge midpoints) and about 1600 in 3D: the componentwise kernels
+    # against the kernels they replaced, and F_pairing against the
+    # identity form of F on the last step's field
+    space = P1Space(build_structured_mesh(dim, n))
+    params = SchemeParams(lambda1=1.3, lambda2=0.7, theta=1.0, T=0.2, J=6)
+    coeffs = many_row_noise()
+    path = sample_path(13, coeffs.q, params.J, params.T)
+    fields = [make_test_field(i) for i in range(3)]
+    errs_obs, errs = interpolant_errors(space, params.k)
+    residual_obs, totals = weak_residual(space, params, path, fields)
+    steps = []
+    run(spiral_m0(space), params, path, coeffs, space,
+        observers=[errs_obs, residual_obs, steps.append])
+    field = steps[-1].field
+    assert len(field.Z) > 1000
+    assert np.abs(field.xi).max() > 0.1
+
+    oracle = _oracle_interpolant_errors(space, params.k, steps)
+    for key, value in oracle.items():
+        assert value > 0.0
+        assert abs(errs[key] - value) <= 1e-12 * value, key
+    expected = _oracle_weak_residual(space, params, steps, fields)
+    assert np.all(np.abs(expected) > 1e-6)
+    assert np.all(np.abs(totals - expected) <= 1e-12 * np.abs(expected))
+
+    u, v = steps[-1].m, steps[-1].v
+    a, b = F_pairing(field.invariants(), field.qp_rows(),
+                     space.values_at_qp(u), space.grads_at_qp(u))
+    w = space.quad_weights
+    paired = (np.einsum("cq,cqa,cqa->", w, space.values_at_qp(v), a)
+              + np.einsum("cq,cda,cqda->", w, space.grads_at_qp(v), b))
+    F = compute_F_identity(field, u, v)
+    assert abs(F) > 1e-3
+    assert abs(paired - F) <= 1e-12 * abs(F)
+
+
+def test_monitors_sample_each_state_once(monkeypatch):
+    # J = 6 with steps 1..4 in the bump's support. The interpolant errors
+    # sample m^0, each m_next and each step's v - (m_next - m)/k; the
+    # residual samples m_mid twice and (m_next - m)/k once per active step
+    space = space8()
+    params, coeffs, path = short_inputs(J=6)
+    steps = []
+    run(spiral_m0(space), params, path, coeffs, space,
+        observers=[steps.append])
+    calls = []
+    for name in ("values_at_qp", "grads_at_qp"):
+        def spy(self, u, sample=getattr(P1Space, name), name=name):
+            calls.append(name)
+            return sample(self, u)
+        monkeypatch.setattr(P1Space, name, spy)
+
+    observe, _ = interpolant_errors(space, params.k)
+    for step in steps:
+        observe(step)
+    assert calls == ["values_at_qp"] * (2 * params.J + 1)
+
+    calls.clear()
+    observe, _ = weak_residual(space, params, path, [make_test_field(0)])
+    for step in steps:
+        observe(step)
+    active = [j for j in range(params.J)
+              if time_profile((j + 0.5) * params.k, params.T) != 0.0]
+    assert active == [1, 2, 3, 4]
+    assert calls == ["values_at_qp", "grads_at_qp",
+                     "values_at_qp"] * len(active)
 
 
 # ---------------------------------------------------------------- solve_phi

@@ -1,7 +1,6 @@
 """Tangent-plane theta scheme: frames, assembly, solving, stepping."""
 
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -494,84 +493,60 @@ def test_F_value_matches_identity_oracle(dim, divisions):
 
 def test_memory_does_not_grow_with_steps():
     # no observers: only O(J) scalars may accumulate, far less than a nodal
-    # field per step, with the observers inline or one step behind
+    # field per step
     space = P1Space(build_structured_mesh(2, 16))
     m0 = spiral_m0(space)
     coeffs = make_noise("linear-gradient")
 
-    def peak_bytes(J, overlap):
+    def peak_bytes(J):
         params = default_params(T=0.01 * J, J=J)
         path = sample_path(1, coeffs.q, J, params.T)
         tracemalloc.start()
         try:
-            run(m0, params, path, coeffs, space, overlap=overlap)
+            run(m0, params, path, coeffs, space)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     half_field = space.N * 3 * 8 / 2
-    for overlap in (False, True):
-        peak_bytes(2, overlap)      # caches and first-touch allocations
-        growth = ((peak_bytes(128, overlap) - peak_bytes(16, overlap))
-                  / (128 - 16))
-        assert growth < half_field, (f"peak grows {growth:.0f} B per step "
-                                     f"(N = {space.N}, overlap {overlap})")
+    peak_bytes(2)                   # caches and first-touch allocations
+    growth = (peak_bytes(128) - peak_bytes(16)) / (128 - 16)
+    assert growth < half_field, (f"peak grows {growth:.0f} B per step "
+                                 f"(N = {space.N})")
 
 
 class ObserverFailure(Exception):
     pass
 
 
-def test_overlapped_observer_error_is_raised_and_no_thread_is_left():
+def test_observer_error_stops_the_run_before_the_next_step(monkeypatch):
+    # observers run inline, in order, after their step: an error at step 2
+    # is raised before step 3 is assembled, and later observers of step 2
+    # are not called
     space = space8()
     params = default_params(J=6)
     coeffs = make_noise("linear-gradient")
     path = sample_path(3, coeffs.q, params.J, params.T)
-    seen = []
+    assembled, seen, after = [], [], []
+    assemble = scheme.assemble_step_system
+
+    def spy(state, *args):
+        assembled.append(state.j)
+        return assemble(state, *args)
 
     def observe(step):
         seen.append(step.j)
+        assert assembled[-1] == step.j
         if step.j == 2:
             raise ObserverFailure("step 2")
 
+    monkeypatch.setattr(scheme, "assemble_step_system", spy)
     threads = threading.active_count()
     with pytest.raises(ObserverFailure, match="step 2"):
         run(spiral_m0(space), params, path, coeffs, space,
-            observers=[observe], overlap=True)
-    assert threading.active_count() == threads
-    # raised at the next step boundary: no later batch was handed over
-    assert seen == [0, 1, 2]
-
-
-def test_overlapped_step_failure_waits_for_the_batch(monkeypatch):
-    # the step fails while the previous step's observers still run: run
-    # lets them finish, then raises the step's error
-    space = space8()
-    params = default_params(J=6)
-    coeffs = make_noise("linear-gradient")
-    path = sample_path(3, coeffs.q, params.J, params.T)
-    started, finished, solves = threading.Event(), [], []
-    solve = scheme.solve_step
-
-    def failing_solve(system, params):
-        solves.append(1)
-        if len(solves) == 4:        # step 3, with step 2's batch in flight
-            assert started.wait(timeout=30)
-            raise SolverFailure("step 3", residual=np.inf)
-        return solve(system, params)
-
-    def slow_observer(step):
-        if step.j == 2:
-            started.set()
-            time.sleep(0.2)
-        finished.append(step.j)
-
-    monkeypatch.setattr(scheme, "solve_step", failing_solve)
-    threads = threading.active_count()
-    with pytest.raises(SolverFailure, match="step 3"):
-        run(spiral_m0(space), params, path, coeffs, space,
-            observers=[slow_observer], overlap=True)
-    assert finished == [0, 1, 2]
+            observers=[observe, lambda step: after.append(step.j)])
+    assert assembled == seen == [0, 1, 2]
+    assert after == [0, 1]
     assert threading.active_count() == threads
 
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -138,34 +139,28 @@ def test_parallel_matches_sequential(tmp_path, monkeypatch, mode):
     assert par.csv_text() == seq.csv_text()
 
 
-@pytest.mark.parametrize("mode", ["single", "refinement"])
-def test_overlap_writes_the_same_files(tmp_path, monkeypatch, mode):
-    # one worker on 2 CPUs runs the monitors one step behind the solve; on
-    # 1 CPU they run inline. Reports, diagnostics and VTK are the same bytes.
+def test_sequential_study_runs_its_monitors_on_no_thread(tmp_path,
+                                                       monkeypatch):
+    # one worker on 2 CPUs: every observer runs inline in the calling
+    # thread, and no thread is started, not even while a step is observed
     monkeypatch.setenv(WORKERS_ENV, "1")
-    overlaps, run = [], studies.run
+    monkeypatch.setattr(studies.os, "cpu_count", lambda: 2)
+    inside, run = [], studies.run
 
-    def spy(*args, overlap, **kwargs):
-        overlaps.append(overlap)
-        return run(*args, overlap=overlap, **kwargs)
+    def spy(*args, observers, **kwargs):
+        def count(step):
+            inside.append((threading.current_thread(),
+                           threading.active_count()))
+        return run(*args, observers=[*observers, count], **kwargs)
 
     monkeypatch.setattr(studies, "run", spy)
-    files = {}
-    for cpus in (2, 1):
-        monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
-        cfg = tiny_config(tmp_path, f"cpus{cpus}", mode)
-        if mode == "single":
-            cfg = replace(cfg, noise_preset="linear-gradient", snapshots=3)
-        run_study(cfg)
-        out = tmp_path / f"cpus{cpus}"
-        files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()
-                       if p.name != "resolved.ini"}
-    runs = 1 if mode == "single" else 6
-    assert overlaps == [True] * runs + [False] * runs
-    assert files[2] == files[1]
-    assert "report.csv" in files[1]
-    assert any(name.endswith(".vtk") for name in files[1]) == (
-        mode == "single")
+    threads = threading.active_count()
+    cfg = replace(tiny_config(tmp_path, "inline", "single"),
+                  noise_preset="linear-gradient", snapshots=3)
+    run_study(cfg)
+    assert threading.active_count() == threads
+    assert len(inside) == cfg.params.J
+    assert set(inside) == {(threading.main_thread(), threads)}
 
 
 def test_worker_count_env_validation(monkeypatch):
@@ -343,7 +338,7 @@ import resource, sys, time
 from sllgfem import load_config, studies
 config = load_config(sys.argv[1])
 r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-studies._trajectory(config, 0, 0, None, False)
+studies._trajectory(config, 0, 0, None)
 t1, r1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
 cpu = r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime
 print(cpu / (t1 - t0))
@@ -354,8 +349,8 @@ print(cpu / (t1 - t0))
 def test_unpinned_blas_keeps_one_trajectory_on_one_core(tmp_path):
     # Users do not pin BLAS. A step-loop BLAS call that wakes OpenBLAS's
     # threads leaves a worker spinning on a second core for the rest of the
-    # run, which doubles the CPU time and takes the core the monitor
-    # overlap would use
+    # run, which doubles the CPU time and takes the core a second pool
+    # worker would use
     path = tmp_path / "guard.ini"
     path.write_text("""\
 [mesh]
@@ -391,9 +386,9 @@ _FAULTS_PER_STEP = """\
 import resource, sys
 from sllgfem import load_config, studies
 config = load_config(sys.argv[1])
-studies._trajectory(config, 0, 0, None, False)
+studies._trajectory(config, 0, 0, None)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-studies._trajectory(config, 0, 0, None, False)
+studies._trajectory(config, 0, 0, None)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print((after - before) / config.params.J)
 """
