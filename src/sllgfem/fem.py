@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, MeshError, NormalizationError
-from .mesh import Mesh, edge_determinants
+from .mesh import Mesh
 
 # barycentric coordinates and weights, exactness degree 2
 _TRI_QP = np.array([[0.5, 0.5, 0.0],
@@ -46,8 +46,9 @@ class P1Space:
         Node count (one vector unknown in R^3 per mesh vertex).
     phi_qp : (n_qp, dim+1) array
         Barycentric basis values at the reference quadrature points.
-    grad_phi : (n_cells, dim+1, dim) array
-        Constant gradient of each local basis function per cell.
+    grad_phi : (n_cells, dim+1, dim) read-only array
+        Constant gradient of each local basis function per cell: the
+        mesh's `grad_lambda`.
     quad_points : (n_cells, n_qp, dim) array
         Physical quadrature point coordinates, cell-major. Points on a
         shared facet (all of the 2D edge-midpoint rule) appear once per
@@ -69,18 +70,8 @@ class P1Space:
         self.phi_qp = bary
         self.n_qp = len(bary)
 
+        self.grad_phi = mesh.grad_lambda
         x = np.take(mesh.vertices, mesh.cells, axis=0)   # (M, d+1, d)
-        # grad(lambda_i), i = 1..d, is the i-th cofactor row of the edge
-        # matrix over its determinant, and grad(lambda_0) minus their sum;
-        # formed one (M,) component at a time
-        g = self.grad_phi = np.empty((mesh.n_cells, d + 1, d))
-        det = edge_determinants(x, cofactors=g[:, 1:])
-        for k in range(d):
-            for i in range(1, d + 1):
-                g[:, i, k] /= det
-            np.negative(sum(g[:, i, k] for i in range(1, d + 1)),
-                        out=g[:, 0, k])
-
         # one (M,) coordinate at a time, summed over the vertices in order
         self.quad_points = np.empty((mesh.n_cells, self.n_qp, d))
         for q, weights in enumerate(bary):

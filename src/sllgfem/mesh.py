@@ -16,7 +16,7 @@ import numpy as np
 from .errors import MeshError
 
 class Mesh:
-    """Conforming simplicial mesh in 2D or 3D.
+    """Conforming simplicial mesh in 2D or 3D, the owner of cell geometry.
 
     Parameters
     ----------
@@ -24,32 +24,44 @@ class Mesh:
         Vertex coordinates, dim in {2, 3}; a non-finite coordinate raises
         MeshError naming the vertex.
     cells : (M, dim+1) int array
-        Vertex indices per cell. Cells with negative signed measure are
-        reoriented (last two indices swapped). No cells, a zero or
-        non-finite cell measure or diameter, a cell so thin that its
-        barycentric gradients or stiffness would overflow, an over-shared
-        facet, two cells on one side of a facet or an unused vertex raise
-        MeshError.
+        Vertex indices per cell; an index that is not an integer in
+        int64's range (2.5, NaN, 2**70) raises MeshError naming the cell.
+        Cells with negative signed measure are reoriented (last two
+        indices swapped). No cells, a zero or non-finite cell measure or
+        diameter, a cell so thin that its barycentric gradients or
+        stiffness diagonal are not finite, an over-shared facet, two cells
+        on one side of a facet or an unused vertex raise MeshError.
 
     Attributes
     ----------
     dim : int
     volumes : (M,) array of positive cell measures.
+    grad_lambda : (M, dim+1, dim) read-only array, the constant gradient
+        of each barycentric coordinate of each (reoriented) cell.
     h : float, largest cell diameter.
-    facets : (F, dim) int array of distinct facets (edges in 2D, faces in
-        3D), each row's vertex ids ascending, rows in lexicographic order.
     """
 
     def __init__(self, vertices, cells):
         vertices = np.ascontiguousarray(vertices, dtype=float)
-        cells = np.ascontiguousarray(cells, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
             raise MeshError("vertices must be an (N, 2) or (N, 3) array")
         dim = vertices.shape[1]
+        cells = np.asarray(cells)
         if cells.ndim != 2 or cells.shape[1] != dim + 1:
             raise MeshError(f"cells must be (M, {dim + 1}) for dim={dim}")
         if not len(cells):
             raise MeshError("mesh has no cells")
+        if not np.can_cast(cells.dtype, np.int64):
+            # ids one by one, so that 2.5 is not truncated to 2
+            for c, row in enumerate(cells.tolist()):
+                try:
+                    ok = all(int(i) == i and -2**63 <= i < 2**63 for i in row)
+                except (TypeError, ValueError, OverflowError):  # NaN, inf
+                    ok = False
+                if not ok:
+                    raise MeshError(f"cell {c} has a vertex id that is not "
+                                    f"an integer in int64's range: {row}")
+        cells = np.ascontiguousarray(cells, dtype=np.int64)
         if cells.min() < 0 or cells.max() >= len(vertices):
             raise MeshError("cell vertex index out of range")
         bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
@@ -58,32 +70,47 @@ class Mesh:
                             f"{tuple(float(c) for c in vertices[bad[0]])}")
 
         x = np.take(vertices, cells, axis=0)           # (M, dim+1, dim)
+        # grad lambda_i, i = 1..dim, starts as cofactor row i - 1
+        grad = np.empty((len(cells), dim + 1, dim))
         # finite coordinates far apart can overflow: rejected, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            vols = edge_determinants(x) / (2.0 if dim == 2 else 6.0)
+            det = edge_determinants(x, grad[:, 1:])
             longest = _longest_edges_sq(x)
-        for values, what in ((vols, "measure"), (longest, "diameter")):
+        for values, what in ((det, "measure"), (longest, "diameter")):
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
                 raise MeshError(f"cell {bad[0]} has a non-finite {what}")
-        flip = vols < 0
+        flip = det < 0
         if np.any(flip):
+            # swapping the last two vertices negates det E and the cofactor
+            # rows and swaps the last two rows. 2D rows are signed edge
+            # components, negated exactly by -0.0 - c; 3D ones are
+            # differences of products, and 0.0 - c keeps a vanishing one +0,
+            # as a recompute does unless it subtracts a -0 product from +0
             cells = cells.copy()
             cells[flip, -2], cells[flip, -1] = (cells[flip, -1].copy(),
                                                 cells[flip, -2].copy())
-            vols = np.abs(vols)
+            cof = grad[flip, 1:][:, [*range(dim - 2), -1, -2]]
+            grad[flip, 1:] = (-0.0 if dim == 2 else 0.0) - cof
+            det = np.abs(det)
+        vols = det / (2.0 if dim == 2 else 6.0)
         degenerate = np.flatnonzero(vols <= 0)
         if degenerate.size:
             raise MeshError(f"cell {degenerate[0]} is degenerate "
                             f"(measure {float(vols[degenerate[0]])!r})")
-        # |grad lambda| <= d L^(d-1) / det E (L the longest edge), also over
-        # the sums that form grad lambda_0; times (d + 1) max(measure, 1) it
-        # bounds a stiffness cell block, so a sliver beyond it would overflow
-        with np.errstate(over="ignore"):
-            grad = dim * (np.sqrt(longest) if dim == 2 else longest) / (
-                (2.0 if dim == 2 else 6.0) * vols)
-            bound = (dim + 1) * grad * grad * np.maximum(vols, 1.0)
-        sliver = np.flatnonzero(~np.isfinite(bound))
+        # one (M,) component at a time: the cofactor rows over det E, and
+        # grad lambda_0 minus their sum. A sliver is a cell whose gradients,
+        # or whose stiffness diagonal vol |grad lambda_l|^2 summed as
+        # assemble_stiffness sums it, are not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(dim):
+                for i in range(1, dim + 1):
+                    grad[:, i, k] /= det
+                np.negative(sum(grad[:, i, k] for i in range(1, dim + 1)),
+                            out=grad[:, 0, k])
+            diagonal = [sum(grad[:, l, k] * grad[:, l, k] for k in range(dim))
+                        * vols for l in range(dim + 1)]
+        sliver = np.flatnonzero(~np.isfinite(diagonal).all(axis=0))
         if sliver.size:
             raise MeshError(f"cell {sliver[0]} is too thin: its barycentric "
                             f"gradients or stiffness would overflow")
@@ -92,14 +119,15 @@ class Mesh:
         self.vertices = vertices
         self.cells = cells
         self.volumes = vols
-        self.facets = self._find_facets()
+        self.grad_lambda = grad
+        self._check_facets()
         unused = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
         if unused.any():
             raise MeshError(f"vertex {unused.argmax()} belongs to no cell")
         self.h = float(np.sqrt(longest.max()))
 
-        self.vertices.setflags(write=False)
-        self.cells.setflags(write=False)
+        for array in (vertices, cells, grad):
+            array.setflags(write=False)
 
     @property
     def n_vertices(self):
@@ -109,7 +137,7 @@ class Mesh:
     def n_cells(self):
         return len(self.cells)
 
-    def _find_facets(self):
+    def _check_facets(self):
         # every interior facet must be shared by exactly two cells, which
         # induce opposite orientations on it
         d = self.dim
@@ -139,36 +167,30 @@ class Mesh:
                 first = bad[np.argmin(order[bad])]
                 raise MeshError(f"facet {tuple(int(c[first]) for c in cols)} "
                                 f"{problem}")
-        return np.stack([c[starts] for c in cols], axis=1)
 
 
-def edge_determinants(x, cofactors=None):
+def edge_determinants(x, cofactors):
     """det E per cell, E the (dim, dim) matrix whose row i - 1 is the edge
     x_i - x_0, for cell vertex coordinates x of shape (M, dim+1, dim).
 
     Closed form: the 2x2 determinant in 2D, the triple product
-    e1 . (e2 x e3) in 3D. If `cofactors`, an (M, dim, dim) array, is
-    given, it receives the rows of the cofactor matrix of E, so that
+    e1 . (e2 x e3) in 3D. `cofactors`, an (M, dim, dim) array, receives
+    the rows of the cofactor matrix of E, so that
     E cofactors^T = det E I: row i - 1 is det E times the gradient of the
     barycentric coordinate lambda_i. They are (e2_y, -e2_x) and
-    (-e1_y, e1_x) in 2D, and e2 x e3, e3 x e1 and e1 x e2 in 3D. Swapping
-    the last two vertices, as Mesh does to reorient a cell, negates the
-    determinant exactly.
+    (-e1_y, e1_x) in 2D, and e2 x e3, e3 x e1 and e1 x e2 in 3D.
     """
     d = x.shape[2]
     # e[i][k] is component k of edge i + 1, one (M,) array each
     e = [[x[:, i, k] - x[:, 0, k] for k in range(d)]
          for i in range(1, d + 1)]
+    c = cofactors
     if d == 2:
         (ax, ay), (bx, by) = e
-        if cofactors is not None:
-            cofactors[:, 0, 0], cofactors[:, 0, 1] = by, -bx
-            cofactors[:, 1, 0], cofactors[:, 1, 1] = -ay, ax
+        c[:, 0, 0], c[:, 0, 1] = by, -bx
+        c[:, 1, 0], c[:, 1, 1] = -ay, ax
         return ax * by - ay * bx
-    if cofactors is None:
-        cofactors = np.empty((len(x), 1, 3))    # the determinant needs row 0
-    c = cofactors
-    for i in range(c.shape[1]):
+    for i in range(3):
         a, b = e[(i + 1) % 3], e[(i + 2) % 3]
         for k in range(3):
             k1, k2 = (k + 1) % 3, (k + 2) % 3

@@ -331,8 +331,9 @@ def test_non_finite_geometry_map_raises_assembly_error():
     # Mesh rejects every cell whose gradients or stiffness block would
     # overflow (test_mesh.py::test_sliver_named), so no Mesh reaches this
     # check; it stays as a guard for a space whose gradients are not
-    # finite, set here by hand
+    # finite, set here by hand on a writable copy of the mesh's gradients
     space = P1Space(build_structured_mesh(3, 1))
+    space.grad_phi = space.grad_phi.copy()
     space.grad_phi[2, 1, 0] = np.inf
     with pytest.raises(AssemblyError, match="cell 2 has a singular"):
         assemble_stiffness(space)

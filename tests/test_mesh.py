@@ -1,5 +1,6 @@
 """Mesh construction, validation, and the text round-trip."""
 
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sllgfem import Mesh, MeshError, P1Space, build_structured_mesh
+from sllgfem import fem as fem_module
+from sllgfem import mesh as mesh_module
 from sllgfem.mesh import read_mesh_text, write_mesh_text
 
 
@@ -116,6 +119,52 @@ def test_sliver_named(vertices):
                                         "barycentric gradients or stiffness "
                                         "would overflow"):
         Mesh(np.vstack([unit, sliver]), cells)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sliver_gate_is_exact_at_its_edge(dim):
+    # the unit simplex with its last axis squashed to height 1.5e-154 has
+    # gradients up to 1/height and a stiffness diagonal up to about
+    # 1/height: finite, so it is accepted; at 5e-155 the squared gradient
+    # overflows and the cell is named. No warning escapes either way.
+    unit = np.vstack([np.zeros(dim), np.eye(dim)]) + 2.0
+    cells = np.arange(2 * (dim + 1)).reshape(2, dim + 1)
+    sliver = np.vstack([np.zeros(dim), np.eye(dim)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sliver[-1, -1] = 1.5e-154
+        space = P1Space(Mesh(np.vstack([unit, sliver]), cells))
+        assert np.isfinite(space.stiffness().data).all()
+        sliver[-1, -1] = 5e-155
+        with pytest.raises(MeshError, match="cell 1 is too thin"):
+            Mesh(np.vstack([unit, sliver]), cells)
+
+
+def test_space_forms_edge_determinants_once(monkeypatch):
+    # the mesh forms the cell geometry and the space reads it
+    calls = []
+    original = mesh_module.edge_determinants
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "edge_determinants", counting)
+    # a module that imported the name itself would bypass the first patch
+    monkeypatch.setattr(fem_module, "edge_determinants", counting,
+                        raising=False)
+    P1Space(build_structured_mesh(3, 2))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [2.7, np.nan, 2**70],
+                         ids=["fraction", "nan", "beyond-int64"])
+def test_non_integer_cell_id_named(bad):
+    # truncated, 2.7 would make cell 1 the valid triangle (1, 3, 2)
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(MeshError, match="cell 1 has a vertex id that is "
+                                        "not an integer in int64's range"):
+        Mesh(vertices, [[0, 1, 2], [1, 3, bad]])
 
 
 @pytest.mark.parametrize("dim, scale", [(2, 1e-150), (2, 1e150),
@@ -267,16 +316,6 @@ def _loop_cells(dim, n):
     return np.array(cells)
 
 
-def _loop_facets(cells, dim):
-    """Distinct facets in sorted order, gathered one facet tuple at a time."""
-    facets = set()
-    for cell in cells:
-        for i in range(dim + 1):
-            facets.add(tuple(sorted(int(cell[j]) for j in range(dim + 1)
-                                    if j != i)))
-    return np.array(sorted(facets), dtype=np.int64)
-
-
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (2, 16),
                                    (3, 1), (3, 2), (3, 4)])
 def test_structured_mesh_matches_loop_construction(dim, n):
@@ -284,9 +323,6 @@ def test_structured_mesh_matches_loop_construction(dim, n):
     cells = Mesh(mesh.vertices, _loop_cells(dim, n)).cells
     assert mesh.cells.dtype == cells.dtype
     assert np.array_equal(mesh.cells, cells)
-    facets = _loop_facets(cells, dim)
-    assert mesh.facets.dtype == facets.dtype
-    assert np.array_equal(mesh.facets, facets)
 
 
 def test_overshared_facet_named_in_cell_order():
@@ -306,6 +342,8 @@ def test_arrays_read_only():
         mesh.vertices[0, 0] = 7.0
     with pytest.raises(ValueError):
         mesh.cells[0, 0] = 0
+    with pytest.raises(ValueError):
+        mesh.grad_lambda[0, 0, 0] = 0.0
 
 
 def test_text_round_trip_bit_exact(tmp_path):
