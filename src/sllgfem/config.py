@@ -27,15 +27,19 @@ from .scheme import GUARD_C, SchemeParams, check_theta_guard
 
 
 def _number(kind, lo=None, hi=None):
-    """An int or finite float in [lo, hi]."""
+    """An int or finite float in [lo, hi]; an int's range is int64's
+    unless [lo, hi] says otherwise."""
     noun = "an integer" if kind is int else "a number"
+    if kind is int:
+        lo = -2**63 if lo is None else lo
+        hi = 2**63 - 1 if hi is None else hi
 
     def parse(name, raw):
         try:
             val = kind(raw)
         except ValueError:
             raise ConfigError(f"{name} = {raw!r} is not {noun}")
-        if not np.isfinite(val):
+        if kind is float and not np.isfinite(val):
             raise ConfigError(f"{name} = {raw!r} is not finite")
         if (lo is not None and val < lo) or (hi is not None and val > hi):
             raise ConfigError(f"{name} = {val} out of range "
@@ -116,7 +120,8 @@ KEYS = {
     "run": {
         "mode": ("mode", "single",
                  _choice("single", "monte-carlo", "refinement")),
-        "seed": ("seed", "0", _number(int, 0)),
+        # sample_path keys Philox with the seed's 64 unsigned bits
+        "seed": ("seed", "0", _number(int, 0, 2**64 - 1)),
         "samples": ("samples", "4", _number(int, 1)),
         "levels": ("levels", "3", _number(int, 1)),
         "out": ("out", "out", _text),
@@ -172,6 +177,9 @@ class SimulationConfig:
     def initial_field(self, space):
         if self.initial_preset == "uniform":
             d = np.asarray(self.direction, dtype=float)
+            # an exact power-of-two scaling keeps the norm from under- or
+            # overflowing
+            d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
             return np.tile(d / np.linalg.norm(d), (space.N, 1))
         w, tilt = self.winding, self.tilt
         ca, sa = np.cos(tilt), np.sin(tilt)

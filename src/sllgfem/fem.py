@@ -166,23 +166,14 @@ def assemble_stiffness(space: P1Space):
     -------
     scipy.sparse.csr_matrix of shape (N, N) on the pattern of
     `space.cell_pair_pattern()` (explicit zeros included), exactly
-    symmetric, row sums zero. The cell matrices are symmetric entry for
-    entry and the cells of slot (i, j) and of slot (j, i) are summed in
-    the same order.
+    symmetric, row sums zero: the sum of the mesh's `cell_stiffness`
+    blocks, which are symmetric entry for entry, with the cells of slot
+    (i, j) and of slot (j, i) summed in the same order.
     """
-    mesh = space.mesh
-    bad = np.flatnonzero(~np.isfinite(space.grad_phi).all(axis=(1, 2)))
+    local = space.mesh.cell_stiffness
+    bad = np.flatnonzero(~np.isfinite(local).all(axis=(1, 2)))
     if bad.size:
         raise AssemblyError(f"cell {bad[0]} has a singular geometry map")
-    # the cell blocks vol grad_phi grad_phi^T, one (M,) entry at a time,
-    # (l, m) and (m, l) from the same product
-    g, d1 = space.grad_phi, mesh.dim + 1
-    local = np.empty((mesh.n_cells, d1, d1))
-    for l in range(d1):
-        for m in range(l, d1):
-            entry = sum(g[:, l, k] * g[:, m, k] for k in range(mesh.dim))
-            entry *= mesh.volumes
-            local[:, l, m] = local[:, m, l] = entry
     indptr, indices, slots, _ = space.cell_pair_pattern()
     return sp.csr_matrix((np.bincount(slots, local.ravel(), len(indices)),
                           indices, indptr), shape=(space.N, space.N))

@@ -29,8 +29,8 @@ class Mesh:
         Cells with negative signed measure are reoriented (last two
         indices swapped). No cells, a zero or non-finite cell measure or
         diameter, a cell so thin that its barycentric gradients or
-        stiffness diagonal are not finite, an over-shared facet, two cells
-        on one side of a facet or an unused vertex raise MeshError.
+        stiffness block are not finite, an over-shared facet, two cells on
+        one side of a facet or an unused vertex raise MeshError.
 
     Attributes
     ----------
@@ -38,6 +38,8 @@ class Mesh:
     volumes : (M,) array of positive cell measures.
     grad_lambda : (M, dim+1, dim) read-only array, the constant gradient
         of each barycentric coordinate of each (reoriented) cell.
+    cell_stiffness : (M, dim+1, dim+1) read-only array, each cell's
+        stiffness block vol grad lambda_l . grad lambda_m, exactly symmetric.
     h : float, largest cell diameter.
     """
 
@@ -99,18 +101,20 @@ class Mesh:
             raise MeshError(f"cell {degenerate[0]} is degenerate "
                             f"(measure {float(vols[degenerate[0]])!r})")
         # one (M,) component at a time: the cofactor rows over det E, and
-        # grad lambda_0 minus their sum. A sliver is a cell whose gradients,
-        # or whose stiffness diagonal vol |grad lambda_l|^2 summed as
-        # assemble_stiffness sums it, are not finite.
+        # grad lambda_0 minus their sum; then the stiffness blocks. A sliver
+        # has a non-finite block entry, as any non-finite gradient gives.
+        stiffness = np.empty((len(cells), dim + 1, dim + 1))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(dim):
                 for i in range(1, dim + 1):
                     grad[:, i, k] /= det
                 np.negative(sum(grad[:, i, k] for i in range(1, dim + 1)),
                             out=grad[:, 0, k])
-            diagonal = [sum(grad[:, l, k] * grad[:, l, k] for k in range(dim))
-                        * vols for l in range(dim + 1)]
-        sliver = np.flatnonzero(~np.isfinite(diagonal).all(axis=0))
+            for l in range(dim + 1):
+                for m in range(l, dim + 1):
+                    stiffness[:, l, m] = stiffness[:, m, l] = vols * sum(
+                        grad[:, l, k] * grad[:, m, k] for k in range(dim))
+        sliver = np.flatnonzero(~np.isfinite(stiffness).all(axis=(1, 2)))
         if sliver.size:
             raise MeshError(f"cell {sliver[0]} is too thin: its barycentric "
                             f"gradients or stiffness would overflow")
@@ -120,13 +124,14 @@ class Mesh:
         self.cells = cells
         self.volumes = vols
         self.grad_lambda = grad
+        self.cell_stiffness = stiffness
         self._check_facets()
         unused = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
         if unused.any():
             raise MeshError(f"vertex {unused.argmax()} belongs to no cell")
         self.h = float(np.sqrt(longest.max()))
 
-        for array in (vertices, cells, grad):
+        for array in (vertices, cells, grad, stiffness):
             array.setflags(write=False)
 
     @property

@@ -8,9 +8,9 @@ and advance the rotation field along the Wiener path in lockstep. `run`
 then hands the step to its observers, inline, before the next step.
 
 Discrete pairings: <v, w> and <m x v, w> use the lumped nodal pairing (the
-cross term is then exactly skew, which the per-path energy chain needs) while
-the stiffness and the rotation-twisted load use consistent order-2
-quadrature. With theta >= 1/2 the chain
+cross term is then lambda1 L_n J in a right-handed frame, exactly skew, which
+the per-path energy chain needs) while the stiffness and the rotation-twisted
+load use consistent order-2 quadrature. With theta >= 1/2 the chain
 
   |grad m^(j+1)|^2 + 2 k mu^-1 lambda2 |v|_lumped^2
       + k^2 (2 theta - 1) |grad v|^2  <=  |grad m^j|^2 - 2 k F(t_j, m, v)
@@ -42,8 +42,9 @@ DIAGNOSTICS_DTYPE = np.dtype([(name, int if name == "j" else float)
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Scheme constants, mu and k derived on construction; a bad constant
-    raises ValueError whose message starts with the field name."""
+    """Scheme constants, mu and k derived on construction; a bad constant,
+    or one that overflows mu or k^2, raises ValueError whose message starts
+    with the field name."""
 
     lambda1: float
     lambda2: float
@@ -68,8 +69,15 @@ class SchemeParams:
         if not self.solver_tol > 0.0:
             raise ValueError(
                 f"solver_tol must be positive, got {self.solver_tol}")
-        object.__setattr__(self, "mu", self.lambda1 ** 2 + self.lambda2 ** 2)
-        object.__setattr__(self, "k", self.T / self.J)
+        mu = self.lambda1 * self.lambda1 + self.lambda2 * self.lambda2
+        k = self.T / self.J
+        big = ("lambda1", "lambda2")[abs(self.lambda2) > abs(self.lambda1)]
+        for name, what, value in ((big, "mu", mu), ("T", "k^2", k * k)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} = {getattr(self, name)} makes "
+                                 f"{what} overflow")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "k", k)
 
 
 # c in the step-size guard k <= c h (theta = 1/2) or k <= c h^2 (theta < 1/2)
@@ -90,12 +98,13 @@ def check_theta_guard(params, h):
 
 def build_tangent_frame(m):
     """Per node, an orthonormal pair tau (N, 2, 3) spanning the plane
-    orthogonal to m, built by a Householder reflection.
+    orthogonal to m, with (tau_0, tau_1, m) right-handed, which makes the
+    step's cross block the constant J: another frame must keep this.
 
-    The reflector w = m + sign(m_z) e3 maps e3 to -sign(m_z) m, so its images
-    of e1 and e2 span the tangent plane; |w|^2 = 2 + 2|m_z| never degenerates,
-    and m = e3 yields the canonical pair (e1, e2). No continuity across nodes
-    or steps is promised.
+    The Householder reflector w = m + sign(m_z) e3 maps e3 to -sign(m_z) m,
+    so its images of e1 and e2 (e2's negated where m_z < 0) span the tangent
+    plane; |w|^2 = 2 + 2|m_z| never degenerates, and m = e3 yields the
+    canonical pair (e1, e2). No continuity across nodes or steps is promised.
     """
     m = np.asarray(m, dtype=float)
     norms = np.linalg.norm(m, axis=1)
@@ -112,6 +121,7 @@ def build_tangent_frame(m):
         coef = 2.0 * w[:, a] / wsq
         tau[:, a, :] = -coef[:, None] * w
         tau[:, a, a] += 1.0
+    tau[:, 1] *= sign[:, None]
     return tau
 
 
@@ -149,9 +159,10 @@ def assemble_step_system(state, tau, field, params, space):
 
     With v_n = sum_a c_(n,a) tau_(n,a), the 2x2 block (i, j) of the matrix
     is -mu k theta K_ij tau_i tau_j^T over the nonzero pattern of K, and
-    node n's diagonal block also holds L_n (-lambda2 I + lambda1 C_n) with
-    C_n[b, a] = tau_(n,b) . (m_n x tau_(n,a)), L the lumped mass. The load
-    is rhs_(n,a) = tau_(n,a) . (mu KZ m)_n.
+    node n's diagonal block also holds L_n (lambda1 J - lambda2 I), L the
+    lumped mass and J = [[0, -1], [1, 0]], as tau_(n,b) . (m_n x tau_(n,a))
+    = J[b, a] in a right-handed frame. The load is
+    rhs_(n,a) = tau_(n,a) . (mu KZ m)_n.
 
     The pattern is K's nonzeros in every step, so the space's StepLayout,
     built on its first step, holds it: the blocks are written straight
@@ -167,9 +178,9 @@ def assemble_step_system(state, tau, field, params, space):
     blocks = tau[layout.rows] @ tau[layout.cols].transpose(0, 2, 1)
     blocks *= (-params.mu * params.k * params.theta
                * layout.values)[:, None, None]
-    C = np.einsum("nbc,nac->nba", tau, np.cross(m[:, None, :], tau))
-    blocks[layout.diagonal] += lumped[:, None, None] * (
-        params.lambda1 * C - params.lambda2 * np.eye(2))
+    blocks[layout.diagonal] += lumped[:, None, None] * np.array(
+        [[-params.lambda2, -params.lambda1],
+         [params.lambda1, -params.lambda2]])
     load = params.mu * (assemble_rotated_stiffness(field) @ m.ravel())
     rhs = np.einsum("nac,nc->na", tau, load.reshape(N, 3)).ravel()
     return StepSystem(matrix=layout.matrix(blocks), rhs=rhs, tau=tau,
@@ -369,5 +380,5 @@ def energy_inequality_gaps(traj):
     """
     p, d = traj.params, traj.diagnostics
     lhs = (traj.energy[1:] + 2.0 * p.k * p.lambda2 / p.mu * d["v_norm_sq"]
-           + p.k ** 2 * (2.0 * p.theta - 1.0) * d["grad_v_sq"])
+           + p.k * p.k * (2.0 * p.theta - 1.0) * d["grad_v_sq"])
     return lhs - (traj.energy[:-1] - 2.0 * p.k * d["F_value"])

@@ -380,6 +380,59 @@ def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("run.seed", "1" + "0" * 400, r"run\.seed = 10{400} out of range"),
+    ("run.seed", str(2**64), r"run\.seed = 18446744073709551616 out of"),
+    ("mesh.divisions", str(10**30), r"mesh\.divisions = 10{30} out of"),
+    ("scheme.J", str(-2**63 - 1), r"scheme\.J = -9223372036854775809 out"),
+    ("scheme.lambda1", "1e200",
+     r"scheme\.lambda1 = 1e\+200 makes mu overflow"),
+    ("scheme.lambda2", "1e200",
+     r"scheme\.lambda2 = 1e\+200 makes mu overflow"),
+    ("scheme.T", "1e300", r"scheme\.T = 1e\+300 makes k\^2 overflow"),
+], ids=["seed-1e400", "seed-2**64", "divisions-1e30", "J-below-int64",
+        "lambda1-1e200", "lambda2-1e200", "T-1e300"])
+def test_cli_overflowing_value_exit_4_before_any_write(tmp_path, capsys, key,
+                                                       value, message):
+    # an int beyond its range, or a constant whose mu or k^2 overflows,
+    # is named at the gate instead of raising later
+    keys = {"mesh.divisions": "4", "scheme.J": "4", "scheme.T": "0.1",
+            "run.out": str(tmp_path / "out"), key: value}
+    sections = {}
+    for name, val in keys.items():
+        section, _, option = name.partition(".")
+        sections.setdefault(section, []).append(f"{option} = {val}")
+    cfg = write_cfg(tmp_path, "".join(
+        f"[{section}]\n" + "\n".join(lines) + "\n"
+        for section, lines in sections.items()))
+    assert main([cfg]) == 4
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_takes_every_64_bit_value(tmp_path):
+    path = write_cfg(tmp_path, "")
+    assert load_config(path, {"run.seed": str(2**64 - 1)}).seed == 2**64 - 1
+    with pytest.raises(ConfigError, match="run.seed"):
+        load_config(path, {"run.seed": str(2**64)})
+
+
+@pytest.mark.parametrize("direction, expect", [
+    ("1e-200 0 0", [1.0, 0.0, 0.0]),
+    ("0 -1e-320 0", [0.0, -1.0, 0.0]),
+    ("1e300 1e300 0", [np.sqrt(0.5), np.sqrt(0.5), 0.0]),
+    ("-1e308 1e308 1e308", [-np.sqrt(1 / 3), np.sqrt(1 / 3), np.sqrt(1 / 3)]),
+], ids=["1e-200", "subnormal", "1e300", "1e308"])
+def test_uniform_direction_whose_norm_under_or_overflows(tmp_path, capsys,
+                                                         direction, expect):
+    path = fast_single(tmp_path, extra=f"[initial]\ndirection = {direction}\n")
+    cfg = load_config(path)
+    m0 = cfg.initial_field(cfg.build_space())
+    np.testing.assert_allclose(m0, np.tile(expect, (len(m0), 1)),
+                               rtol=0, atol=1e-15)
+    assert main([path]) == 0
+
+
 @pytest.mark.parametrize("text,reason", [
     (None, "No such file"),
     ("2 x 3\n", "invalid literal"),

@@ -73,6 +73,23 @@ def test_stiffness_is_exactly_symmetric_on_the_cell_pair_pattern(dim,
     assert np.array_equal(K.data, K.data[transpose])
 
 
+@pytest.mark.parametrize("dim, divisions", [(2, 5), (3, 3)])
+def test_stiffness_scatters_the_mesh_cell_blocks(dim, divisions):
+    # the mesh forms each cell's block once; K is their sum on the pattern
+    mesh = build_structured_mesh(dim, divisions)
+    blocks = mesh.cell_stiffness
+    assert blocks.shape == (mesh.n_cells, dim + 1, dim + 1)
+    assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+    g = mesh.grad_lambda
+    np.testing.assert_allclose(
+        blocks, mesh.volumes[:, None, None] * (g @ g.transpose(0, 2, 1)),
+        rtol=1e-14, atol=1e-14 * np.abs(blocks).max())
+    space = P1Space(mesh)
+    _, indices, slots, _ = space.cell_pair_pattern()
+    expect = np.bincount(slots, blocks.ravel(), len(indices))
+    assert space.stiffness().data.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("dim, divisions", [(2, 4), (3, 3)])
 def test_step_layout_matches_block_matrix_in_csc(dim, divisions):
     # reference: K without its explicit zeros, random 2x2 blocks on its
@@ -330,11 +347,12 @@ def test_stiffness_exactly_symmetric_with_zero_row_sums(dim, divisions,
 def test_non_finite_geometry_map_raises_assembly_error():
     # Mesh rejects every cell whose gradients or stiffness block would
     # overflow (test_mesh.py::test_sliver_named), so no Mesh reaches this
-    # check; it stays as a guard for a space whose gradients are not
-    # finite, set here by hand on a writable copy of the mesh's gradients
-    space = P1Space(build_structured_mesh(3, 1))
-    space.grad_phi = space.grad_phi.copy()
-    space.grad_phi[2, 1, 0] = np.inf
+    # check; it stays as a guard for a mesh whose stiffness blocks are not
+    # finite, set here by hand on a writable copy of the mesh's blocks
+    mesh = build_structured_mesh(3, 1)
+    mesh.cell_stiffness = mesh.cell_stiffness.copy()
+    mesh.cell_stiffness[2, 1, 0] = np.inf
+    space = P1Space(mesh)
     with pytest.raises(AssemblyError, match="cell 2 has a singular"):
         assemble_stiffness(space)
 

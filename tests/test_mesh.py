@@ -344,6 +344,8 @@ def test_arrays_read_only():
         mesh.cells[0, 0] = 0
     with pytest.raises(ValueError):
         mesh.grad_lambda[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        mesh.cell_stiffness[0, 0, 0] = 0.0
 
 
 def test_text_round_trip_bit_exact(tmp_path):

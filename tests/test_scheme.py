@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ def test_frame_orthonormal_tangent_property(u):
     np.testing.assert_allclose(tau @ m, 0.0, atol=1e-12)
 
 
+def test_frame_is_right_handed_on_both_hemispheres():
+    # m x tau_0 = tau_1 and m x tau_1 = -tau_0 at every node, the poles
+    # and the equator (m_z = +0 and -0) included
+    rng = np.random.default_rng(12)
+    phi = np.linspace(0.0, 2.0 * np.pi, 13)
+    equator = np.column_stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)])
+    m = np.vstack([normalize_nodal(rng.standard_normal((2000, 3))),
+                   [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, -0.0]],
+                   equator])
+    assert np.any(m[:, 2] > 0.5) and np.any(m[:, 2] < -0.5)
+    tau = build_tangent_frame(m)
+    t0, t1 = tau[:, 0], tau[:, 1]
+    np.testing.assert_allclose(np.sum(t1 * np.cross(m, t0), axis=1), 1.0,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.sum(t0 * np.cross(m, t1), axis=1), -1.0,
+                               rtol=0, atol=1e-15)
+
+
 def test_frame_rejects_non_unit_node():
     m = np.tile([0.0, 0.0, 1.0], (4, 1))
     m[2] *= 1.5
@@ -237,6 +256,24 @@ def test_assembly_matches_projected_nodal_system(dim, divisions):
     np.testing.assert_allclose(system.rhs, rhs_ref, rtol=0,
                                atol=1e-14 * np.abs(rhs_ref).max())
     assert np.linalg.norm(rhs_ref) > 0.0
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
+def test_diagonal_blocks_hold_the_constant_cross_block(dim, divisions):
+    # with theta = 0 the stiffness part is +-0, so node n's diagonal block
+    # is exactly L_n (lambda1 J - lambda2 I) at every node, m_z of either
+    # sign: the lumped cross term is skew by construction
+    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
+    params = replace(params, theta=0.0)
+    system = assemble_step_system(state, tau, field, params, space)
+    inverse = system.layout.inverse         # node-major again
+    A = system.matrix[inverse][:, inverse].toarray()
+    n = np.arange(space.N)
+    diagonal = A.reshape(space.N, 2, space.N, 2)[n, :, n, :]
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    expect = space.lumped_mass_diagonal()[:, None, None] * (
+        params.lambda1 * J - params.lambda2 * np.eye(2))
+    np.testing.assert_array_equal(diagonal, expect)
 
 
 @pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
