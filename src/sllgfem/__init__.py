@@ -13,9 +13,8 @@ studies / cli (run orchestration), vtkio (snapshots).
 """
 
 from .config import SimulationConfig, load_config
-from .errors import (AssemblyError, ConfigError, MeshError,
-                     NormalizationError, SLLGError, SolverFailure,
-                     TimeMismatchError)
+from .errors import (ConfigError, MeshError, NormalizationError, SLLGError,
+                     SolverFailure, TimeMismatchError)
 from .fem import (OffdiagReport, P1Space, assemble_lumped_mass,
                   assemble_stiffness, check_offdiag_condition,
                   interpolate_nodal, normalize_nodal)
@@ -40,7 +39,7 @@ from .wiener import WienerPath, coarsen, sample_path
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "ConfigError", "Mesh", "MeshError",
+    "ConfigError", "Mesh", "MeshError",
     "NodalState", "NoiseCoefficients", "NoiseComponent", "NormalizationError",
     "OffdiagReport", "P1Space", "PRESETS", "RotationField", "SchemeParams",
     "SimulationConfig", "SLLGError", "SolveResult", "SolverFailure", "Step",

@@ -292,9 +292,13 @@ def load_config(path, overrides=None):
                                   f"{mesh.dim}D mesh; leave it unset")
         cfg = replace(cfg, dim=mesh.dim, defaulted=tuple(
             name for name in defaulted if name != "mesh.dim"))
-        h = mesh.h
+        h, x1 = mesh.h, float(np.abs(mesh.vertices[:, 0]).max())
     else:
-        h = np.sqrt(cfg.dim) / cfg.divisions
+        h, x1 = np.sqrt(cfg.dim) / cfg.divisions, 1.0
+    if (cfg.initial_preset == "spiral"
+            and not np.isfinite(2.0 * np.pi * cfg.winding * x1)):
+        raise ConfigError(f"initial.winding = {cfg.winding} makes the "
+                          f"spiral's angle overflow (|x1| up to {x1:g})")
     ok, bound = check_theta_guard(cfg.params, h)
     if not ok:
         rule = ("h^2 for theta < 1/2" if cfg.params.theta < 0.5

@@ -4,7 +4,8 @@ Argument validation failures raise plain ValueError. The classes below mark
 failures that callers may want to catch and map to process exit codes:
 ConfigError -> 4 (the CLI raises it for its usage errors too),
 SolverFailure -> 3. Exit code 2 (invariant-suite failure) is not an
-exception: studies return the failures in their report.
+exception: studies return the failures in their report. Assembly has no
+class: MeshError covers a cell whose stiffness block is not finite.
 """
 
 
@@ -16,10 +17,6 @@ class MeshError(SLLGError):
     """Mesh is malformed: degenerate cell, bad index, non-conforming facet."""
 
 
-class AssemblyError(SLLGError):
-    """Finite element assembly failed (names the offending cell)."""
-
-
 class NormalizationError(SLLGError):
     """A nodal vector with zero length cannot be normalized (names the node)."""
 
@@ -29,10 +26,12 @@ class TimeMismatchError(SLLGError):
 
 
 class SolverFailure(SLLGError):
-    """Linear solve failed: a singular factorization, or a relative
-    residual that is non-finite or above the requested tolerance.
+    """Linear solve failed: a load whose norm is not finite, a singular
+    factorization, or a relative residual that is non-finite or above the
+    requested tolerance.
 
-    Carries the achieved relative residual (inf when no solution exists).
+    Carries the achieved relative residual (inf when no solution exists,
+    nan for a load that is not finite).
     """
 
     def __init__(self, message, residual=None):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import AssemblyError, MeshError, NormalizationError
+from .errors import MeshError, NormalizationError
 from .mesh import Mesh
 
 # barycentric coordinates and weights, exactness degree 2
@@ -168,12 +168,10 @@ def assemble_stiffness(space: P1Space):
     `space.cell_pair_pattern()` (explicit zeros included), exactly
     symmetric, row sums zero: the sum of the mesh's `cell_stiffness`
     blocks, which are symmetric entry for entry, with the cells of slot
-    (i, j) and of slot (j, i) summed in the same order.
+    (i, j) and of slot (j, i) summed in the same order. There is no guard:
+    `Mesh` rejects every cell whose block is not finite.
     """
     local = space.mesh.cell_stiffness
-    bad = np.flatnonzero(~np.isfinite(local).all(axis=(1, 2)))
-    if bad.size:
-        raise AssemblyError(f"cell {bad[0]} has a singular geometry map")
     indptr, indices, slots, _ = space.cell_pair_pattern()
     return sp.csr_matrix((np.bincount(slots, local.ravel(), len(indices)),
                           indices, indptr), shape=(space.N, space.N))
@@ -287,10 +285,7 @@ def check_offdiag_condition(space: P1Space):
     nodal renormalization cannot increase the Dirichlet energy.
     """
     K = space.stiffness().tocoo()
-    vals = K.data[K.row != K.col]
-    if not vals.size:
-        return OffdiagReport(True, 0.0)
-    worst = float(vals.max())
+    worst = float(K.data[K.row != K.col].max())
     return OffdiagReport(worst <= _OFFDIAG_TOL, worst)
 
 

@@ -26,11 +26,12 @@ class Mesh:
     cells : (M, dim+1) int array
         Vertex indices per cell; an index that is not an integer in
         int64's range (2.5, NaN, 2**70) raises MeshError naming the cell.
-        Cells with negative signed measure are reoriented (last two
-        indices swapped). No cells, a zero or non-finite cell measure or
-        diameter, a cell so thin that its barycentric gradients or
-        stiffness block are not finite, an over-shared facet, two cells on
-        one side of a facet or an unused vertex raise MeshError.
+        Cells with negative signed measure are reoriented: a permutation
+        swaps their last two ids and cofactor rows, which the signed det E
+        divides. No cells, a zero or non-finite measure or diameter, a cell
+        so thin that its barycentric gradients or stiffness block are not
+        finite, an over-shared facet, two cells on one side of a facet or
+        an unused vertex raise MeshError.
 
     Attributes
     ----------
@@ -84,25 +85,20 @@ class Mesh:
                 raise MeshError(f"cell {bad[0]} has a non-finite {what}")
         flip = det < 0
         if np.any(flip):
-            # swapping the last two vertices negates det E and the cofactor
-            # rows and swaps the last two rows. 2D rows are signed edge
-            # components, negated exactly by -0.0 - c; 3D ones are
-            # differences of products, and 0.0 - c keeps a vanishing one +0,
-            # as a recompute does unless it subtracts a -0 product from +0
+            # the last two ids swap, and so do their cofactor rows, before
+            # grad lambda_0 sums them in the reoriented cell's order
+            swap = [*range(dim - 1), dim, dim - 1]
             cells = cells.copy()
-            cells[flip, -2], cells[flip, -1] = (cells[flip, -1].copy(),
-                                                cells[flip, -2].copy())
-            cof = grad[flip, 1:][:, [*range(dim - 2), -1, -2]]
-            grad[flip, 1:] = (-0.0 if dim == 2 else 0.0) - cof
-            det = np.abs(det)
-        vols = det / (2.0 if dim == 2 else 6.0)
+            cells[flip] = cells[flip][:, swap]
+            grad[flip] = grad[flip][:, swap]
+        vols = np.abs(det) / (2.0 if dim == 2 else 6.0)
         degenerate = np.flatnonzero(vols <= 0)
         if degenerate.size:
             raise MeshError(f"cell {degenerate[0]} is degenerate "
                             f"(measure {float(vols[degenerate[0]])!r})")
-        # one (M,) component at a time: the cofactor rows over det E, and
-        # grad lambda_0 minus their sum; then the stiffness blocks. A sliver
-        # has a non-finite block entry, as any non-finite gradient gives.
+        # one (M,) component at a time: the cofactor rows over the signed
+        # det E, and grad lambda_0 minus their sum; then the stiffness
+        # blocks, non-finite for a sliver as for any non-finite gradient
         stiffness = np.empty((len(cells), dim + 1, dim + 1))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(dim):

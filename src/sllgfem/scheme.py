@@ -43,8 +43,8 @@ DIAGNOSTICS_DTYPE = np.dtype([(name, int if name == "j" else float)
 @dataclass(frozen=True)
 class SchemeParams:
     """Scheme constants, mu and k derived on construction; a bad constant,
-    or one that overflows mu or k^2, raises ValueError whose message starts
-    with the field name."""
+    or one that over- or underflows mu, underflows k or overflows k^2,
+    raises ValueError whose message starts with the field name."""
 
     lambda1: float
     lambda2: float
@@ -72,10 +72,13 @@ class SchemeParams:
         mu = self.lambda1 * self.lambda1 + self.lambda2 * self.lambda2
         k = self.T / self.J
         big = ("lambda1", "lambda2")[abs(self.lambda2) > abs(self.lambda1)]
-        for name, what, value in ((big, "mu", mu), ("T", "k^2", k * k)):
-            if not np.isfinite(value):
+        for name, what, bad in ((big, "mu overflow", not np.isfinite(mu)),
+                                (big, "mu underflow", mu == 0.0),
+                                ("T", "k underflow", k == 0.0),
+                                ("T", "k^2 overflow", not np.isfinite(k * k))):
+            if bad:
                 raise ValueError(f"{name} = {getattr(self, name)} makes "
-                                 f"{what} overflow")
+                                 f"{what}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "k", k)
 
@@ -208,18 +211,22 @@ def solve_step(system, params):
     the step matrix, which is already in its layout's fill-reducing order.
     The relative residual |A c - b| / |b| (|A c - b| when b = 0, as for a
     uniform field) is checked in that order against params.solver_tol,
-    and the solution is taken back to node-major. A singular
-    factorization, a non-finite solution, or a residual above the
-    tolerance raises SolverFailure.
+    and the solution is taken back to node-major. A load whose norm is not
+    finite, a singular factorization, a non-finite solution, or a residual
+    above the tolerance raises SolverFailure.
     """
     A, layout = system.matrix, system.layout
+    b = system.rhs[layout.order]
+    load = np.linalg.norm(b)
+    if not np.isfinite(load):
+        raise SolverFailure(f"the step's load has a non-finite norm "
+                            f"({load})", residual=np.nan)
     try:
         lu = layout.factor(A)
     except RuntimeError as e:          # SuperLU: factor is exactly singular
         raise SolverFailure(f"sparse LU failed: {e}", residual=np.inf)
-    b = system.rhs[layout.order]
     c = lu.solve(b)
-    residual = float(np.linalg.norm(A @ c - b) / (np.linalg.norm(b) or 1.0))
+    residual = float(np.linalg.norm(A @ c - b) / (load or 1.0))
     if not residual <= params.solver_tol:
         raise SolverFailure(f"linear solve reached relative residual "
                             f"{residual:.3e} (tolerance "

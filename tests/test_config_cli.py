@@ -1,10 +1,15 @@
 """Config parsing, validation, echo round-trip, and the CLI wrapper.
 
 The CLI is driven in-process through main(argv) so exit codes and the
-stdout/stderr contract can be asserted without spawning interpreters.
+stdout/stderr contract can be asserted without spawning interpreters; only
+a load that overflows runs it in a child process, because numpy warns on
+that path and the suite makes its warnings errors.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sllgfem import ConfigError, build_structured_mesh, load_config, studies
+from sllgfem import (ConfigError, Mesh, build_structured_mesh, load_config,
+                     studies)
 from sllgfem.cli import build_parser, main
 from sllgfem.config import KEYS
 from sllgfem.mesh import write_mesh_text
@@ -380,33 +386,67 @@ def test_cli_zero_direction_fails_before_any_write(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("run.seed", "1" + "0" * 400, r"run\.seed = 10{400} out of range"),
-    ("run.seed", str(2**64), r"run\.seed = 18446744073709551616 out of"),
-    ("mesh.divisions", str(10**30), r"mesh\.divisions = 10{30} out of"),
-    ("scheme.J", str(-2**63 - 1), r"scheme\.J = -9223372036854775809 out"),
-    ("scheme.lambda1", "1e200",
+@pytest.mark.parametrize("keys, message", [
+    ({"run.seed": "1" + "0" * 400}, r"run\.seed = 10{400} out of range"),
+    ({"run.seed": str(2**64)}, r"run\.seed = 18446744073709551616 out of"),
+    ({"mesh.divisions": str(10**30)}, r"mesh\.divisions = 10{30} out of"),
+    ({"scheme.J": str(-2**63 - 1)}, r"scheme\.J = -9223372036854775809 out"),
+    ({"scheme.lambda1": "1e200"},
      r"scheme\.lambda1 = 1e\+200 makes mu overflow"),
-    ("scheme.lambda2", "1e200",
+    ({"scheme.lambda2": "1e200"},
      r"scheme\.lambda2 = 1e\+200 makes mu overflow"),
-    ("scheme.T", "1e300", r"scheme\.T = 1e\+300 makes k\^2 overflow"),
+    ({"scheme.T": "1e300"}, r"scheme\.T = 1e\+300 makes k\^2 overflow"),
+    ({"scheme.lambda1": "1e-200", "scheme.lambda2": "1e-200"},
+     r"scheme\.lambda1 = 1e-200 makes mu underflow"),
+    ({"scheme.lambda1": "-1e-201", "scheme.lambda2": "1e-200"},
+     r"scheme\.lambda2 = 1e-200 makes mu underflow"),
+    ({"scheme.T": "5e-324"}, r"scheme\.T = 5e-324 makes k underflow"),
+    ({"initial.preset": "spiral", "initial.winding": "1.7976931348623157e308"},
+     r"initial\.winding = 1\.7976931348623157e\+308 makes the spiral's"),
+    ({"initial.preset": "spiral", "initial.winding": "-1e308"},
+     r"initial\.winding = -1e\+308 makes the spiral's angle overflow"),
 ], ids=["seed-1e400", "seed-2**64", "divisions-1e30", "J-below-int64",
-        "lambda1-1e200", "lambda2-1e200", "T-1e300"])
-def test_cli_overflowing_value_exit_4_before_any_write(tmp_path, capsys, key,
-                                                       value, message):
-    # an int beyond its range, or a constant whose mu or k^2 overflows,
-    # is named at the gate instead of raising later
+        "lambda1-1e200", "lambda2-1e200", "T-1e300", "mu-underflow-lambda1",
+        "mu-underflow-lambda2", "k-underflow-T", "winding-max",
+        "winding-neg"])
+def test_cli_overflowing_value_exit_4_before_any_write(tmp_path, capsys, keys,
+                                                       message):
+    # an int beyond its range, a constant whose mu or k^2 overflows or whose
+    # mu or k underflows to 0, or a spiral whose angle overflows on the unit
+    # square, is named at the gate instead of raising later
+    assert main([keyed_cfg(tmp_path, keys)]) == 4
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def keyed_cfg(tmp_path, keys):
+    """A 2D 4^2, J = 4 single-run config with `keys` ("section.key" to
+    text) on top."""
     keys = {"mesh.divisions": "4", "scheme.J": "4", "scheme.T": "0.1",
-            "run.out": str(tmp_path / "out"), key: value}
+            "run.out": str(tmp_path / "out"), **keys}
     sections = {}
     for name, val in keys.items():
         section, _, option = name.partition(".")
         sections.setdefault(section, []).append(f"{option} = {val}")
-    cfg = write_cfg(tmp_path, "".join(
+    return write_cfg(tmp_path, "".join(
         f"[{section}]\n" + "\n".join(lines) + "\n"
         for section, lines in sections.items()))
+
+
+def test_spiral_winding_gate_uses_the_mesh_files_largest_x1(tmp_path,
+                                                            capsys):
+    # 2 pi 1e300 is finite on the unit square, but not at |x1| = 1e10
+    unit = build_structured_mesh(2, 1)
+    mesh = tmp_path / "wide.txt"
+    write_mesh_text(Mesh(unit.vertices * [1e10, 1.0], unit.cells), mesh)
+    spiral = "[initial]\npreset = spiral\nwinding = 1e300\n"
+    assert load_config(fast_single(tmp_path, spiral)).winding == 1e300
+    cfg = write_cfg(tmp_path, f"[mesh]\nfile = {mesh}\n[run]\n"
+                              f"out = {tmp_path / 'out'}\n{spiral}")
     assert main([cfg]) == 4
-    assert re.search(message, capsys.readouterr().err)
+    assert re.search(r"initial\.winding = 1e\+300 makes the spiral's angle "
+                     r"overflow \(\|x1\| up to 1e\+10\)",
+                     capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -511,6 +551,30 @@ out = {tmp_path / "out"}
 """)
     assert main([cfg]) == 3
     assert "solver failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys", [
+    {"noise.amplitude": "1e50"}, {"noise.amplitude": "1e100"},
+    {"noise.amplitude": "1e200"}, {"noise.vectors": "1e300 0 0"},
+    {"scheme.lambda1": "1e100"},
+], ids=["amplitude-1e50", "amplitude-1e100", "amplitude-1e200",
+        "vectors-1e300", "lambda1-1e100"])
+def test_cli_overflowing_load_exit_3_naming_the_load(tmp_path, keys):
+    # the load's entries or only its norm overflow (1e50: entries up to
+    # about 1e195, a norm of inf)
+    cfg = keyed_cfg(tmp_path, {"mesh.divisions": "2", "scheme.J": "2",
+                               "scheme.T": "0.02", "initial.preset": "spiral",
+                               "noise.preset": "linear-gradient", **keys})
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, SLLGFEM_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "sllgfem.cli", cfg],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert re.search(r"solver failure: .*: the step's load has a non-finite "
+                     r"norm \((inf|nan)\)", proc.stderr)
 
 
 def test_cli_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import bsr_matrix
 
-from sllgfem import (AssemblyError, Mesh, NormalizationError, P1Space,
-                     assemble_lumped_mass, assemble_stiffness,
-                     build_structured_mesh, check_offdiag_condition,
-                     interpolate_nodal, normalize_nodal)
+from sllgfem import (Mesh, NormalizationError, P1Space, assemble_lumped_mass,
+                     assemble_stiffness, build_structured_mesh,
+                     check_offdiag_condition, interpolate_nodal,
+                     normalize_nodal)
 from sllgfem.fem import SUPERLU_PANEL_SIZE, SUPERLU_RELAX
 from sllgfem.mesh import edge_determinants
 
@@ -342,19 +342,6 @@ def test_stiffness_exactly_symmetric_with_zero_row_sums(dim, divisions,
     K = assemble_stiffness(space)
     assert (K != K.T).nnz == 0
     assert np.abs(K @ np.ones(space.N)).max() <= 1e-13 * np.abs(K.data).max()
-
-
-def test_non_finite_geometry_map_raises_assembly_error():
-    # Mesh rejects every cell whose gradients or stiffness block would
-    # overflow (test_mesh.py::test_sliver_named), so no Mesh reaches this
-    # check; it stays as a guard for a mesh whose stiffness blocks are not
-    # finite, set here by hand on a writable copy of the mesh's blocks
-    mesh = build_structured_mesh(3, 1)
-    mesh.cell_stiffness = mesh.cell_stiffness.copy()
-    mesh.cell_stiffness[2, 1, 0] = np.inf
-    space = P1Space(mesh)
-    with pytest.raises(AssemblyError, match="cell 2 has a singular"):
-        assemble_stiffness(space)
 
 
 # Assembles and solves step 0 of a spiral state with linear-gradient noise
