@@ -28,7 +28,7 @@ from .rotation import (RotationField, assemble_rotated_stiffness,
                        compute_F_direct, compute_F_identity, cross_matrix,
                        evolve_point_rotation, evolve_step,
                        init_rotation_field, rodrigues_exp)
-from .scheme import (NodalState, SchemeParams, SolveResult, Step, StepSystem,
+from .scheme import (SchemeParams, SolveResult, Step, StepSystem,
                      Trajectory, advance, assemble_step_system,
                      build_tangent_frame, check_theta_guard,
                      energy_inequality_gaps, run, solve_step)
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "Mesh", "MeshError",
-    "NodalState", "NoiseCoefficients", "NoiseComponent", "NormalizationError",
+    "NoiseCoefficients", "NoiseComponent", "NormalizationError",
     "OffdiagReport", "P1Space", "PRESETS", "RotationField", "SchemeParams",
     "SimulationConfig", "SLLGError", "SolveResult", "SolverFailure", "Step",
     "StepSystem", "StudyReport", "TestField",

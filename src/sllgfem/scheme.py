@@ -26,13 +26,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SolverFailure, TimeMismatchError
+from .errors import SolverFailure
 from .fem import StepLayout, normalize_nodal
 from .rotation import (RotationField, assemble_rotated_stiffness,
                        evolve_step, init_rotation_field)
 
-# Fields of the per-step diagnostics row (filled in _update), in the column
-# order of the diagnostics CSV.
+# Fields of the per-step diagnostics row (filled in run and _update), in the
+# column order of the diagnostics CSV.
 DIAGNOSTIC_COLUMNS = ("j", "t", "energy", "v_norm_sq", "F_value",
                       "residual", "grad_v_sq", "tangency_max",
                       "unit_dev_max")
@@ -128,16 +128,6 @@ def build_tangent_frame(m):
     return tau
 
 
-@dataclass
-class NodalState:
-    """Magnetization nodal vectors at step j, with the Dirichlet energy
-    |grad m|^2 recorded."""
-
-    j: int
-    m: np.ndarray
-    energy: float
-
-
 @dataclass(frozen=True)
 class StepSystem:
     """Assembled tangent-coordinate system for one step.
@@ -152,7 +142,7 @@ class StepSystem:
     layout: StepLayout
 
 
-def assemble_step_system(state, tau, field, params, space):
+def assemble_step_system(m, tau, field, params, space):
     """Assemble the step system in tangent coordinates.
 
     Bilinear form a(v, w) = -lambda2 <v,w>_lumped + lambda1 <m x v, w>_lumped
@@ -171,10 +161,6 @@ def assemble_step_system(state, tau, field, params, space):
     built on its first step, holds it: the blocks are written straight
     into the data of its CSC matrix, in the order that SuperLU factors.
     """
-    if field.j != state.j:
-        raise TimeMismatchError(f"rotation field at index {field.j}, "
-                                f"state at index {state.j}")
-    m = state.m
     N = len(m)
     layout = space.step_layout()
     lumped = space.lumped_mass_diagonal()
@@ -239,20 +225,13 @@ def _tangent_to_nodal(c, tau):
     return np.einsum("na,nab->nb", c.reshape(len(tau), 2), tau)
 
 
-def advance(state, v, params, space):
-    """Move m by k*v and renormalize nodally; returns the state at j + 1,
-    with its Dirichlet energy.
+def advance(m, v, params):
+    """Move m by k*v and renormalize nodally; returns m^(j+1).
 
     Tangency makes |m + k v|^2 = 1 + k^2 |v|^2 >= 1 at every node, so the
     normalization is always well posed.
     """
-    m_next = normalize_nodal(state.m + params.k * np.asarray(v))
-    return NodalState(j=state.j + 1, m=m_next,
-                      energy=_dirichlet_energy(space, m_next))
-
-
-def _dirichlet_energy(space, m):
-    return float(np.sum(m * (space.stiffness() @ m)))
+    return normalize_nodal(m + params.k * np.asarray(v))
 
 
 @dataclass(frozen=True)
@@ -330,42 +309,41 @@ def run(m0, params, path, coeffs, space, observers=()):
     m = normalize_nodal(m)
 
     field = init_rotation_field(space, coeffs)
-    J, k = params.J, params.k
+    J, k, K = params.J, params.k, space.stiffness()
 
+    # row j holds t_j = j k and the Dirichlet energy |grad m^j|^2
     diagnostics = np.empty(J, dtype=DIAGNOSTICS_DTYPE)
-    state = NodalState(j=0, m=m, energy=_dirichlet_energy(space, m))
     for j in range(J):
-        v = _update(state, field, params, space, diagnostics[j])
-        next_state = advance(state, v, params, space)
+        row = diagnostics[j]
+        row["j"], row["t"], row["energy"] = j, j * k, np.sum(m * (K @ m))
+        v = _update(m, field, params, space, row)
+        m_next = advance(m, v, params)
         next_field = evolve_step(field, path.increments[j], k)
-        step = Step(j=j, m=state.m, v=v, m_next=next_state.m,
-                    field=field, field_next=next_field)
+        step = Step(j=j, m=m, v=v, m_next=m_next, field=field,
+                    field_next=next_field)
         for observe in observers:
             observe(step)
         # frees the field at t_j before the next solve
         del step
-        state, field = next_state, next_field
+        m, field = m_next, next_field
 
-    return Trajectory(params=params, m=state.m,
-                      energy=np.append(diagnostics["energy"], state.energy),
+    energy = np.append(diagnostics["energy"], np.sum(m * (K @ m)))
+    return Trajectory(params=params, m=m, energy=energy,
                       diagnostics=diagnostics, m0_drift=drift)
 
 
-def _update(state, field, params, space, row):
-    """Solve one step from `state`: returns the update v and fills `row`,
-    a DIAGNOSTICS_DTYPE record, field by field.
+def _update(m, field, params, space, row):
+    """Solve one step from m^j at the field's time: returns the update v
+    and fills the solve's fields of `row`, a DIAGNOSTICS_DTYPE record.
 
     The frame, the step system and the factorization are freed on return.
     """
     K = space.stiffness()
-    tau = build_tangent_frame(state.m)
-    system = assemble_step_system(state, tau, field, params, space)
+    system = assemble_step_system(m, build_tangent_frame(m), field, params,
+                                  space)
     sol = solve_step(system, params)
-    v, m = sol.v, state.m
+    v = sol.v
     Kv = K @ v
-    row["j"] = state.j
-    row["t"] = state.j * params.k
-    row["energy"] = state.energy
     row["v_norm_sq"] = np.sum(space.lumped_mass_diagonal()
                               * np.sum(v * v, axis=1))
     # c.b = mu v.(KZ m) and KZ is symmetric, so c.b / mu - m.(K v) is

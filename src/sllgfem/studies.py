@@ -254,9 +254,15 @@ def _summary_rows(quantities, kind, like):
 
 
 def _prepare_out(config):
-    os.makedirs(config.out, exist_ok=True)
-    with open(os.path.join(config.out, "resolved.ini"), "w") as fh:
-        fh.write(config.echo_text())
+    """Make run.out and write resolved.ini in it; an OSError on the way
+    raises ConfigError naming run.out."""
+    try:
+        os.makedirs(config.out, exist_ok=True)
+        with open(os.path.join(config.out, "resolved.ini"), "w") as fh:
+            fh.write(config.echo_text())
+    except OSError as e:
+        raise ConfigError(f"run.out = {config.out!r} is not a usable "
+                          f"directory: {e.strerror}") from e
 
 
 def _diagnostics_name(config, level, stream):

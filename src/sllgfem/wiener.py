@@ -44,15 +44,18 @@ class WienerPath:
 
 
 def sample_path(seed, q, J, T, stream=0):
-    """Draw a WienerPath with step k = T/J from stream (seed, stream)."""
+    """Draw a WienerPath with step k = T/J from stream (seed, stream),
+    each of which must lie in [0, 2^64)."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= int(value) < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
-    key = np.array([np.uint64(int(seed) & (2**64 - 1)),
-                    np.uint64(int(stream) & (2**64 - 1))])
+    key = np.array([int(seed), int(stream)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     k = T / J
     increments = rng.standard_normal((J, q)) * np.sqrt(k)

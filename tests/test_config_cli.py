@@ -2,14 +2,16 @@
 
 The CLI is driven in-process through main(argv) so exit codes and the
 stdout/stderr contract can be asserted without spawning interpreters; only
-a load that overflows runs it in a child process, because numpy warns on
-that path and the suite makes its warnings errors.
+a load that overflows and the extreme-value property test run it in a
+child process, because numpy warns on the overflow paths and the suite
+makes its warnings errors.
 """
 
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -565,22 +567,125 @@ def test_cli_overflowing_load_exit_3_naming_the_load(tmp_path, keys):
     cfg = keyed_cfg(tmp_path, {"mesh.divisions": "2", "scheme.J": "2",
                                "scheme.T": "0.02", "initial.preset": "spiral",
                                "noise.preset": "linear-gradient", **keys})
+    proc = child_python(["-m", "sllgfem.cli", cfg])
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert re.search(r"solver failure: .*: the step's load has a non-finite "
+                     r"norm \((inf|nan)\)", proc.stderr)
+
+
+def child_python(args):
+    """Run `python args` with this checkout's sources and one worker."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, SLLGFEM_WORKERS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "sllgfem.cli", cfg],
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 3, proc.stderr[-2000:]
-    assert re.search(r"solver failure: .*: the step's load has a non-finite "
-                     r"norm \((inf|nan)\)", proc.stderr)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# Runs the CLI on each config path given, as `python -m sllgfem.cli` would
+# (an escaping exception is exit 1), and prints the exit codes last
+_CLI_BATCH = """\
+import sys, traceback
+from sllgfem.cli import main
+codes = []
+for cfg in sys.argv[1:]:
+    try:
+        codes.append(main([cfg]))
+    except Exception:
+        traceback.print_exc()
+        codes.append(1)
+print(*codes)
+"""
+
+# Extreme texts for a numeric key: subnormals, the largest doubles, int64's
+# edges and 10^400, which is an int but not a finite float; 1e100 overflows
+# the load
+_EXTREMES = ("5e-324", "-5e-324", "1e-310", "1e100", "1e308", "-1e308",
+             "1.7976931348623157e308", str(2**63 - 1), str(2**63),
+             str(2**63 + 1), str(-2**63 - 1), "1" + "0" * 400, "1e400", "0",
+             "-0.0", "1", "-1", "0.5")
+_NUMBERS = st.one_of(st.sampled_from(_EXTREMES),
+                     st.floats(allow_nan=False, allow_infinity=False)
+                     .map(repr))
+# A size key is small, or takes a text the loader rejects, so that no
+# accepted config is large
+_SIZE_KEYS = ("mesh.divisions", "scheme.J", "run.samples", "run.levels")
+_REJECTED_SIZES = st.sampled_from(("0", "-1", str(2**63), str(-2**63 - 1),
+                                   "1" + "0" * 400, "5e-324", "1e308",
+                                   "1e400", "0.5"))
+_TRIPLES = st.lists(_NUMBERS, min_size=3, max_size=3).map(" ".join)
+
+
+@st.composite
+def _extreme_configs(draw):
+    """Keys ("section.key" to text): every size key, at most one of them
+    rejected, and up to three other keys."""
+    keys = {name: draw(st.sampled_from(("1", "2"))) for name in _SIZE_KEYS}
+    if draw(st.booleans()):
+        keys[draw(st.sampled_from(_SIZE_KEYS))] = draw(_REJECTED_SIZES)
+    optional = {
+        "mesh.dim": st.one_of(st.sampled_from(("2", "3")), _NUMBERS),
+        **{f"scheme.{key}": _NUMBERS
+           for key in ("theta", "lambda1", "lambda2", "T", "solver_tol")},
+        "noise.preset": st.sampled_from(PRESETS),
+        "noise.amplitude": _NUMBERS,
+        "noise.vectors": st.lists(_TRIPLES, max_size=2).map("; ".join),
+        "initial.preset": st.sampled_from(("uniform", "spiral")),
+        "initial.direction": _TRIPLES,
+        **{f"initial.{key}": _NUMBERS for key in ("winding", "tilt")},
+        "run.mode": st.sampled_from(("single", "monte-carlo", "refinement")),
+        "run.seed": _NUMBERS,
+        "run.snapshots": _NUMBERS,
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(optional)),
+                              max_size=3, unique=True)):
+        keys[name] = draw(optional[name])
+    return keys
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.lists(_extreme_configs(), min_size=6, max_size=6))
+def test_cli_exits_0_2_3_or_4_on_extreme_values(config_dir, batch):
+    # no config the grammar admits ends in a traceback (exit 1), and a
+    # rejected one writes nothing. Numpy warns on the overflow paths that
+    # end at exit 3, so the CLI runs in a child process
+    work = Path(tempfile.mkdtemp(dir=config_dir))
+    cfgs = []
+    for i, keys in enumerate(batch):
+        (work / str(i)).mkdir()
+        cfgs.append(keyed_cfg(work / str(i), keys))
+    proc = child_python(["-c", _CLI_BATCH, *cfgs])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    codes = [int(c) for c in proc.stdout.splitlines()[-1].split()]
+    assert len(codes) == len(batch)
+    for i, (keys, code) in enumerate(zip(batch, codes)):
+        assert code in (0, 2, 3, 4), (keys, proc.stderr[-2000:])
+        if code == 4:
+            assert not (work / str(i) / "out").exists(), keys
 
 
 def test_cli_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(studies.INVARIANT_TOLS, "max_unit_dev", -1.0)
     assert main([fast_single(tmp_path)]) == 2
     assert "invariant failure:" in capsys.readouterr().err
+
+
+def test_cli_unusable_out_exit_4_before_any_trajectory(tmp_path, capsys,
+                                                     monkeypatch):
+    # a path under a regular file cannot be made a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(studies, "run", no_run)
+    assert main([fast_single(tmp_path), "--out", str(blocker / "sub")]) == 4
+    assert re.search(r"config error: run\.out = '.*/file/sub' is not a "
+                     r"usable directory: Not a directory",
+                     capsys.readouterr().err)
+    assert blocker.read_text() == ""
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -360,9 +360,8 @@ angle = 2.0 * np.pi * space.mesh.vertices[:, 0]
 m = np.column_stack([np.cos(angle), np.sin(angle), np.full(space.N, 0.3)])
 m /= np.linalg.norm(m, axis=1)[:, None]
 params = scheme.SchemeParams(lambda1=1.0, lambda2=1.0, T=0.1, J=40)
-state = scheme.NodalState(j=0, m=m, energy=0.0)
 field = init_rotation_field(space, make_noise("linear-gradient"))
-system = scheme.assemble_step_system(state, scheme.build_tangent_frame(m),
+system = scheme.assemble_step_system(m, scheme.build_tangent_frame(m),
                                      field, params, space)
 print(scheme.solve_step(system, params).residual)
 """

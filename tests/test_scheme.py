@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sllgfem import scheme
-from sllgfem.errors import SolverFailure, TimeMismatchError
+from sllgfem.errors import SolverFailure
 from sllgfem.fem import (P1Space, check_offdiag_condition, interpolate_nodal,
                          normalize_nodal)
 from sllgfem.mesh import build_structured_mesh
@@ -20,7 +20,7 @@ from sllgfem.noise import make_noise
 from sllgfem.rotation import (assemble_rotated_stiffness, compute_F_identity,
                               cross_matrix, evolve_step, init_rotation_field)
 from sllgfem.scheme import (DIAGNOSTIC_COLUMNS, DIAGNOSTICS_DTYPE,
-                            NodalState, SchemeParams, StepSystem, advance,
+                            SchemeParams, StepSystem, advance,
                             assemble_step_system, build_tangent_frame,
                             check_theta_guard, energy_inequality_gaps, run,
                             solve_step)
@@ -164,10 +164,9 @@ def test_frame_rejects_non_unit_node():
 def test_constant_state_zero_noise_is_stationary():
     space = space8()
     m = np.tile([0.0, 0.0, 1.0], (space.N, 1))
-    state = NodalState(j=0, m=m, energy=0.0)
     field = init_rotation_field(space, make_noise("zero"))
     params = default_params()
-    system = assemble_step_system(state, build_tangent_frame(m), field,
+    system = assemble_step_system(m, build_tangent_frame(m), field,
                                   params, space)
     assert np.linalg.norm(system.rhs) == 0.0
     sol = solve_step(system, params)
@@ -179,11 +178,10 @@ def test_quadratic_form_is_negative_definite():
     # a(w, w) = -lambda2 |w|^2_lumped - mu k theta |grad w|^2 for tangent w
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, energy=np.nan)
     tau = build_tangent_frame(m)
     field = init_rotation_field(space, make_noise("zero"))
     params = default_params(lambda1=1.3, lambda2=0.7, theta=0.8)
-    system = assemble_step_system(state, tau, field, params, space)
+    system = assemble_step_system(m, tau, field, params, space)
     lumped = space.lumped_mass_diagonal()
     K = space.stiffness()
     rng = np.random.default_rng(1)
@@ -200,18 +198,8 @@ def test_quadratic_form_is_negative_definite():
         assert quad < 0.0
 
 
-def test_assembly_rejects_desynchronized_field():
-    space = space8()
-    m = spiral_m0(space)
-    state = NodalState(j=3, m=m, energy=np.nan)
-    field = init_rotation_field(space, make_noise("zero"))  # at j = 0
-    with pytest.raises(TimeMismatchError):
-        assemble_step_system(state, build_tangent_frame(m), field,
-                             default_params(), space)
-
-
 def evolved_step_inputs(dim, divisions, steps=3):
-    """A state whose m_z takes both signs, its frame, and a rotation field
+    """An m whose m_z takes both signs, its frame, and a rotation field
     evolved `steps` steps along spatially varying noise."""
     space = P1Space(build_structured_mesh(dim, divisions))
     ang = 2 * np.pi * space.mesh.vertices[:, 0]
@@ -225,29 +213,28 @@ def evolved_step_inputs(dim, divisions, steps=3):
     field = init_rotation_field(space, coeffs)
     for j in range(steps):
         field = evolve_step(field, path.increments[j], params.k)
-    state = NodalState(j=steps, m=m, energy=np.nan)
-    return space, state, build_tangent_frame(m), field, params
+    return space, m, build_tangent_frame(m), field, params
 
 
-def projected_reference(space, state, tau, field, params):
+def projected_reference(space, m, tau, field, params):
     """P^T A3 P and P^T rhs3 from the (3N, 3N) nodal-vector form, with P
     the (3N, 2N) map from tangent coefficients to nodal vectors."""
     lumped = space.lumped_mass_diagonal()
     A3 = (-params.lambda2 * sp.diags(np.repeat(lumped, 3))
           + sp.block_diag(list(params.lambda1 * lumped[:, None, None]
-                               * cross_matrix(state.m)))
+                               * cross_matrix(m)))
           - params.mu * params.k * params.theta
           * sp.kron(space.stiffness(), sp.eye(3)))
     P = sp.block_diag([t.T for t in tau])
-    rhs3 = params.mu * (assemble_rotated_stiffness(field) @ state.m.ravel())
+    rhs3 = params.mu * (assemble_rotated_stiffness(field) @ m.ravel())
     return (P.T @ A3 @ P).toarray(), P.T @ rhs3
 
 
 @pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
 def test_assembly_matches_projected_nodal_system(dim, divisions):
-    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
-    system = assemble_step_system(state, tau, field, params, space)
-    A_ref, rhs_ref = projected_reference(space, state, tau, field, params)
+    space, m, tau, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(m, tau, field, params, space)
+    A_ref, rhs_ref = projected_reference(space, m, tau, field, params)
     inverse = system.layout.inverse         # node-major again
     A = system.matrix[inverse][:, inverse].toarray()
     assert A.shape == A_ref.shape == (2 * space.N, 2 * space.N)
@@ -263,9 +250,9 @@ def test_diagonal_blocks_hold_the_constant_cross_block(dim, divisions):
     # with theta = 0 the stiffness part is +-0, so node n's diagonal block
     # is exactly L_n (lambda1 J - lambda2 I) at every node, m_z of either
     # sign: the lumped cross term is skew by construction
-    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
+    space, m, tau, field, params = evolved_step_inputs(dim, divisions)
     params = replace(params, theta=0.0)
-    system = assemble_step_system(state, tau, field, params, space)
+    system = assemble_step_system(m, tau, field, params, space)
     inverse = system.layout.inverse         # node-major again
     A = system.matrix[inverse][:, inverse].toarray()
     n = np.arange(space.N)
@@ -278,8 +265,8 @@ def test_diagonal_blocks_hold_the_constant_cross_block(dim, divisions):
 
 @pytest.mark.parametrize("dim, divisions", [(2, 6), (3, 3)])
 def test_lu_solution_matches_dense_solve(dim, divisions):
-    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
-    system = assemble_step_system(state, tau, field, params, space)
+    space, m, tau, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(m, tau, field, params, space)
     sol = solve_step(system, params)
     inverse = system.layout.inverse         # node-major again
     c = np.linalg.solve(system.matrix[inverse][:, inverse].toarray(),
@@ -297,8 +284,8 @@ def test_layout_order_fills_like_minimum_degree_on_the_step_matrix(
     # pairs, against SuperLU's minimum-degree order of the step matrix.
     # It fills 0.3% more at 2D 32^2 and 1.03% more at 3D 8^3, and factors
     # as fast as SuperLU's order of the 2N pattern, which matches MMD's fill
-    space, state, tau, field, params = evolved_step_inputs(dim, divisions)
-    system = assemble_step_system(state, tau, field, params, space)
+    space, m, tau, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(m, tau, field, params, space)
     lu = spla.splu(system.matrix, permc_spec="NATURAL")
     inverse = system.layout.inverse         # node-major again
     ref = spla.splu(system.matrix[inverse][:, inverse].sorted_indices(),
@@ -310,11 +297,10 @@ def test_layout_order_fills_like_minimum_degree_on_the_step_matrix(
 def test_solution_satisfies_weak_form_against_random_tangents():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, energy=np.nan)
     tau = build_tangent_frame(m)
     params = default_params()
     field = init_rotation_field(space, make_noise("zero"))
-    system = assemble_step_system(state, tau, field, params, space)
+    system = assemble_step_system(m, tau, field, params, space)
     sol = solve_step(system, params)
     order = system.layout.order             # the matrix's order
     resid = system.matrix @ sol.coefficients[order] - system.rhs[order]
@@ -328,10 +314,9 @@ def test_solution_satisfies_weak_form_against_random_tangents():
 def test_solver_failure_carries_residual():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, energy=np.nan)
     params = default_params(solver_tol=1e-30)
     field = init_rotation_field(space, make_noise("zero"))
-    system = assemble_step_system(state, build_tangent_frame(m), field,
+    system = assemble_step_system(m, build_tangent_frame(m), field,
                                   params, space)
     with pytest.raises(SolverFailure) as err:
         solve_step(system, params)
@@ -357,10 +342,9 @@ def test_singular_system_raises_solver_failure():
 def test_non_finite_rhs_raises_solver_failure():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, energy=np.nan)
     params = default_params()
     field = init_rotation_field(space, make_noise("zero"))
-    system = assemble_step_system(state, build_tangent_frame(m), field,
+    system = assemble_step_system(m, build_tangent_frame(m), field,
                                   params, space)
     system.rhs[3] = np.nan
     with pytest.raises(SolverFailure) as err:
@@ -371,10 +355,9 @@ def test_non_finite_rhs_raises_solver_failure():
 def test_update_is_tangent_at_nodes():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, energy=np.nan)
     params = default_params()
     field = init_rotation_field(space, make_noise("zero"))
-    system = assemble_step_system(state, build_tangent_frame(m), field,
+    system = assemble_step_system(m, build_tangent_frame(m), field,
                                   params, space)
     sol = solve_step(system, params)
     dots = np.abs(np.sum(sol.v * m, axis=1))
@@ -386,20 +369,17 @@ def test_update_is_tangent_at_nodes():
 def test_advance_identity_for_zero_update():
     space = space8()
     m = spiral_m0(space)
-    state = NodalState(j=0, m=m, energy=np.nan)
-    nxt = advance(state, np.zeros_like(m), default_params(), space)
-    assert nxt.j == 1
-    np.testing.assert_allclose(nxt.m, m, atol=1e-15)
+    nxt = advance(m, np.zeros_like(m), default_params())
+    np.testing.assert_allclose(nxt, m, atol=1e-15)
 
 
 def test_advance_pythagoras_before_normalization():
     space = space8()
     m = spiral_m0(space)
     params = default_params()
-    state = NodalState(j=0, m=m, energy=np.nan)
     tau = build_tangent_frame(m)
     field = init_rotation_field(space, make_noise("zero"))
-    sol = solve_step(assemble_step_system(state, tau, field, params,
+    sol = solve_step(assemble_step_system(m, tau, field, params,
                                           space), params)
     stretched = m + params.k * sol.v
     lhs = np.sum(stretched * stretched, axis=1)
@@ -448,6 +428,25 @@ def test_unit_norms_and_tangency_along_stochastic_run():
     assert np.abs(norms - 1.0).max() <= 1e-12
     assert traj.diagnostics["tangency_max"].max() <= 1e-12
     assert traj.diagnostics["residual"].max() <= params.solver_tol
+
+
+def test_energies_and_times_belong_to_the_states():
+    # energy[j] is |grad m^j|^2 of the state the observers see as m^j, and
+    # row j's time is j k, for every j
+    space = space8()
+    params = default_params(J=12)
+    coeffs = make_noise("linear-gradient")
+    history = History()
+    traj = run(spiral_m0(space), params, sample_path(5, 1, 12, 0.5), coeffs,
+               space, observers=[history])
+    K = space.stiffness()
+    assert len(history.states) == len(traj.energy) == params.J + 1
+    for j, m in enumerate(history.states):
+        assert traj.energy[j] == np.sum(m * (K @ m))
+    np.testing.assert_array_equal(traj.diagnostics["energy"], traj.energy[:-1])
+    assert all(traj.diagnostics["t"][j] == j * params.k
+               for j in range(params.J))
+    np.testing.assert_array_equal(traj.diagnostics["j"], np.arange(params.J))
 
 
 @pytest.mark.parametrize("theta", [0.6, 1.0])
@@ -567,9 +566,9 @@ def test_observer_error_stops_the_run_before_the_next_step(monkeypatch):
     assembled, seen, after = [], [], []
     assemble = scheme.assemble_step_system
 
-    def spy(state, *args):
-        assembled.append(state.j)
-        return assemble(state, *args)
+    def spy(m, tau, field, *args):
+        assembled.append(field.j)
+        return assemble(m, tau, field, *args)
 
     def observe(step):
         seen.append(step.j)

@@ -25,6 +25,25 @@ def test_distinct_seeds_differ():
     assert not np.array_equal(a.increments, b.increments)
 
 
+@pytest.mark.parametrize("seed, stream, name", [
+    (2**64, 0, "seed"), (-1, 0, "seed"),
+    (0, 2**64, "stream"), (0, -1, "stream")],
+    ids=["seed-2^64", "seed-minus-1", "stream-2^64", "stream-minus-1"])
+def test_seed_and_stream_outside_the_key_range_raise(seed, stream, name):
+    # a mask would alias 2^64 onto 0 and -1 onto 2^64 - 1
+    with pytest.raises(ValueError, match=f"^{name} must lie in"):
+        sample_path(seed, q=1, J=4, T=1.0, stream=stream)
+
+
+def test_largest_seed_and_stream_are_their_own_keys():
+    top = 2**64 - 1
+    paths = [sample_path(seed, q=1, J=16, T=1.0, stream=stream).increments
+             for seed, stream in ((top, 0), (0, top), (0, 0), (top, top))]
+    for i in range(4):
+        for j in range(i):
+            assert not np.array_equal(paths[i], paths[j])
+
+
 def test_step_and_shape():
     p = sample_path(5, q=2, J=50, T=0.5)
     assert p.increments.shape == (50, 2)
