@@ -269,6 +269,9 @@ def load_config(path, overrides=None):
         if cfg.levels < 3:
             raise ConfigError(f"run.levels = {cfg.levels}; refinement mode "
                               "needs at least 3")
+        if cfg.levels > 63:     # no int64 divisions is divisible by 2^63
+            raise ConfigError(f"run.levels = {cfg.levels}; refinement mode "
+                              "allows at most 63")
         factor = 2 ** (cfg.levels - 1)
         if cfg.mesh_file:
             raise ConfigError("refinement mode requires a structured mesh "

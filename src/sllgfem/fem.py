@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import MeshError, NormalizationError
-from .mesh import Mesh
+from .mesh import Mesh, group_keys
 
 # barycentric coordinates and weights, exactness degree 2
 _TRI_QP = np.array([[0.5, 0.5, 0.0],
@@ -118,23 +118,13 @@ class P1Space:
             for a in range(d1):
                 np.add(cells[:, a:a + 1] * N, cells, out=keys[:, a])
             keys = keys.ravel()
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            new = np.empty(len(keys), dtype=bool)
-            new[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=new[1:])
-            starts = np.flatnonzero(new)
-            rows, indices = np.divmod(keys[starts], N)
-            indptr = np.zeros(N + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=N), out=indptr[1:])
-            slots = np.empty(len(keys), dtype=np.intp)
-            slots[order] = np.cumsum(new) - 1
+            first, slots = group_keys(keys)
+            rows, indices = np.divmod(keys[first], N)
+            indptr = np.searchsorted(rows, np.arange(N + 1))
             # the first pair (c, l, m) of slot (i, j) has its transpose
             # (c, m, l) on slot (j, i), at a flat index d (m - l) further
             l, m = np.indices((d1, d1)).reshape(2, -1)
-            shift = np.tile((d1 - 1) * (m - l), len(cells))
-            first = order[starts]
-            transpose = slots[first + shift[first]]
+            transpose = slots[first + ((d1 - 1) * (m - l))[first % d1**2]]
             self._pair_pattern = (indptr, indices, slots, transpose)
         return self._pair_pattern
 

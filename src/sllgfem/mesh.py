@@ -147,25 +147,17 @@ class Mesh:
         # sorted too: its k-th id is ids[c, k + 1] for i <= k, else ids[c, k]
         cols = [np.take(ids, [k + 1] * (k + 1) + [k] * (d - k),
                         axis=1).ravel() for k in range(d)]
-        order = np.lexsort(cols[::-1])          # rows in lexicographic order
-        cols = [c[order] for c in cols]
-        new = np.empty(len(order), dtype=bool)
-        new[0] = True
-        np.not_equal(cols[0][1:], cols[0][:-1], out=new[1:])
-        for c in cols[1:]:
-            new[1:] |= c[1:] != c[:-1]
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.append(starts, len(order)))
+        _, group = group_keys(*cols[::-1])
         # a positively oriented cell induces the orientation (-1)^i on its
         # facet i, times its sort's parity, on the facet's ascending ids
-        sign = (odd[:, None] ^ (np.arange(d + 1) % 2 == 1)).ravel()[order]
-        over, two = starts[counts > 2], starts[counts == 2]
-        for bad, problem in ((over, "shared by more than two cells"),
-                             (two[sign[two] == sign[two + 1]],
+        sign = np.where(odd[:, None] ^ (np.arange(d + 1) % 2 == 1), -1.0, 1.0)
+        count = np.bincount(group)
+        total = np.bincount(group, sign.ravel())
+        for bad, problem in ((count > 2, "shared by more than two cells"),
+                             ((count == 2) & (total != 0),
                               "has both its cells on one side")):
-            if bad.size:
-                # report the bad facet met first in cell order
-                first = bad[np.argmin(order[bad])]
+            if bad.any():
+                first = bad[group].argmax()     # met first in cell order
                 raise MeshError(f"facet {tuple(int(c[first]) for c in cols)} "
                                 f"{problem}")
 
@@ -197,6 +189,25 @@ def edge_determinants(x, cofactors):
             k1, k2 = (k + 1) % 3, (k + 2) % 3
             c[:, i, k] = a[k1] * b[k2] - a[k2] * b[k1]
     return e[0][0] * c[:, 0, 0] + e[0][1] * c[:, 0, 1] + e[0][2] * c[:, 0, 2]
+
+
+def group_keys(*keys):
+    """(first, group) grouping the items of the (n,) integer arrays `keys`
+    by equal key tuples. The items are sorted stably by np.lexsort, the
+    last key primary; groups are numbered in that order, item p is in
+    group group[p], and first[g] is group g's first item."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    rank = new.astype(np.intp)      # summed in place: faster than on bools
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    group = np.empty_like(rank)
+    group[order] = rank
+    return order[np.flatnonzero(new)], group
 
 
 def _sorted_rows(cells):

@@ -54,6 +54,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import group_keys
+
 def cross_matrix(a):
     """Matrix C(a) with C(a) u = a x u, for a of shape (..., 3)."""
     a = np.asarray(a, dtype=float)
@@ -247,15 +249,7 @@ def _group_points(*values):
     n = values[0].shape[1]
     if not keys:
         return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    order = np.lexsort(keys)
-    new = np.zeros(n, dtype=bool)
-    new[0] = True
-    for key in keys:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
-    index = np.empty(n, dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    return index, order[new]
+    return group_keys(*keys)[::-1]
 
 
 def init_rotation_field(space, coeffs):

@@ -9,6 +9,7 @@ makes its warnings errors.
 
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -240,6 +241,9 @@ def test_mode_specific_validation(tmp_path):
     with pytest.raises(ConfigError, match="at least 3"):
         load_config(write_cfg(
             tmp_path, "[run]\nmode = refinement\nlevels = 2\n"))
+    with pytest.raises(ConfigError, match="divisible by 4611686018427387904"):
+        load_config(write_cfg(
+            tmp_path, "[run]\nmode = refinement\nlevels = 63\n"))
     with pytest.raises(ConfigError, match="divisible by 4"):
         load_config(write_cfg(
             tmp_path, "[mesh]\ndivisions = 10\n[run]\nmode = refinement\n"))
@@ -573,14 +577,39 @@ def test_cli_overflowing_load_exit_3_naming_the_load(tmp_path, keys):
                      r"norm \((inf|nan)\)", proc.stderr)
 
 
+# A child's address space: a config that asks for a huge allocation fails
+# in the child (MemoryError, exit 1) instead of exhausting the host
+CHILD_ADDRESS_SPACE = 2 * 1024**3
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
 def child_python(args):
-    """Run `python args` with this checkout's sources and one worker."""
+    """Run `python args` with this checkout's sources and one worker, in an
+    address space of CHILD_ADDRESS_SPACE bytes."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, SLLGFEM_WORKERS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          preexec_fn=_limit_address_space)
+
+
+@pytest.mark.parametrize("levels", [64, 2**62])
+def test_cli_refinement_levels_above_63_exit_4_naming_the_key(tmp_path,
+                                                              levels):
+    # 2^(levels - 1) is not formed: at 2^62 levels it needs 2^59 bytes
+    cfg = keyed_cfg(tmp_path, {"run.mode": "refinement",
+                               "run.levels": str(levels)})
+    proc = child_python(["-m", "sllgfem.cli", cfg])
+    assert proc.returncode == 4, proc.stderr[-2000:]
+    assert (f"config error: run.levels = {levels}; refinement mode allows "
+            f"at most 63") in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # Runs the CLI on each config path given, as `python -m sllgfem.cli` would
@@ -614,16 +643,21 @@ _SIZE_KEYS = ("mesh.divisions", "scheme.J", "run.samples", "run.levels")
 _REJECTED_SIZES = st.sampled_from(("0", "-1", str(2**63), str(-2**63 - 1),
                                    "1" + "0" * 400, "5e-324", "1e308",
                                    "1e400", "0.5"))
+# In range, but more than refinement mode's 63 levels; unused in the other
+# modes. Not a rejected size: mesh.divisions = 2^62 would be accepted
+_LEVELS_ABOVE_63 = ("64", str(2**62), str(2**63 - 1))
 _TRIPLES = st.lists(_NUMBERS, min_size=3, max_size=3).map(" ".join)
 
 
 @st.composite
 def _extreme_configs(draw):
     """Keys ("section.key" to text): every size key, at most one of them
-    rejected, and up to three other keys."""
+    rejected or run.levels above 63, and up to three other keys."""
     keys = {name: draw(st.sampled_from(("1", "2"))) for name in _SIZE_KEYS}
     if draw(st.booleans()):
-        keys[draw(st.sampled_from(_SIZE_KEYS))] = draw(_REJECTED_SIZES)
+        name = draw(st.sampled_from(_SIZE_KEYS))
+        keys[name] = draw(_REJECTED_SIZES | st.sampled_from(_LEVELS_ABOVE_63)
+                          if name == "run.levels" else _REJECTED_SIZES)
     optional = {
         "mesh.dim": st.one_of(st.sampled_from(("2", "3")), _NUMBERS),
         **{f"scheme.{key}": _NUMBERS

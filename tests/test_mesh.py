@@ -190,7 +190,18 @@ def test_tiny_and_huge_well_shaped_cells_accepted(dim, scale):
     ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
      [[0, 1, 2, 3], [1, 0, 2, 3]],
      r"facet \(1, 2, 3\) has both its cells on one side"),
-], ids=["repeated-triangle", "overlapping-triangles", "repeated-tetrahedron"])
+    # two folded pairs, one one-sided facet each: the pair with the larger
+    # ids comes first in cell order, and its facet is named
+    ([[0, 0], [1, 0], [0, 1], [0.2, 0.2], [5, 5], [6, 5], [5, 6],
+      [5.2, 5.2]],
+     [[4, 5, 6], [5, 6, 7], [0, 1, 2], [1, 2, 3]],
+     r"facet \(5, 6\) has both its cells on one side"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.1, 0.1, 0.1],
+      [5, 5, 5], [6, 5, 5], [5, 6, 5], [5, 5, 6], [5.1, 5.1, 5.1]],
+     [[5, 6, 7, 8], [6, 7, 8, 9], [0, 1, 2, 3], [1, 2, 3, 4]],
+     r"facet \(6, 7, 8\) has both its cells on one side"),
+], ids=["repeated-triangle", "overlapping-triangles", "repeated-tetrahedron",
+        "folded-triangle-pairs", "folded-tetrahedron-pairs"])
 def test_cells_on_one_side_of_a_facet_rejected(vertices, cells, message):
     with pytest.raises(MeshError, match=message):
         Mesh(np.array(vertices, dtype=float), np.array(cells))
@@ -334,6 +345,36 @@ def test_overshared_facet_named_in_cell_order():
                       [0, 1, 5], [0, 1, 8]])
     with pytest.raises(MeshError, match=r"facet \(1, 2\) shared by more"):
         Mesh(vertices, cells)
+
+
+def test_overshared_facet_named_before_an_earlier_one_sided_facet():
+    # a repeated triangle, whose facet (1, 2) is one-sided, comes first in
+    # cell order; then three triangles hang off edge (3, 4)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 0.0],
+                         [6.0, 0.0], [5.5, 1.0], [5.5, -1.0], [5.5, 2.0]])
+    cells = np.array([[0, 1, 2], [0, 2, 1], [3, 4, 5], [3, 4, 6],
+                      [3, 4, 7]])
+    with pytest.raises(MeshError,
+                       match=r"facet \(3, 4\) shared by more than two"):
+        Mesh(vertices, cells)
+
+
+# key values with many ties, int64's extremes among them
+_KEY_VALUES = st.sampled_from((-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2,
+                               2**63 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.tuples(*[_KEY_VALUES] * k), min_size=1, max_size=40)))
+def test_group_keys_matches_np_unique(rows):
+    keys = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+    first, group = mesh_module.group_keys(*keys)
+    # np.unique sorts rows lexicographically, so the last key goes first
+    _, index, inverse = np.unique(np.stack(keys[::-1], axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    assert np.array_equal(first, index)
+    assert np.array_equal(group, inverse.ravel())
 
 
 def test_arrays_read_only():
