@@ -27,7 +27,8 @@ class TimeMismatchError(SLLGError):
 
 class SolverFailure(SLLGError):
     """Linear solve failed: a load whose norm is not finite, a singular
-    factorization, or a relative residual that is non-finite or above the
+    factorization, or a refinement of the single-precision LU that stopped
+    contracting (a non-finite residual included) before it reached the
     requested tolerance.
 
     Carries the achieved relative residual (inf when no solution exists,

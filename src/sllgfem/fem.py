@@ -71,14 +71,16 @@ class P1Space:
         self.n_qp = len(bary)
 
         self.grad_phi = mesh.grad_lambda
-        x = np.take(mesh.vertices, mesh.cells, axis=0)   # (M, d+1, d)
-        # one (M,) coordinate at a time, summed over the vertices in order
+        # one (M,) coordinate at a time, summed over the vertices in order;
+        # x[:, k][ids] is a 1-D gather, about twice as fast as x[ids, k]
+        x, cells = mesh.vertices, mesh.cells
         self.quad_points = np.empty((mesh.n_cells, self.n_qp, d))
         for q, weights in enumerate(bary):
             for k in range(d):
-                point = weights[0] * x[:, 0, k]
+                coord = x[:, k]
+                point = weights[0] * coord[cells[:, 0]]
                 for a in range(1, d + 1):
-                    point += weights[a] * x[:, a, k]
+                    point += weights[a] * coord[cells[:, a]]
                 self.quad_points[:, q, k] = point
         self.quad_weights = mesh.volumes[:, None] * ref_w[None, :]
 
@@ -251,11 +253,23 @@ class StepLayout:
                              shape=self.shape)
 
     def factor(self, matrix):
-        """SuperLU's LU of a matrix made by `matrix`, in its own order
-        (permc_spec="NATURAL"): the order depends only on the pattern, so
-        the layout computed it once. A singular factor raises
-        RuntimeError."""
-        return _splu(matrix, "NATURAL")
+        """SuperLU's single-precision LU of a matrix made by `matrix`, in
+        its own order (permc_spec="NATURAL"): the order depends only on the
+        pattern, so the layout computed it once.
+
+        Returns (lu, e): `lu` factors the float32 cast of 2^-e A, e the
+        binary exponent of max |A|. The power of two is exact and puts
+        the largest entry in [1/2, 1), so the cast rounds every entry but
+        overflows none; lu.solve takes and returns float32. The cast shares
+        A's index arrays and is freed once factored. A singular factor
+        raises RuntimeError.
+        """
+        data = matrix.data
+        e = int(np.frexp(np.maximum(data.max(), -data.min()))[1])
+        single = np.empty(len(data), dtype=np.float32)
+        np.ldexp(data, -e, out=single)
+        return _splu(sp.csc_matrix((single, matrix.indices, matrix.indptr),
+                                   shape=self.shape), "NATURAL"), e
 
 
 # off-diagonal stiffness entries up to this size count as nonpositive

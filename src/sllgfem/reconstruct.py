@@ -236,10 +236,13 @@ def weak_residual(space, params, path, fields):
                 acc[0][cells] += R
                 acc[1][cells] += S
         if step.j == params.J - 1:
+            # numpy's pairwise sums, not BLAS dots: OpenBLAS splits a long
+            # dot over its threads, and the bits would follow their count
             for idx, f in enumerate(fields):
                 psi_qp, grad_psi_qp = f.evaluate(qp_flat)
-                totals[idx] = (psi_qp.ravel() @ acc[0].ravel()
-                               + grad_psi_qp.ravel() @ acc[1].ravel())
+                totals[idx] = (np.sum(psi_qp.ravel() * acc[0].ravel())
+                               + np.sum(grad_psi_qp.ravel()
+                                        * acc[1].ravel()))
         rot = evolve_step(rot, path.increments[step.j], k)
 
     return observe, totals

@@ -2,10 +2,11 @@
 
 One step: build an orthonormal tangent frame at every node, assemble the
 nonsymmetric linear system for the update velocity v directly in the
-2N-dimensional nodal tangent space, solve it with one sparse LU
-factorization (no nonlinear iteration), move m by k*v, renormalize nodally,
-and advance the rotation field along the Wiener path in lockstep. `run`
-then hands the step to its observers, inline, before the next step.
+2N-dimensional nodal tangent space, solve it with one single-precision
+sparse LU factorization refined in double precision (no nonlinear
+iteration), move m by k*v, renormalize nodally, and advance the rotation
+field along the Wiener path in lockstep. `run` then hands the step to its
+observers, inline, before the next step.
 
 Discrete pairings: <v, w> and <m x v, w> use the lumped nodal pairing (the
 cross term is then lambda1 L_n J in a right-handed frame, exactly skew, which
@@ -180,8 +181,9 @@ def assemble_step_system(m, tau, field, params, space):
 class SolveResult:
     """Outcome of one step solve.
 
-    `iterations` is always 0, since the solve is direct; the field stays
-    because the benchmark tracer in perfbench/ reads it.
+    `iterations` is the number of LU solves the step made: the first one
+    and each refinement sweep, 1 to MAX_SOLVES. `residual` is the final
+    relative residual, at most the solver tolerance.
     """
 
     v: np.ndarray            # (N, 3), tangent at nodes by construction
@@ -190,35 +192,69 @@ class SolveResult:
     residual: float
 
 
+# LU solves per step at most: the first and its refinement sweeps. The
+# workloads' steps need 2 or 3
+MAX_SOLVES = 10
+
+
+def _norm(x):
+    """The 2-norm of a 1-D array as numpy's pairwise sum of squares.
+
+    np.linalg.norm and `@` hand a long vector to BLAS, whose sum is split
+    over OpenBLAS's threads: its bits would depend on their count. A norm
+    that overflows is inf.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(x * x)))
+
+
 def solve_step(system, params):
     """Solve for the tangent coefficients and rebuild the nodal update v.
 
-    One sparse LU factorization (SuperLU, through StepLayout.factor) of
-    the step matrix, which is already in its layout's fill-reducing order.
-    The relative residual |A c - b| / |b| (|A c - b| when b = 0, as for a
-    uniform field) is checked in that order against params.solver_tol,
-    and the solution is taken back to node-major. A load whose norm is not
-    finite, a singular factorization, a non-finite solution, or a residual
-    above the tolerance raises SolverFailure.
+    One single-precision sparse LU factorization (SuperLU, through
+    StepLayout.factor) of the step matrix, which is already in its
+    layout's fill-reducing order, refined in double precision. From c = 0
+    and r = b, each sweep adds the LU's solution of r to c and forms
+    r = b - A c with the float64 matrix, until the relative residual
+    |r| / |b| (|r| when b = 0, as for a uniform field) is at most
+    params.solver_tol. The residual is scaled by a power of two before it
+    is cast for the solve, as the matrix was, so float32's precision and
+    not its range decides the outcome. The solution is then taken back
+    to node-major.
+
+    A load whose norm is not finite, a singular factorization, or a sweep
+    that does not at least halve the residual (a non-finite one
+    included), or MAX_SOLVES solves without reaching the tolerance, raise
+    SolverFailure with the residual reached. There is no other path.
     """
     A, layout = system.matrix, system.layout
     b = system.rhs[layout.order]
-    load = np.linalg.norm(b)
+    load = _norm(b)
     if not np.isfinite(load):
         raise SolverFailure(f"the step's load has a non-finite norm "
                             f"({load})", residual=np.nan)
     try:
-        lu = layout.factor(A)
-    except RuntimeError as e:          # SuperLU: factor is exactly singular
-        raise SolverFailure(f"sparse LU failed: {e}", residual=np.inf)
-    c = lu.solve(b)
-    residual = float(np.linalg.norm(A @ c - b) / (load or 1.0))
-    if not residual <= params.solver_tol:
-        raise SolverFailure(f"linear solve reached relative residual "
-                            f"{residual:.3e} (tolerance "
-                            f"{params.solver_tol:.3e})", residual=residual)
-    c = c[layout.inverse]
-    return SolveResult(_tangent_to_nodal(c, system.tau), c, 0, residual)
+        lu, e = layout.factor(A)
+    except RuntimeError as ex:         # SuperLU: factor is exactly singular
+        raise SolverFailure(f"sparse LU failed: {ex}", residual=np.inf)
+    c, r, residual = np.zeros_like(b), b, 1.0
+    single = np.empty(len(b), dtype=np.float32)
+    for solves in range(1, MAX_SOLVES + 1):
+        f = int(np.frexp(np.maximum(r.max(), -r.min()))[1])
+        np.ldexp(r, -f, out=single)
+        c += np.ldexp(lu.solve(single), f - e, dtype=float)
+        r = b - A @ c
+        last, residual = residual, _norm(r) / (load or 1.0)
+        if residual <= params.solver_tol:
+            c = c[layout.inverse]
+            return SolveResult(_tangent_to_nodal(c, system.tau), c, solves,
+                               residual)
+        if not residual <= 0.5 * last:
+            break
+    raise SolverFailure(f"the float32 LU's refinement stopped contracting: "
+                        f"relative residual {residual:.3e} after {solves} "
+                        f"solves (tolerance {params.solver_tol:.3e})",
+                        residual=residual)
 
 
 def _tangent_to_nodal(c, tau):
@@ -347,8 +383,11 @@ def _update(m, field, params, space, row):
     row["v_norm_sq"] = np.sum(space.lumped_mass_diagonal()
                               * np.sum(v * v, axis=1))
     # c.b = mu v.(KZ m) and KZ is symmetric, so c.b / mu - m.(K v) is
-    # F(t_j, m, v) = m^T (KZ - K (x) I) v without applying KZ again
-    row["F_value"] = sol.coefficients @ system.rhs / params.mu - np.sum(m * Kv)
+    # F(t_j, m, v) = m^T (KZ - K (x) I) v without applying KZ again. c.b is
+    # numpy's pairwise sum, not a BLAS dot, whose bits would depend on the
+    # OpenBLAS thread count
+    row["F_value"] = (np.sum(sol.coefficients * system.rhs) / params.mu
+                      - np.sum(m * Kv))
     row["residual"] = sol.residual
     row["grad_v_sq"] = np.sum(v * Kv)
     row["tangency_max"] = np.abs(np.sum(v * m, axis=1)).max()

@@ -161,6 +161,22 @@ def _snapshot_writer(config, space, stream, snapshot_dir):
     return snapshots
 
 
+def _coarsening(config, level):
+    """The factor by which level `level` divides config.divisions and J:
+    2^(levels-1-level) in refinement mode, 1 in the other modes."""
+    return (2 ** (config.levels - 1 - level)
+            if config.mode == "refinement" else 1)
+
+
+def _cost(config, level):
+    """A trajectory's estimated cost: its level's node count times its J,
+    for a structured mesh. Every trajectory of a study outside refinement
+    mode is on one mesh, so there the estimate only has to tie."""
+    factor = _coarsening(config, level)
+    return ((config.divisions // factor + 1) ** config.dim
+            * (config.params.J // factor))
+
+
 def _trajectory(config, level, stream, snapshot_dir):
     """One trajectory of a study, with every monitor attached.
 
@@ -171,8 +187,7 @@ def _trajectory(config, level, stream, snapshot_dir):
     run rows, the invariant failures and the diagnostics CSV text; the
     calling process writes all files but the snapshots.
     """
-    factor = (2 ** (config.levels - 1 - level)
-              if config.mode == "refinement" else 1)
+    factor = _coarsening(config, level)
     p_fine = config.params
     cfg = replace(config, divisions=config.divisions // factor)
     p = replace(p_fine, J=p_fine.J // factor)
@@ -277,7 +292,8 @@ def run_study(config):
     return its report.
 
     The tasks run in a process pool when SLLGFEM_WORKERS, the task count
-    and the CPU count all exceed 1, and in this process otherwise; each
+    and the CPU count all exceed 1, and in this process otherwise, in
+    descending order of estimated cost (_cost), finest level first; each
     trajectory's monitors run inline in its process, after every step.
     Rows and files follow task order: each level's run rows, then its
     aggregate rows (not in single mode), then the refinement orders.
@@ -291,11 +307,15 @@ def run_study(config):
     snapshot_dir = config.out if config.mode == "single" else None
     workers = min(requested, len(tasks), os.cpu_count() or 1)
     task = partial(_trajectory, config, snapshot_dir=snapshot_dir)
+    # largest first, so that no worker starts a long trajectory last; the
+    # sort is stable, so equal costs keep task order
+    ordered = sorted(tasks, key=lambda t: -_cost(config, t[0]))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, *zip(*tasks)))
+            done = dict(zip(ordered, pool.map(task, *zip(*ordered))))
     else:
-        results = [task(level, stream) for level, stream in tasks]
+        done = {t: task(*t) for t in ordered}
+    results = [done[t] for t in tasks]
 
     by_level, failures = {}, []
     for (level, stream), (runs, run_failures, diag_text) in zip(tasks,

@@ -2,16 +2,12 @@
 
 The CLI is driven in-process through main(argv) so exit codes and the
 stdout/stderr contract can be asserted without spawning interpreters; only
-a load that overflows and the extreme-value property test run it in a
-child process, because numpy warns on the overflow paths and the suite
-makes its warnings errors.
+a load that overflows, a step matrix beyond float32's range and the
+extreme-value property test run it in a child process, because numpy warns
+on the overflow paths and the suite makes its warnings errors.
 """
 
-import os
 import re
-import resource
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +22,8 @@ from sllgfem.cli import build_parser, main
 from sllgfem.config import KEYS
 from sllgfem.mesh import write_mesh_text
 from sllgfem.noise import PRESETS
+
+from children import child_python
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -577,26 +575,21 @@ def test_cli_overflowing_load_exit_3_naming_the_load(tmp_path, keys):
                      r"norm \((inf|nan)\)", proc.stderr)
 
 
-# A child's address space: a config that asks for a huge allocation fails
-# in the child (MemoryError, exit 1) instead of exhausting the host
-CHILD_ADDRESS_SPACE = 2 * 1024**3
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS,
-                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
-
-
-def child_python(args):
-    """Run `python args` with this checkout's sources and one worker, in an
-    address space of CHILD_ADDRESS_SPACE bytes."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, SLLGFEM_WORKERS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=300,
-                          preexec_fn=_limit_address_space)
+def test_cli_step_matrix_beyond_float32_range_is_factored_scaled(tmp_path):
+    # mu k theta K and the lumped blocks reach about 1e38-1e39, past
+    # float32's largest value: cast unscaled, the matrix overflows (a numpy
+    # warning) and its LU is singular (exit 3). Scaled by a power of two
+    # first, every solve refines, and the run ends on the tangency
+    # invariant (exit 2), as with a float64 LU
+    cfg = keyed_cfg(tmp_path, {"scheme.lambda1": "1e40",
+                               "scheme.lambda2": "1e40", "scheme.T": "4e-42",
+                               "initial.preset": "spiral",
+                               "noise.preset": "linear-gradient"})
+    proc = child_python(["-m", "sllgfem.cli", cfg])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "invariant failure:" in proc.stderr
+    assert "solver failure" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("levels", [64, 2**62])

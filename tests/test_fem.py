@@ -55,6 +55,22 @@ def test_quadrature_degree_two_3d(space3):
         assert abs(space3.integrate(f) - exact) < 1e-14
 
 
+@pytest.mark.parametrize("dim, divisions", [(2, 4), (2, 32), (3, 3),
+                                             (3, 8)])
+def test_quad_points_match_the_gathered_cell_vertices(dim, divisions):
+    # bit for bit: the same terms summed in the same order as from the
+    # (M, d+1, d) array of each cell's vertices
+    space = P1Space(build_structured_mesh(dim, divisions))
+    x = np.take(space.mesh.vertices, space.mesh.cells, axis=0)
+    expect = np.empty_like(space.quad_points)
+    for q, weights in enumerate(space.phi_qp):
+        point = weights[0] * x[:, 0]
+        for a in range(1, dim + 1):
+            point += weights[a] * x[:, a]
+        expect[:, q] = point
+    np.testing.assert_array_equal(space.quad_points, expect)
+
+
 def test_stiffness_symmetric_and_conservative(space2):
     K = assemble_stiffness(space2)
     assert abs(K - K.T).max() <= 1e-14

@@ -273,7 +273,8 @@ def test_lu_solution_matches_dense_solve(dim, divisions):
                         system.rhs)
     np.testing.assert_allclose(sol.coefficients, c, rtol=0,
                                atol=1e-12 * np.abs(c).max())
-    assert sol.iterations == 0
+    # the first LU solve and each refinement sweep
+    assert 1 <= sol.iterations <= scheme.MAX_SOLVES
     assert sol.residual <= params.solver_tol
 
 
@@ -350,6 +351,72 @@ def test_non_finite_rhs_raises_solver_failure():
     with pytest.raises(SolverFailure) as err:
         solve_step(system, params)
     assert np.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("dim, divisions", [(2, 32), (3, 8)])
+def test_float32_factor_refines_to_the_tolerance_in_float64(dim, divisions):
+    space, m, tau, field, params = evolved_step_inputs(dim, divisions)
+    system = assemble_step_system(m, tau, field, params, space)
+    A, layout = system.matrix, system.layout
+    lu, e = layout.factor(A)
+    assert 0.5 <= np.ldexp(np.abs(A.data).max(), -e) < 1.0
+    n = 2 * space.N
+    assert lu.solve(np.ones(n, dtype=np.float32)).dtype == np.float32
+    sol = solve_step(system, params)
+    assert sol.coefficients.dtype == np.float64
+    assert 1 <= sol.iterations <= scheme.MAX_SOLVES
+    b = system.rhs[layout.order]
+    r = A @ sol.coefficients[layout.order] - b
+    assert np.linalg.norm(r) <= params.solver_tol * np.linalg.norm(b)
+    assert sol.residual <= params.solver_tol
+
+
+class CountingLU:
+    """A factor's stand-in that records the dtype of each solve."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, []
+
+    def solve(self, r):
+        self.solves.append(r.dtype)
+        return self.lu.solve(r)
+
+
+@pytest.mark.parametrize("delta, stop", [(1e-9, "sparse LU failed"),
+                                         (1e-6, "stopped contracting")])
+def test_step_whose_float32_lu_cannot_refine_fails_without_retry(
+        monkeypatch, delta, stop):
+    # node blocks [[1, 1], [1, 1 + delta]]: at 1e-9 the float32 factor is
+    # exactly singular, and at 1e-6 the sweeps stall near a relative
+    # residual of 1e-10. A float64 LU misses 1e-12 on both
+    space = P1Space(build_structured_mesh(2, 4))
+    layout = space.step_layout()
+    blocks = np.zeros((len(layout.rows), 2, 2))
+    blocks[layout.diagonal] = [[1.0, 1.0], [1.0, 1.0 + delta]]
+    rhs = np.random.default_rng(0).standard_normal(2 * space.N)
+    system = StepSystem(matrix=layout.matrix(blocks), rhs=rhs,
+                        tau=build_tangent_frame(spiral_m0(space)),
+                        layout=layout)
+    factors, factor = [], layout.factor
+
+    def counting_factor(matrix):
+        lu, e = factor(matrix)
+        factors.append(CountingLU(lu))
+        return factors[-1], e
+
+    monkeypatch.setattr(layout, "factor", counting_factor)
+    with pytest.raises(SolverFailure, match=stop) as err:
+        solve_step(system, default_params())
+    residual = err.value.residual
+    if delta == 1e-9:                   # no factor, so nothing to solve
+        assert residual == np.inf and factors == []
+    else:
+        # one float32 factor, whose sweeps the stop rule ends before the cap
+        assert 1e-12 < residual < 1e-8
+        assert f"{residual:.3e}" in str(err.value)
+        assert len(factors) == 1
+        assert 2 <= len(factors[0].solves) < scheme.MAX_SOLVES
+        assert set(factors[0].solves) == {np.dtype(np.float32)}
 
 
 def test_update_is_tangent_at_nodes():

@@ -16,6 +16,8 @@ import pytest
 from sllgfem import ConfigError, load_config, studies
 from sllgfem.studies import WORKERS_ENV, run_study
 
+from children import child_python
+
 try:
     import resource
 except ImportError:                  # not on every platform
@@ -137,6 +139,25 @@ def test_parallel_matches_sequential(tmp_path, monkeypatch, mode):
     monkeypatch.setenv(WORKERS_ENV, "2")
     par = run_study(tiny_config(tmp_path, "par", mode))
     assert par.csv_text() == seq.csv_text()
+
+
+def test_tasks_run_largest_first_and_rows_stay_in_task_order(tmp_path,
+                                                            monkeypatch):
+    # the finest level's trajectories have the most nodes and steps, so
+    # they start first; the rows and files do not move
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    calls, trajectory = [], studies._trajectory
+
+    def spy(config, level, stream, snapshot_dir):
+        calls.append((level, stream))
+        return trajectory(config, level, stream, snapshot_dir)
+
+    monkeypatch.setattr(studies, "_trajectory", spy)
+    cfg = tiny_config(tmp_path, "order", "refinement")
+    report = run_study(cfg)
+    assert calls == [(2, 0), (2, 1), (1, 0), (1, 1), (0, 0), (0, 1)]
+    levels = [r["level"] for r in report.rows if r["kind"] == "run"]
+    assert levels == sorted(levels)
 
 
 def test_sequential_study_runs_its_monitors_on_no_thread(tmp_path,
@@ -378,6 +399,42 @@ tilt = 0.3
     assert proc.returncode == 0, proc.stderr[-2000:]
     ratio = float(proc.stdout)
     assert ratio <= 1.3, f"CPU time / wall time {ratio:.2f}"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a long dot or norm over its threads, and the order
+    # of the sum follows their count: every reduction that reaches an
+    # output is numpy's pairwise sum instead, and the float32 LU stays
+    # thread-independent too
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        path = tmp_path / f"threads{threads}.ini"
+        path.write_text(f"""\
+[mesh]
+divisions = 32
+
+[scheme]
+J = 20
+T = 0.2
+
+[noise]
+preset = linear-gradient
+
+[initial]
+preset = spiral
+tilt = 0.3
+
+[run]
+out = {out}
+""")
+        proc = child_python(["-m", "sllgfem.cli", str(path)],
+                            OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        texts.append({name: (out / name).read_bytes()
+                      for name in ("report.csv", "diagnostics_seed0.csv")})
+    assert texts[0] == texts[1]
 
 
 # One trajectory after a warm-up one, in a child process: its minor page
