@@ -5,8 +5,8 @@ Loads the config, applies the overrides and hands it to
 `load_config` as text, so they are validated like the config values they
 replace. Exit codes: 0 success, 2 invariant-suite failure (reported by the
 study, not raised), 3 solver failure, 4 configuration error (a usage
-error, a rejected config or flag value, or an invalid SLLGFEM_WORKERS
-value, in any mode).
+error, a rejected config or flag value, an invalid SLLGFEM_WORKERS
+value, in any mode, or a write in run.out that failed).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ConfigError, MeshError
-from .fem import P1Space, interpolate_nodal
+from .fem import P1Space, binary_exponent, interpolate_nodal
 from .mesh import build_structured_mesh, read_mesh_text
 from .noise import PRESETS, make_noise
 from .scheme import GUARD_C, SchemeParams, check_theta_guard
@@ -179,7 +179,7 @@ class SimulationConfig:
             d = np.asarray(self.direction, dtype=float)
             # an exact power-of-two scaling keeps the norm from under- or
             # overflowing
-            d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+            d = np.ldexp(d, -binary_exponent(d))
             return np.tile(d / np.linalg.norm(d), (space.N, 1))
         w, tilt = self.winding, self.tilt
         ca, sa = np.cos(tilt), np.sin(tilt)

@@ -41,5 +41,6 @@ class SolverFailure(SLLGError):
 
 
 class ConfigError(SLLGError):
-    """Configuration file is unreadable, unparseable, or out of range."""
+    """Configuration file is unreadable, unparseable, or out of range, or
+    run.out is not writable."""
 

@@ -257,19 +257,34 @@ class StepLayout:
         its own order (permc_spec="NATURAL"): the order depends only on the
         pattern, so the layout computed it once.
 
-        Returns (lu, e): `lu` factors the float32 cast of 2^-e A, e the
-        binary exponent of max |A|. The power of two is exact and puts
-        the largest entry in [1/2, 1), so the cast rounds every entry but
-        overflows none; lu.solve takes and returns float32. The cast shares
-        A's index arrays and is freed once factored. A singular factor
-        raises RuntimeError.
+        Returns solve, which maps a float64 r in the layout's order to the
+        float64 2^(f-e) LU^-1(2^-f r): LU factors the float32 cast of
+        2^-e A, and e and f are the binary exponents of A and r. The powers
+        of two are exact and put the largest entry in [1/2, 1), so each
+        cast rounds but overflows none, and float32's precision, not its
+        range, decides the outcome. The cast shares A's index arrays and
+        is freed once factored. A singular factor raises RuntimeError.
         """
         data = matrix.data
-        e = int(np.frexp(np.maximum(data.max(), -data.min()))[1])
-        single = np.empty(len(data), dtype=np.float32)
-        np.ldexp(data, -e, out=single)
-        return _splu(sp.csc_matrix((single, matrix.indices, matrix.indptr),
-                                   shape=self.shape), "NATURAL"), e
+        e = binary_exponent(data)
+        cast = np.empty(len(data), dtype=np.float32)
+        np.ldexp(data, -e, out=cast)
+        lu = _splu(sp.csc_matrix((cast, matrix.indices, matrix.indptr),
+                                 shape=self.shape), "NATURAL")
+        single = np.empty(self.shape[0], dtype=np.float32)
+
+        def solve(r):
+            f = binary_exponent(r)
+            np.ldexp(r, -f, out=single)
+            return np.ldexp(lu.solve(single), f - e, dtype=float)
+
+        return solve
+
+
+def binary_exponent(x):
+    """The binary exponent of max |x| for a nonempty array x: the e with
+    2^-e max |x| in [1/2, 1), 0 when x is zero."""
+    return int(np.frexp(np.maximum(x.max(), -x.min()))[1])
 
 
 # off-diagonal stiffness entries up to this size count as nonpositive

@@ -139,7 +139,6 @@ class StepSystem:
 
     matrix: sp.csc_matrix    # (2N, 2N), A[p][:, p], p = layout.order
     rhs: np.ndarray          # (2N,), node-major
-    tau: np.ndarray          # (N, 2, 3) tangent frame
     layout: StepLayout
 
 
@@ -173,8 +172,7 @@ def assemble_step_system(m, tau, field, params, space):
          [params.lambda1, -params.lambda2]])
     load = params.mu * (assemble_rotated_stiffness(field) @ m.ravel())
     rhs = np.einsum("nac,nc->na", tau, load.reshape(N, 3)).ravel()
-    return StepSystem(matrix=layout.matrix(blocks), rhs=rhs, tau=tau,
-                      layout=layout)
+    return StepSystem(matrix=layout.matrix(blocks), rhs=rhs, layout=layout)
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,7 @@ class SolveResult:
     relative residual, at most the solver tolerance.
     """
 
-    v: np.ndarray            # (N, 3), tangent at nodes by construction
-    coefficients: np.ndarray
+    coefficients: np.ndarray  # (2N,), node-major
     iterations: int
     residual: float
 
@@ -209,18 +206,15 @@ def _norm(x):
 
 
 def solve_step(system, params):
-    """Solve for the tangent coefficients and rebuild the nodal update v.
+    """Solve for the step's tangent coefficients.
 
     One single-precision sparse LU factorization (SuperLU, through
     StepLayout.factor) of the step matrix, which is already in its
     layout's fill-reducing order, refined in double precision. From c = 0
-    and r = b, each sweep adds the LU's solution of r to c and forms
-    r = b - A c with the float64 matrix, until the relative residual
+    and r = b, each sweep adds the factor's correction for r to c and
+    forms r = b - A c with the float64 matrix, until the relative residual
     |r| / |b| (|r| when b = 0, as for a uniform field) is at most
-    params.solver_tol. The residual is scaled by a power of two before it
-    is cast for the solve, as the matrix was, so float32's precision and
-    not its range decides the outcome. The solution is then taken back
-    to node-major.
+    params.solver_tol. The solution is then taken back to node-major.
 
     A load whose norm is not finite, a singular factorization, or a sweep
     that does not at least halve the residual (a non-finite one
@@ -234,31 +228,22 @@ def solve_step(system, params):
         raise SolverFailure(f"the step's load has a non-finite norm "
                             f"({load})", residual=np.nan)
     try:
-        lu, e = layout.factor(A)
+        solve = layout.factor(A)
     except RuntimeError as ex:         # SuperLU: factor is exactly singular
         raise SolverFailure(f"sparse LU failed: {ex}", residual=np.inf)
     c, r, residual = np.zeros_like(b), b, 1.0
-    single = np.empty(len(b), dtype=np.float32)
     for solves in range(1, MAX_SOLVES + 1):
-        f = int(np.frexp(np.maximum(r.max(), -r.min()))[1])
-        np.ldexp(r, -f, out=single)
-        c += np.ldexp(lu.solve(single), f - e, dtype=float)
+        c += solve(r)
         r = b - A @ c
         last, residual = residual, _norm(r) / (load or 1.0)
         if residual <= params.solver_tol:
-            c = c[layout.inverse]
-            return SolveResult(_tangent_to_nodal(c, system.tau), c, solves,
-                               residual)
+            return SolveResult(c[layout.inverse], solves, residual)
         if not residual <= 0.5 * last:
             break
     raise SolverFailure(f"the float32 LU's refinement stopped contracting: "
                         f"relative residual {residual:.3e} after {solves} "
                         f"solves (tolerance {params.solver_tol:.3e})",
                         residual=residual)
-
-
-def _tangent_to_nodal(c, tau):
-    return np.einsum("na,nab->nb", c.reshape(len(tau), 2), tau)
 
 
 def advance(m, v, params):
@@ -375,10 +360,10 @@ def _update(m, field, params, space, row):
     The frame, the step system and the factorization are freed on return.
     """
     K = space.stiffness()
-    system = assemble_step_system(m, build_tangent_frame(m), field, params,
-                                  space)
+    tau = build_tangent_frame(m)
+    system = assemble_step_system(m, tau, field, params, space)
     sol = solve_step(system, params)
-    v = sol.v
+    v = np.einsum("na,nab->nb", sol.coefficients.reshape(len(m), 2), tau)
     Kv = K @ v
     row["v_norm_sq"] = np.sum(space.lumped_mass_diagonal()
                               * np.sum(v * v, axis=1))

@@ -26,10 +26,11 @@ Refinement studies draw the finest-level path once per stream and coarsen
 it for the coarser levels (common random numbers), then tabulate observed
 convergence orders of the interpolant errors and the weak-form residual.
 In every mode the worker count comes from the SLLGFEM_WORKERS environment
-variable (a positive integer, capped at the task count and the CPU
-count), and rows and files are formed in task order after all tasks have
-run, so parallel and sequential runs emit identical reports. Every
-monitor is an observer of the one pass `run` makes over a trajectory.
+variable (a positive integer, capped at the task count and the count of
+CPUs the process may run on), and rows and files are formed in task
+order after all tasks have run, so parallel and sequential runs emit
+identical reports. Every monitor is an observer of the one pass `run`
+makes over a trajectory.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -108,6 +110,14 @@ def _worker_count():
     return n
 
 
+def _cpu_count():
+    """The CPUs this process may run on: its affinity where the platform
+    has one, else the CPU count (1 when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def diagnostics_csv_text(traj):
     """Per-step diagnostics, one column per scheme.DIAGNOSTIC_COLUMNS."""
     buf = io.StringIO()
@@ -146,10 +156,11 @@ def _snapshot_writer(config, space, stream, snapshot_dir):
     geometry = vtk_geometry(space.mesh)
 
     def write_snap(j, m, field):
-        write_vtk(os.path.join(snapshot_dir, f"snap_{j:06d}.vtk"),
-                  space.mesh, m, reconstruct_M(m, field),
-                  comment=f"step {j} seed {config.seed} stream {stream}",
-                  geometry=geometry)
+        name, M = f"snap_{j:06d}.vtk", reconstruct_M(m, field)
+        with _writing(config, name):
+            write_vtk(os.path.join(snapshot_dir, name), space.mesh, m, M,
+                      comment=f"step {j} seed {config.seed} stream {stream}",
+                      geometry=geometry)
 
     def snapshots(step):
         if step.j == 0:
@@ -269,15 +280,44 @@ def _summary_rows(quantities, kind, like):
 
 
 def _prepare_out(config):
-    """Make run.out and write resolved.ini in it; an OSError on the way
-    raises ConfigError naming run.out."""
+    """Make run.out, remove a previous run's report.csv from it and write
+    resolved.ini in it; an OSError on the way raises ConfigError naming
+    run.out. A study that then fails leaves no report.csv."""
     try:
         os.makedirs(config.out, exist_ok=True)
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(config.out, "report.csv"))
         with open(os.path.join(config.out, "resolved.ini"), "w") as fh:
             fh.write(config.echo_text())
     except OSError as e:
         raise ConfigError(f"run.out = {config.out!r} is not a usable "
                           f"directory: {e.strerror}") from e
+
+
+@contextmanager
+def _writing(config, name):
+    """Map an OSError while the study writes `name` in run.out to a
+    ConfigError naming both."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"run.out = {config.out!r}: cannot write {name}: "
+                          f"{e.strerror}") from e
+
+
+def _write_report(config, report):
+    """Write report.csv under a temporary name in run.out and move it into
+    place: report.csv is only ever complete. A failed write removes the
+    temporary file."""
+    path = os.path.join(config.out, "report.csv")
+    with _writing(config, "report.csv"):
+        try:
+            report.write_csv(path + ".part")
+            os.replace(path + ".part", path)
+        except OSError:
+            with suppress(OSError):
+                os.remove(path + ".part")
+            raise
 
 
 def _diagnostics_name(config, level, stream):
@@ -292,11 +332,13 @@ def run_study(config):
     return its report.
 
     The tasks run in a process pool when SLLGFEM_WORKERS, the task count
-    and the CPU count all exceed 1, and in this process otherwise, in
+    and _cpu_count() all exceed 1, and in this process otherwise, in
     descending order of estimated cost (_cost), finest level first; each
     trajectory's monitors run inline in its process, after every step.
     Rows and files follow task order: each level's run rows, then its
     aggregate rows (not in single mode), then the refinement orders.
+    report.csv is written last; an OSError from a write in run.out raises
+    ConfigError naming run.out and the file.
     """
     requested = _worker_count()     # a bad value fails before any write
     levels = config.levels if config.mode == "refinement" else 1
@@ -305,7 +347,7 @@ def run_study(config):
              for stream in range(streams)]
     _prepare_out(config)
     snapshot_dir = config.out if config.mode == "single" else None
-    workers = min(requested, len(tasks), os.cpu_count() or 1)
+    workers = min(requested, len(tasks), _cpu_count())
     task = partial(_trajectory, config, snapshot_dir=snapshot_dir)
     # largest first, so that no worker starts a long trajectory last; the
     # sort is stable, so equal costs keep task order
@@ -320,8 +362,9 @@ def run_study(config):
     by_level, failures = {}, []
     for (level, stream), (runs, run_failures, diag_text) in zip(tasks,
                                                                 results):
-        with open(os.path.join(config.out, _diagnostics_name(
-                config, level, stream)), "w") as fh:
+        name = _diagnostics_name(config, level, stream)
+        with _writing(config, name), open(os.path.join(config.out, name),
+                                          "w") as fh:
             fh.write(diag_text)
         by_level.setdefault(level, []).extend(runs)
         failures.extend(run_failures)
@@ -341,5 +384,5 @@ def run_study(config):
         rows.extend(_summary_rows(orders, "order", by_level[level][0]))
 
     report = StudyReport(rows=rows, invariant_failures=tuple(failures))
-    report.write_csv(os.path.join(config.out, "report.csv"))
+    _write_report(config, report)
     return report

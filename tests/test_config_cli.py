@@ -715,6 +715,37 @@ def test_cli_unusable_out_exit_4_before_any_trajectory(tmp_path, capsys,
     assert blocker.read_text() == ""
 
 
+def test_cli_failed_rerun_leaves_no_stale_report(tmp_path):
+    # the first run's report.csv must not sit next to the rerun's
+    # resolved.ini as if it were the rerun's
+    keys = {"initial.preset": "spiral", "noise.preset": "linear-gradient"}
+    assert main([keyed_cfg(tmp_path, keys)]) == 0
+    assert (tmp_path / "out" / "report.csv").is_file()
+    proc = child_python(["-m", "sllgfem.cli", keyed_cfg(
+        tmp_path, {**keys, "noise.amplitude": "1e50"})])
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "amplitude = 1e+50" in (tmp_path / "out" / "resolved.ini"
+                                   ).read_text()
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("snapshots, name", [("2", "snap_000000.vtk"),
+                                             ("0", "report.csv")])
+def test_cli_failed_write_exit_4_naming_the_file(tmp_path, snapshots, name):
+    # files of at most 900 bytes: resolved.ini (about 600) and the
+    # diagnostics (about 200) fit, a snapshot (about 1100) and the report
+    # (about 1300) do not
+    cfg = keyed_cfg(tmp_path, {"run.snapshots": snapshots})
+    proc = child_python(["-m", "sllgfem.cli", cfg], file_size=900)
+    assert proc.returncode == 4, proc.stderr[-2000:]
+    assert re.search(rf"config error: run\.out = '.*/out': cannot write "
+                     rf"{re.escape(name)}: File too large", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "out" / "resolved.ini").is_file()
+    assert not (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "out" / "report.csv.part").exists()
+
+
 def test_cli_flag_overrides(tmp_path):
     cfg = fast_single(tmp_path)
     out2 = tmp_path / "alt"

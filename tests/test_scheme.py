@@ -170,7 +170,7 @@ def test_constant_state_zero_noise_is_stationary():
                                   params, space)
     assert np.linalg.norm(system.rhs) == 0.0
     sol = solve_step(system, params)
-    assert np.all(sol.v == 0.0)
+    assert np.all(sol.coefficients == 0.0)
     assert sol.residual == 0.0
 
 
@@ -327,14 +327,13 @@ def test_solver_failure_carries_residual():
 
 def test_singular_system_raises_solver_failure():
     space = space8()
-    tau = build_tangent_frame(spiral_m0(space))
     n = 2 * space.N
     # the zero matrix on the step pattern, built through the layout
     layout = space.step_layout()
     zero = layout.matrix(np.zeros((len(layout.rows), 2, 2)))
     # a zero load is factored too: no shortcut hands back zeros unchecked
     for rhs in (np.ones(n), np.zeros(n)):
-        system = StepSystem(matrix=zero, rhs=rhs, tau=tau, layout=layout)
+        system = StepSystem(matrix=zero, rhs=rhs, layout=layout)
         with pytest.raises(SolverFailure) as err:
             solve_step(system, default_params())
         assert err.value.residual == np.inf
@@ -358,10 +357,22 @@ def test_float32_factor_refines_to_the_tolerance_in_float64(dim, divisions):
     space, m, tau, field, params = evolved_step_inputs(dim, divisions)
     system = assemble_step_system(m, tau, field, params, space)
     A, layout = system.matrix, system.layout
-    lu, e = layout.factor(A)
-    assert 0.5 <= np.ldexp(np.abs(A.data).max(), -e) < 1.0
-    n = 2 * space.N
-    assert lu.solve(np.ones(n, dtype=np.float32)).dtype == np.float32
+    solve = layout.factor(A)
+    r = system.rhs[layout.order]
+    x = solve(r)
+    assert x.dtype == np.float64
+    # powers of two pass through the residual's and the matrix's scaling
+    for s in (-600, 0, 600):
+        np.testing.assert_array_equal(solve(np.ldexp(r, s)), np.ldexp(x, s))
+    for s in (-600, 600):
+        scaled = sp.csc_matrix((np.ldexp(A.data, s), A.indices, A.indptr),
+                               shape=A.shape)
+        np.testing.assert_array_equal(layout.factor(scaled)(r),
+                                      np.ldexp(x, -s))
+    # one solve has single precision's error: float32, not float64, factors
+    exact = spla.spsolve(A, r)
+    error = np.linalg.norm(x - exact) / np.linalg.norm(exact)
+    assert 1e-10 < error < 1e-4, error
     sol = solve_step(system, params)
     assert sol.coefficients.dtype == np.float64
     assert 1 <= sol.iterations <= scheme.MAX_SOLVES
@@ -369,17 +380,6 @@ def test_float32_factor_refines_to_the_tolerance_in_float64(dim, divisions):
     r = A @ sol.coefficients[layout.order] - b
     assert np.linalg.norm(r) <= params.solver_tol * np.linalg.norm(b)
     assert sol.residual <= params.solver_tol
-
-
-class CountingLU:
-    """A factor's stand-in that records the dtype of each solve."""
-
-    def __init__(self, lu):
-        self.lu, self.solves = lu, []
-
-    def solve(self, r):
-        self.solves.append(r.dtype)
-        return self.lu.solve(r)
 
 
 @pytest.mark.parametrize("delta, stop", [(1e-9, "sparse LU failed"),
@@ -394,41 +394,50 @@ def test_step_whose_float32_lu_cannot_refine_fails_without_retry(
     blocks = np.zeros((len(layout.rows), 2, 2))
     blocks[layout.diagonal] = [[1.0, 1.0], [1.0, 1.0 + delta]]
     rhs = np.random.default_rng(0).standard_normal(2 * space.N)
-    system = StepSystem(matrix=layout.matrix(blocks), rhs=rhs,
-                        tau=build_tangent_frame(spiral_m0(space)),
-                        layout=layout)
-    factors, factor = [], layout.factor
+    system = StepSystem(matrix=layout.matrix(blocks), rhs=rhs, layout=layout)
+    solves, factor = [], layout.factor
 
     def counting_factor(matrix):
-        lu, e = factor(matrix)
-        factors.append(CountingLU(lu))
-        return factors[-1], e
+        solve = factor(matrix)
+        solves.append([])
+
+        def counting_solve(r):
+            x = solve(r)
+            solves[-1].append((r.dtype, x.dtype))
+            return x
+
+        return counting_solve
 
     monkeypatch.setattr(layout, "factor", counting_factor)
     with pytest.raises(SolverFailure, match=stop) as err:
         solve_step(system, default_params())
     residual = err.value.residual
     if delta == 1e-9:                   # no factor, so nothing to solve
-        assert residual == np.inf and factors == []
+        assert residual == np.inf and solves == []
     else:
         # one float32 factor, whose sweeps the stop rule ends before the cap
         assert 1e-12 < residual < 1e-8
         assert f"{residual:.3e}" in str(err.value)
-        assert len(factors) == 1
-        assert 2 <= len(factors[0].solves) < scheme.MAX_SOLVES
-        assert set(factors[0].solves) == {np.dtype(np.float32)}
+        assert len(solves) == 1
+        assert 2 <= len(solves[0]) < scheme.MAX_SOLVES
+        assert set(solves[0]) == {(np.dtype(np.float64),) * 2}
+
+
+def first_update(space, m, params):
+    """m^0 and the update v^0 that `run` forms from m without noise."""
+    params = replace(params, T=params.k, J=1)
+    coeffs = make_noise("zero")
+    history = History()
+    run(m, params, sample_path(0, coeffs.q, 1, params.T), coeffs, space,
+        observers=[history])
+    return history.states[0], history.updates[0]
 
 
 def test_update_is_tangent_at_nodes():
     space = space8()
-    m = spiral_m0(space)
-    params = default_params()
-    field = init_rotation_field(space, make_noise("zero"))
-    system = assemble_step_system(m, build_tangent_frame(m), field,
-                                  params, space)
-    sol = solve_step(system, params)
-    dots = np.abs(np.sum(sol.v * m, axis=1))
-    assert dots.max() <= 1e-12 * max(1.0, np.abs(sol.v).max())
+    m, v = first_update(space, spiral_m0(space), default_params())
+    dots = np.abs(np.sum(v * m, axis=1))
+    assert dots.max() <= 1e-12 * max(1.0, np.abs(v).max())
 
 
 # -------------------------------------------------------------- stepping
@@ -442,15 +451,11 @@ def test_advance_identity_for_zero_update():
 
 def test_advance_pythagoras_before_normalization():
     space = space8()
-    m = spiral_m0(space)
     params = default_params()
-    tau = build_tangent_frame(m)
-    field = init_rotation_field(space, make_noise("zero"))
-    sol = solve_step(assemble_step_system(m, tau, field, params,
-                                          space), params)
-    stretched = m + params.k * sol.v
+    m, v = first_update(space, spiral_m0(space), params)
+    stretched = m + params.k * v
     lhs = np.sum(stretched * stretched, axis=1)
-    rhs = 1.0 + params.k ** 2 * np.sum(sol.v * sol.v, axis=1)
+    rhs = 1.0 + params.k ** 2 * np.sum(v * v, axis=1)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

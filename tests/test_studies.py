@@ -165,7 +165,8 @@ def test_sequential_study_runs_its_monitors_on_no_thread(tmp_path,
     # one worker on 2 CPUs: every observer runs inline in the calling
     # thread, and no thread is started, not even while a step is observed
     monkeypatch.setenv(WORKERS_ENV, "1")
-    monkeypatch.setattr(studies.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     inside, run = [], studies.run
 
     def spy(*args, observers, **kwargs):
@@ -202,12 +203,13 @@ def test_bad_worker_count_fails_before_writing(tmp_path, monkeypatch, mode):
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("mode, cpus, expected, trajectories", [
-    ("monte-carlo", 8, 3, 3), ("monte-carlo", 2, 2, 3),
-    ("monte-carlo", None, None, 3), ("refinement", 8, 6, 6)],
-    ids=["8-3", "2-2", "None-None", "refinement-8-6"])
-def test_pool_size_is_clamped(tmp_path, monkeypatch, mode, cpus, expected,
-                              trajectories):
+@pytest.mark.parametrize("mode, affinity, cpus, expected, trajectories", [
+    ("monte-carlo", range(8), 8, 3, 3), ("monte-carlo", range(2), 2, 2, 3),
+    ("monte-carlo", None, None, None, 3),
+    ("refinement", range(8), 8, 6, 6), ("monte-carlo", {0}, 8, None, 3)],
+    ids=["8-3", "2-2", "None-None", "refinement-8-6", "affinity-1-of-8"])
+def test_pool_size_is_clamped(tmp_path, monkeypatch, mode, affinity, cpus,
+                              expected, trajectories):
     # a stand-in pool that records its size and maps in this process
     sizes = []
 
@@ -226,9 +228,14 @@ def test_pool_size_is_clamped(tmp_path, monkeypatch, mode, cpus, expected,
 
     monkeypatch.setattr(studies, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
+    if affinity is None:            # a platform without CPU affinity
+        monkeypatch.delattr(studies.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(studies.os, "sched_getaffinity",
+                            lambda pid: set(affinity), raising=False)
     monkeypatch.setenv(WORKERS_ENV, "64")
     report = run_study(tiny_config(tmp_path, "clamp", mode))
-    # no CPU count known: one worker, so no pool at all
+    # one CPU allowed, or no CPU count known: one worker, so no pool at all
     assert sizes == ([] if expected is None else [expected])
     assert report.values("sup_energy", kind="run").size == trajectories
 
