@@ -58,7 +58,15 @@ def _choice(*options):
     return parse
 
 
-def _text(name, raw):
+def _path(name, raw):
+    """A file system path that resolved.ini can echo: UTF-8 text without a
+    NUL byte, which no path holds."""
+    if "\0" in raw:
+        raise ConfigError(f"{name} = {raw!r} holds a NUL byte")
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:      # undecodable bytes from the command line
+        raise ConfigError(f"{name} = {raw!r} is not UTF-8 text") from None
     return raw
 
 
@@ -96,7 +104,7 @@ KEYS = {
     "mesh": {
         "dim": ("dim", "2", _number(int, 2, 3)),
         "divisions": ("divisions", "8", _number(int, 1)),
-        "file": ("mesh_file", "", _text),
+        "file": ("mesh_file", "", _path),
     },
     "scheme": {
         "theta": ("params.theta", "1.0", _number(float)),
@@ -124,7 +132,7 @@ KEYS = {
         "seed": ("seed", "0", _number(int, 0, 2**64 - 1)),
         "samples": ("samples", "4", _number(int, 1)),
         "levels": ("levels", "3", _number(int, 1)),
-        "out": ("out", "out", _text),
+        "out": ("out", "out", _path),
         "snapshots": ("snapshots", "0", _number(int, 0)),
     },
 }
@@ -221,9 +229,9 @@ def load_config(path, overrides=None):
                                        inline_comment_prefixes=("#",))
     parser.optionxform = str          # keys are case-sensitive (T vs t)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}")

@@ -282,10 +282,6 @@ class Trajectory:
     diagnostics: np.ndarray  # (J,) of DIAGNOSTICS_DTYPE, one row per step
     m0_drift: float
 
-    @property
-    def J(self):
-        return self.params.J
-
 
 def run(m0, params, path, coeffs, space, observers=()):
     """Run the scheme for J steps along one Wiener path.

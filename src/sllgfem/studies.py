@@ -8,9 +8,11 @@ every level l. The modes differ only in that list and in how the run rows
 are aggregated.
 
 Every study is a pure function of (config, seeds): reruns produce byte-
-identical artifacts. Artifacts per study: the resolved config echo, one
-diagnostics CSV per trajectory, optional VTK snapshots (single mode), and
-one long-format report CSV with columns
+identical artifacts. Artifacts per study, each written by `_write` under a
+temporary name and moved into place, so that a file in run.out is only
+ever complete: the resolved config echo, one diagnostics CSV per
+trajectory, optional VTK snapshots (single mode), and one long-format
+report CSV with columns
 
   kind, mode, level, h, k, theta, seed, quantity, value
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -91,10 +93,6 @@ class StudyReport:
                 r["kind"], r["mode"], r["level"], r["h"], r["k"],
                 r["theta"], r["seed"], r["quantity"], r["value"]))
         return buf.getvalue()
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
 
 
 def _worker_count():
@@ -149,18 +147,19 @@ def _rows_from(quantities, kind, mode, level, h, k, theta, seed):
 
 
 
-def _snapshot_writer(config, space, stream, snapshot_dir):
-    """Observer writing M = Z m as VTK at j = 0, every config.snapshots
-    steps and at j = J; the mesh's part of the files is formatted once."""
+def _snapshot_writer(config, space, stream):
+    """Observer writing M = Z m as VTK in run.out at j = 0, every
+    config.snapshots steps and at j = J; the mesh's part of the files is
+    formatted once."""
     stride, J = config.snapshots, config.params.J
     geometry = vtk_geometry(space.mesh)
 
     def write_snap(j, m, field):
-        name, M = f"snap_{j:06d}.vtk", reconstruct_M(m, field)
-        with _writing(config, name):
-            write_vtk(os.path.join(snapshot_dir, name), space.mesh, m, M,
-                      comment=f"step {j} seed {config.seed} stream {stream}",
-                      geometry=geometry)
+        M = reconstruct_M(m, field)
+        _write(config, f"snap_{j:06d}.vtk", lambda path: write_vtk(
+            path, space.mesh, m, M,
+            comment=f"step {j} seed {config.seed} stream {stream}",
+            geometry=geometry))
 
     def snapshots(step):
         if step.j == 0:
@@ -188,14 +187,14 @@ def _cost(config, level):
             * (config.params.J // factor))
 
 
-def _trajectory(config, level, stream, snapshot_dir):
+def _trajectory(config, level, stream):
     """One trajectory of a study, with every monitor attached.
 
     Level `level` of a refinement study divides config.divisions and J by
     2^(levels-1-level) and coarsens the finest-level path of `stream`;
-    the other modes have the one level 0. VTK snapshots go to
-    `snapshot_dir` when it is set and config.snapshots > 0. Returns the
-    run rows, the invariant failures and the diagnostics CSV text; the
+    the other modes have the one level 0. In single mode with
+    config.snapshots > 0, VTK snapshots go to run.out. Returns the run
+    rows, the invariant failures and the diagnostics CSV text; the
     calling process writes all files but the snapshots.
     """
     factor = _coarsening(config, level)
@@ -216,9 +215,8 @@ def _trajectory(config, level, stream, snapshot_dir):
     orth_defects = [0.0]            # the field at j = 0 is the identity
     observers = [errs_obs, residual_obs, lambda step: orth_defects.append(
         step.field_next.orthogonality_defect())]
-    if snapshot_dir is not None and config.snapshots > 0:
-        observers.append(_snapshot_writer(config, space, stream,
-                                          snapshot_dir))
+    if config.mode == "single" and config.snapshots > 0:
+        observers.append(_snapshot_writer(config, space, stream))
     try:
         traj = run(m0, p, path, coeffs, space, observers=observers)
     except SolverFailure as e:
@@ -279,45 +277,43 @@ def _summary_rows(quantities, kind, like):
                       like["h"], like["k"], like["theta"], -1)
 
 
-def _prepare_out(config):
-    """Make run.out, remove a previous run's report.csv from it and write
-    resolved.ini in it; an OSError on the way raises ConfigError naming
-    run.out. A study that then fails leaves no report.csv."""
+def _write(config, name, write):
+    """Write run.out/`name` as `write(path)` does, to `name`.part, and move
+    it into place: a file named in run.out is only ever complete. An
+    OSError removes the .part and raises ConfigError naming run.out and
+    the file."""
+    path = os.path.join(config.out, name)
     try:
-        os.makedirs(config.out, exist_ok=True)
-        with suppress(FileNotFoundError):
-            os.remove(os.path.join(config.out, "report.csv"))
-        with open(os.path.join(config.out, "resolved.ini"), "w") as fh:
-            fh.write(config.echo_text())
+        write(path + ".part")
+        os.replace(path + ".part", path)
     except OSError as e:
-        raise ConfigError(f"run.out = {config.out!r} is not a usable "
-                          f"directory: {e.strerror}") from e
-
-
-@contextmanager
-def _writing(config, name):
-    """Map an OSError while the study writes `name` in run.out to a
-    ConfigError naming both."""
-    try:
-        yield
-    except OSError as e:
+        with suppress(OSError):
+            os.remove(path + ".part")
         raise ConfigError(f"run.out = {config.out!r}: cannot write {name}: "
                           f"{e.strerror}") from e
 
 
-def _write_report(config, report):
-    """Write report.csv under a temporary name in run.out and move it into
-    place: report.csv is only ever complete. A failed write removes the
-    temporary file."""
-    path = os.path.join(config.out, "report.csv")
-    with _writing(config, "report.csv"):
-        try:
-            report.write_csv(path + ".part")
-            os.replace(path + ".part", path)
-        except OSError:
-            with suppress(OSError):
-                os.remove(path + ".part")
-            raise
+def _text(text):
+    """The writer of `text` to a path, for _write."""
+    def write(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return write
+
+
+def _prepare_out(config):
+    """Make run.out, remove a previous run's report.csv from it and write
+    resolved.ini in it; an OSError making the directory or removing the
+    report raises ConfigError naming run.out. A study that then fails
+    leaves no report.csv."""
+    try:
+        os.makedirs(config.out, exist_ok=True)
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(config.out, "report.csv"))
+    except OSError as e:
+        raise ConfigError(f"run.out = {config.out!r} is not a usable "
+                          f"directory: {e.strerror}") from e
+    _write(config, "resolved.ini", _text(config.echo_text()))
 
 
 def _diagnostics_name(config, level, stream):
@@ -337,8 +333,8 @@ def run_study(config):
     trajectory's monitors run inline in its process, after every step.
     Rows and files follow task order: each level's run rows, then its
     aggregate rows (not in single mode), then the refinement orders.
-    report.csv is written last; an OSError from a write in run.out raises
-    ConfigError naming run.out and the file.
+    Every file goes through _write, report.csv last; an OSError from a
+    write in run.out raises ConfigError naming run.out and the file.
     """
     requested = _worker_count()     # a bad value fails before any write
     levels = config.levels if config.mode == "refinement" else 1
@@ -346,9 +342,8 @@ def run_study(config):
     tasks = [(level, stream) for level in range(levels)
              for stream in range(streams)]
     _prepare_out(config)
-    snapshot_dir = config.out if config.mode == "single" else None
     workers = min(requested, len(tasks), _cpu_count())
-    task = partial(_trajectory, config, snapshot_dir=snapshot_dir)
+    task = partial(_trajectory, config)
     # largest first, so that no worker starts a long trajectory last; the
     # sort is stable, so equal costs keep task order
     ordered = sorted(tasks, key=lambda t: -_cost(config, t[0]))
@@ -362,10 +357,8 @@ def run_study(config):
     by_level, failures = {}, []
     for (level, stream), (runs, run_failures, diag_text) in zip(tasks,
                                                                 results):
-        name = _diagnostics_name(config, level, stream)
-        with _writing(config, name), open(os.path.join(config.out, name),
-                                          "w") as fh:
-            fh.write(diag_text)
+        _write(config, _diagnostics_name(config, level, stream),
+               _text(diag_text))
         by_level.setdefault(level, []).extend(runs)
         failures.extend(run_failures)
 
@@ -384,5 +377,5 @@ def run_study(config):
         rows.extend(_summary_rows(orders, "order", by_level[level][0]))
 
     report = StudyReport(rows=rows, invariant_failures=tuple(failures))
-    _write_report(config, report)
+    _write(config, "report.csv", _text(report.csv_text()))
     return report

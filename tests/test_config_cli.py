@@ -333,6 +333,15 @@ def test_missing_config_file(tmp_path):
         load_config(str(tmp_path / "nope.ini"))
 
 
+def test_cli_config_that_is_not_utf8_exit_4(tmp_path, capsys):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(b"[mesh]\ndivisions = 4\n# caf\xe9\n")
+    assert main([str(cfg)]) == 4
+    assert re.search(r"config error: cannot read config .*latin1\.ini: "
+                     r"'utf-8' codec can't decode byte 0xe9",
+                     capsys.readouterr().err)
+
+
 def test_readme_documents_every_key_with_its_default():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("### Config format", 1)[1].split("```")[1]
@@ -516,6 +525,30 @@ out = {tmp_path / "out"}
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["run.out", "mesh.file"])
+def test_cli_nul_byte_in_a_path_exit_4_before_any_write(tmp_path, capsys,
+                                                       monkeypatch, key):
+    # argv cannot carry a NUL byte; a config file can
+    monkeypatch.chdir(tmp_path)
+    cfg = keyed_cfg(tmp_path, {key: "a\0b"})
+    assert main([cfg]) == 4
+    assert (capsys.readouterr().err
+            == f"config error: {key} = 'a\\x00b' holds a NUL byte\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+def test_cli_out_that_is_not_utf8_exit_4_before_any_write(tmp_path, capsys,
+                                                         monkeypatch):
+    # a byte that is not UTF-8 reaches argv as a lone surrogate, which
+    # resolved.ini could not echo
+    monkeypatch.chdir(tmp_path)
+    cfg = keyed_cfg(tmp_path, {})
+    assert main([cfg, "--out", "o\udcff"]) == 4
+    assert (capsys.readouterr().err
+            == "config error: run.out = 'o\\udcff' is not UTF-8 text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
 def test_mesh_file_sets_its_own_dimension(tmp_path, capsys):
     mesh = tmp_path / "cube.txt"
     write_mesh_text(build_structured_mesh(3, 2), mesh)
@@ -674,8 +707,9 @@ def _extreme_configs(draw):
 @settings(max_examples=4, deadline=None)
 @given(st.lists(_extreme_configs(), min_size=6, max_size=6))
 def test_cli_exits_0_2_3_or_4_on_extreme_values(config_dir, batch):
-    # no config the grammar admits ends in a traceback (exit 1), and a
-    # rejected one writes nothing. Numpy warns on the overflow paths that
+    # no config the grammar admits ends in a traceback (exit 1), a
+    # rejected one writes nothing, one that fails leaves no report.csv, and
+    # none leaves a partial file. Numpy warns on the overflow paths that
     # end at exit 3, so the CLI runs in a child process
     work = Path(tempfile.mkdtemp(dir=config_dir))
     cfgs = []
@@ -688,8 +722,12 @@ def test_cli_exits_0_2_3_or_4_on_extreme_values(config_dir, batch):
     assert len(codes) == len(batch)
     for i, (keys, code) in enumerate(zip(batch, codes)):
         assert code in (0, 2, 3, 4), (keys, proc.stderr[-2000:])
+        out = work / str(i) / "out"
+        assert not list(out.glob("*.part")), keys
+        if code == 3:
+            assert not (out / "report.csv").exists(), keys
         if code == 4:
-            assert not (work / str(i) / "out").exists(), keys
+            assert not out.exists(), keys
 
 
 def test_cli_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -729,21 +767,25 @@ def test_cli_failed_rerun_leaves_no_stale_report(tmp_path):
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
-@pytest.mark.parametrize("snapshots, name", [("2", "snap_000000.vtk"),
-                                             ("0", "report.csv")])
+@pytest.mark.parametrize("snapshots, name", [
+    ("2", "snap_000000.vtk"), ("0", "diagnostics_seed0.csv"),
+    ("0", "report.csv")])
 def test_cli_failed_write_exit_4_naming_the_file(tmp_path, snapshots, name):
-    # files of at most 900 bytes: resolved.ini (about 600) and the
-    # diagnostics (about 200) fit, a snapshot (about 1100) and the report
-    # (about 1300) do not
-    cfg = keyed_cfg(tmp_path, {"run.snapshots": snapshots})
+    # files of at most 900 bytes: resolved.ini (about 550) and the
+    # diagnostics at J = 4 (about 200) fit; a snapshot (about 1100), the
+    # diagnostics at J = 32 (about 1200) and the report (about 1300) do not
+    J = "32" if name.startswith("diagnostics") else "4"
+    cfg = keyed_cfg(tmp_path, {"scheme.J": J, "run.snapshots": snapshots})
     proc = child_python(["-m", "sllgfem.cli", cfg], file_size=900)
     assert proc.returncode == 4, proc.stderr[-2000:]
     assert re.search(rf"config error: run\.out = '.*/out': cannot write "
                      rf"{re.escape(name)}: File too large", proc.stderr)
     assert "Traceback" not in proc.stderr
-    assert (tmp_path / "out" / "resolved.ini").is_file()
-    assert not (tmp_path / "out" / "report.csv").exists()
-    assert not (tmp_path / "out" / "report.csv.part").exists()
+    out = tmp_path / "out"
+    assert (out / "resolved.ini").is_file()
+    assert not (out / name).exists()
+    assert not (out / "report.csv").exists()
+    assert not list(out.glob("*.part"))
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -171,7 +171,7 @@ def test_m_gap_matches_quadrature_oracle():
     k = traj.params.k
     nodes = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
     oracle = 0.0
-    for j in range(traj.J):
+    for j in range(traj.params.J):
         for a in nodes:
             # linear minus left-constant interpolant at t_j + a k
             diff = (1.0 - a) * m[j] + a * m[j + 1] - m[j]
@@ -189,7 +189,7 @@ def test_unit_defect_matches_dense_time_sampling():
     wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
     wts /= wts.sum() / 1.0
     oracle = 0.0
-    for j in range(traj.J):
+    for j in range(traj.params.J):
         for a, wgt in zip(ts, wts):
             m_lin = (1.0 - a) * m[j] + a * m[j + 1]
             norms = np.linalg.norm(space.values_at_qp(m_lin), axis=-1)
@@ -205,7 +205,7 @@ def test_v_dtm_gap_matches_direct_sum():
     m, v = history.m, history.v
     k = traj.params.k
     oracle = sum(k * l1_norm(space, v[j] - (m[j + 1] - m[j]) / k)
-                 for j in range(traj.J))
+                 for j in range(traj.params.J))
     assert errs["v_minus_dtm_l1"] == pytest.approx(oracle, rel=1e-14)
 
 

@@ -148,9 +148,9 @@ def test_tasks_run_largest_first_and_rows_stay_in_task_order(tmp_path,
     monkeypatch.setenv(WORKERS_ENV, "1")
     calls, trajectory = [], studies._trajectory
 
-    def spy(config, level, stream, snapshot_dir):
+    def spy(config, level, stream):
         calls.append((level, stream))
-        return trajectory(config, level, stream, snapshot_dir)
+        return trajectory(config, level, stream)
 
     monkeypatch.setattr(studies, "_trajectory", spy)
     cfg = tiny_config(tmp_path, "order", "refinement")
@@ -366,7 +366,7 @@ import resource, sys, time
 from sllgfem import load_config, studies
 config = load_config(sys.argv[1])
 r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-studies._trajectory(config, 0, 0, None)
+studies._trajectory(config, 0, 0)
 t1, r1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
 cpu = r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime
 print(cpu / (t1 - t0))
@@ -450,9 +450,9 @@ _FAULTS_PER_STEP = """\
 import resource, sys
 from sllgfem import load_config, studies
 config = load_config(sys.argv[1])
-studies._trajectory(config, 0, 0, None)
+studies._trajectory(config, 0, 0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-studies._trajectory(config, 0, 0, None)
+studies._trajectory(config, 0, 0)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print((after - before) / config.params.J)
 """
