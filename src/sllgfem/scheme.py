@@ -33,10 +33,11 @@ from .rotation import (RotationField, assemble_rotated_stiffness,
                        evolve_step, init_rotation_field)
 
 # Fields of the per-step diagnostics row (filled in run and _update), in the
-# column order of the diagnostics CSV.
+# column order of the diagnostics CSV; orth_defect is that of the field at
+# t_(j+1), the one the step advanced to.
 DIAGNOSTIC_COLUMNS = ("j", "t", "energy", "v_norm_sq", "F_value",
                       "residual", "grad_v_sq", "tangency_max",
-                      "unit_dev_max")
+                      "unit_dev_max", "orth_defect")
 DIAGNOSTICS_DTYPE = np.dtype([(name, int if name == "j" else float)
                               for name in DIAGNOSTIC_COLUMNS])
 
@@ -307,7 +308,9 @@ def run(m0, params, path, coeffs, space, observers=()):
 
     Returns
     -------
-    Trajectory, whose diagnostics hold one DIAGNOSTICS_DTYPE row per step.
+    Trajectory, whose diagnostics hold one DIAGNOSTICS_DTYPE row per step:
+    every per-step invariant the study suite checks, the rotation field's
+    orthogonality defect at t_(j+1) included, is measured here.
     """
     if path.J != params.J:
         raise ValueError(f"path has J = {path.J}, params J = {params.J}")
@@ -336,6 +339,7 @@ def run(m0, params, path, coeffs, space, observers=()):
         v = _update(m, field, params, space, row)
         m_next = advance(m, v, params)
         next_field = evolve_step(field, path.increments[j], k)
+        row["orth_defect"] = next_field.orthogonality_defect()
         step = Step(j=j, m=m, v=v, m_next=m_next, field=field,
                     field_next=next_field)
         for observe in observers:

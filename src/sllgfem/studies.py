@@ -171,33 +171,20 @@ def _snapshot_writer(config, space, stream):
     return snapshots
 
 
-def _coarsening(config, level):
-    """The factor by which level `level` divides config.divisions and J:
-    2^(levels-1-level) in refinement mode, 1 in the other modes."""
-    return (2 ** (config.levels - 1 - level)
-            if config.mode == "refinement" else 1)
-
-
-def _cost(config, level):
-    """A trajectory's estimated cost: its level's node count times its J,
-    for a structured mesh. Every trajectory of a study outside refinement
-    mode is on one mesh, so there the estimate only has to tie."""
-    factor = _coarsening(config, level)
-    return ((config.divisions // factor + 1) ** config.dim
-            * (config.params.J // factor))
-
-
 def _trajectory(config, level, stream):
     """One trajectory of a study, with every monitor attached.
 
     Level `level` of a refinement study divides config.divisions and J by
     2^(levels-1-level) and coarsens the finest-level path of `stream`;
     the other modes have the one level 0. In single mode with
-    config.snapshots > 0, VTK snapshots go to run.out. Returns the run
-    rows, the invariant failures and the diagnostics CSV text; the
-    calling process writes all files but the snapshots.
+    config.snapshots > 0, VTK snapshots go to run.out. The per-step
+    invariants come from run's diagnostics; this function reduces them
+    and applies INVARIANT_TOLS. Returns the run rows, the invariant
+    failures and the diagnostics CSV text; the calling process writes all
+    files but the snapshots.
     """
-    factor = _coarsening(config, level)
+    factor = (2 ** (config.levels - 1 - level)
+              if config.mode == "refinement" else 1)
     p_fine = config.params
     cfg = replace(config, divisions=config.divisions // factor)
     p = replace(p_fine, J=p_fine.J // factor)
@@ -212,9 +199,7 @@ def _trajectory(config, level, stream):
     errs_obs, errs = interpolant_errors(space, p.k)
     fields = [make_test_field(i) for i in range(_N_TEST_FIELDS)]
     residual_obs, residuals = weak_residual(space, p, path, fields)
-    orth_defects = [0.0]            # the field at j = 0 is the identity
-    observers = [errs_obs, residual_obs, lambda step: orth_defects.append(
-        step.field_next.orthogonality_defect())]
+    observers = [errs_obs, residual_obs]
     if config.mode == "single" and config.snapshots > 0:
         observers.append(_snapshot_writer(config, space, stream))
     try:
@@ -241,7 +226,8 @@ def _trajectory(config, level, stream):
     }
     for i, val in enumerate(residuals):
         q[f"weak_residual_{i}"] = float(val)
-    q["max_orth_defect"] = max(orth_defects)
+    # the field at t_0 is the identity, whose defect is 0
+    q["max_orth_defect"] = float(diag["orth_defect"].max())
     q["offdiag_worst"] = offdiag.worst_value
     failures = _invariant_failures(q, p.theta, offdiag.holds,
                                    f"{config.seed}/stream{stream}"
@@ -328,11 +314,12 @@ def run_study(config):
     return its report.
 
     The tasks run in a process pool when SLLGFEM_WORKERS, the task count
-    and _cpu_count() all exceed 1, and in this process otherwise, in
-    descending order of estimated cost (_cost), finest level first; each
-    trajectory's monitors run inline in its process, after every step.
-    Rows and files follow task order: each level's run rows, then its
-    aggregate rows (not in single mode), then the refinement orders.
+    and _cpu_count() all exceed 1, and in this process otherwise, finest
+    level first; each trajectory's monitors run inline in its process,
+    after every step. Rows and files follow task order: each level's run
+    rows, then its aggregate rows (not in single mode), then the
+    refinement orders, each skipped unless both levels' means are
+    positive.
     Every file goes through _write, report.csv last; an OSError from a
     write in run.out raises ConfigError naming run.out and the file.
     """
@@ -344,9 +331,9 @@ def run_study(config):
     _prepare_out(config)
     workers = min(requested, len(tasks), _cpu_count())
     task = partial(_trajectory, config)
-    # largest first, so that no worker starts a long trajectory last; the
-    # sort is stable, so equal costs keep task order
-    ordered = sorted(tasks, key=lambda t: -_cost(config, t[0]))
+    # finest level, so largest trajectory, first, so that no worker starts
+    # a long one last; the sort is stable, so a level keeps task order
+    ordered = sorted(tasks, key=lambda t: -t[0])
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = dict(zip(ordered, pool.map(task, *zip(*ordered))))
@@ -373,7 +360,8 @@ def run_study(config):
         coarse, fine = aggregates[level], aggregates[level + 1]
         orders = {f"order:{name}": float(np.log2(coarse[f"mean:{name}"]
                                                  / fine[f"mean:{name}"]))
-                  for name in _ORDERED if fine[f"mean:{name}"] > 0.0}
+                  for name in _ORDERED
+                  if coarse[f"mean:{name}"] > 0.0 < fine[f"mean:{name}"]}
         rows.extend(_summary_rows(orders, "order", by_level[level][0]))
 
     report = StudyReport(rows=rows, invariant_failures=tuple(failures))

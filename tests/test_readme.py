@@ -1,4 +1,5 @@
-"""The README's Python examples run as written.
+"""The README's Python examples run as written, and the schema it
+repeats is the one the code declares.
 
 Every fenced ```python block of README.md runs in order, in one
 namespace, so a later block may use the names an earlier one defined.
@@ -6,6 +7,8 @@ namespace, so a later block may use the names an earlier one defined.
 
 import re
 from pathlib import Path
+
+from sllgfem.scheme import DIAGNOSTIC_COLUMNS
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -20,3 +23,8 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"),
              namespace)
+
+
+def test_readme_diagnostics_schema_is_the_declared_one():
+    schema = ",".join(DIAGNOSTIC_COLUMNS)
+    assert f"`{schema}`" in README.read_text()

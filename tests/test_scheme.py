@@ -577,6 +577,11 @@ def test_observers_see_every_step_in_order():
     assert diag.shape == (12,) and diag.dtype == DIAGNOSTICS_DTYPE
     assert diag.dtype.names == DIAGNOSTIC_COLUMNS
     np.testing.assert_array_equal(diag["j"], np.arange(12))
+    # row j holds the defect of the field the step advanced to
+    for j, step in enumerate(seen):
+        assert (diag["orth_defect"][j].tobytes()
+                == np.float64(step.field_next.orthogonality_defect())
+                .tobytes())
     assert traj.energy.shape == (13,)
     assert traj.energy[:-1].tobytes() == diag["energy"].tobytes()
 

@@ -310,7 +310,7 @@ out = {tmp_path / "out"}
     with open(tmp_path / "out" / "diagnostics_seed0.csv") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == ("j,t,energy,v_norm_sq,F_value,residual,grad_v_sq,"
-                        "tangency_max,unit_dev_max")
+                        "tangency_max,unit_dev_max,orth_defect")
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
     # one row per step, stamped with the step's left endpoint
     assert [int(r["j"]) for r in rows] == list(range(10))
@@ -349,6 +349,70 @@ def test_refinement_checks_orthogonality_and_writes_diagnostics(
     assert names == [f"diagnostics_seed{cfg.seed}_level{lvl}_stream{s}.csv"
                      for lvl in range(cfg.levels)
                      for s in range(cfg.samples)]
+
+
+def test_refinement_order_needs_both_level_means_positive(tmp_path):
+    # the one-division level of a spiral is uniform (x = 0 and x = 1 both
+    # have angle 0 mod 2 pi), so its unit defect is exactly 0: a log2 of
+    # 0 / x would warn and write -inf
+    report = run_study(make_config(tmp_path, f"""\
+[mesh]
+divisions = 4
+
+[scheme]
+J = 4
+T = 0.1
+
+[noise]
+preset = zero
+
+[initial]
+preset = spiral
+
+[run]
+mode = refinement
+levels = 3
+samples = 1
+out = {tmp_path / "out"}
+"""))
+    means = report.values("mean:unit_defect_l2", kind="aggregate")
+    assert means[0] == 0.0 < means[1]
+    orders = [r for r in report.rows if r["kind"] == "order"
+              and r["quantity"] == "order:unit_defect_l2"]
+    assert [r["level"] for r in orders] == [1]
+    assert all(np.isfinite(r["value"]) for r in report.rows)
+
+
+def test_cli_nan_rotation_field_fails_the_orthogonality_invariant(tmp_path):
+    # theta^2 overflows in the one step's rotation update, so the field at
+    # t_1 is NaN; the step itself solves. Its defect is the run's last and
+    # only one, and must still reach the invariant suite
+    path = tmp_path / "nan.ini"
+    path.write_text(f"""\
+[mesh]
+divisions = 2
+
+[scheme]
+J = 1
+T = 0.02
+
+[noise]
+preset = linear-gradient
+vectors = 1e200 0 0
+
+[initial]
+preset = spiral
+
+[run]
+out = {tmp_path / "out"}
+""")
+    proc = child_python(["-W", "ignore", "-m", "sllgfem.cli", str(path)])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "invariant failure:" in proc.stderr
+    assert "max_orth_defect = nan" in proc.stderr
+    with open(tmp_path / "out" / "diagnostics_seed0.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["orth_defect"] == "nan"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
