@@ -3,20 +3,28 @@
 Loads the config, applies the overrides and hands it to
 `studies.run_study`, whatever the mode. Flag values are passed to
 `load_config` as text, so they are validated like the config values they
-replace. Exit codes: 0 success, 2 invariant-suite failure (reported by the
-study, not raised), 3 solver failure, 4 configuration error (a usage
-error, a rejected config or flag value, an invalid SLLGFEM_WORKERS
-value, in any mode, or a write in run.out that failed).
+replace. `EXITS` maps each exception a run may end in to its exit code;
+README's exit table documents the codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import load_config
 from .errors import ConfigError, SolverFailure
 from .studies import run_study
+
+# exception class -> (exit code, message prefix). Exit 0 is success and
+# exit 2 an invariant failure, which the study reports and does not raise
+EXITS = {
+    SolverFailure: (3, "solver failure"),
+    ConfigError: (4, "config error"),
+    MemoryError: (5, "out of memory"),
+    BrokenProcessPool: (5, "a worker process died"),
+}
 
 # flag -> (config key it overrides, metavar, help note)
 FLAGS = {
@@ -58,12 +66,10 @@ def main(argv=None):
                      if getattr(args, flag) is not None}
         config = load_config(args.config, overrides)
         report = run_study(config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 4
-    except SolverFailure as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return 3
+    except tuple(EXITS) as e:
+        code, what = next(EXITS[c] for c in type(e).__mro__ if c in EXITS)
+        print(f"{what}: {str(e) or type(e).__name__}", file=sys.stderr)
+        return code
 
     n_runs = len({(r["level"], r["seed"]) for r in report.rows
                   if r["kind"] == "run"})

@@ -23,6 +23,7 @@ from .errors import ConfigError, MeshError
 from .fem import P1Space, binary_exponent, interpolate_nodal
 from .mesh import build_structured_mesh, read_mesh_text
 from .noise import PRESETS, make_noise
+from .rotation import coefficient_terms
 from .scheme import GUARD_C, SchemeParams, check_theta_guard
 
 
@@ -220,8 +221,9 @@ def load_config(path, overrides=None):
     `overrides` maps "section.key" to replacement string values (applied
     before validation, so overridden values face the same checks). Raises
     ConfigError on parse errors (with line information), unknown sections
-    or keys, bad values, cross-key violations and step-size guard
-    violations.
+    or keys, bad values, cross-key violations (a spiral angle, a noise's
+    set-up terms or a Wiener path that overflows among them) and
+    step-size guard violations.
     """
     # ";" separates noise vectors, so only "#" starts an inline comment;
     # whole-line ";" comments still parse
@@ -303,13 +305,35 @@ def load_config(path, overrides=None):
                                   f"{mesh.dim}D mesh; leave it unset")
         cfg = replace(cfg, dim=mesh.dim, defaulted=tuple(
             name for name in defaulted if name != "mesh.dim"))
-        h, x1 = mesh.h, float(np.abs(mesh.vertices[:, 0]).max())
-    else:
-        h, x1 = np.sqrt(cfg.dim) / cfg.divisions, 1.0
+        h, bounds = mesh.h, mesh.vertices
+    else:       # the corners of the unit square or cube
+        h = np.sqrt(cfg.dim) / cfg.divisions
+        bounds = np.indices((2,) * cfg.dim).reshape(cfg.dim, -1).T
+    # the spiral's angle and the noise presets are affine in x, so their
+    # values on `bounds` bound those on the mesh
+    x1 = float(np.abs(bounds[:, 0]).max())
     if (cfg.initial_preset == "spiral"
             and not np.isfinite(2.0 * np.pi * cfg.winding * x1)):
         raise ConfigError(f"initial.winding = {cfg.winding} makes the "
                           f"spiral's angle overflow (|x1| up to {x1:g})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = cfg.build_noise()
+        try:
+            # |g|^2 and g . dg are on the diagonals of G2 and H
+            finite = all(np.isfinite(t).all() for t in coefficient_terms(
+                noise.g_at(bounds), noise.jac_at(bounds)).values())
+        except ValueError:      # a g or dg that is not finite
+            finite = False
+    if not finite:
+        key = "vectors" if cfg.vectors else "amplitude"
+        raise ConfigError(f"noise.{key} = {_echo(getattr(cfg, key))} makes "
+                          f"the noise's set-up terms overflow on the mesh "
+                          f"(g, dg, |g|^2, sum G_i^2 or sum H_i)")
+    # numpy's largest array holds intp's maximum in bytes, 8 per increment
+    if cfg.params.J * noise.q > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"scheme.J = {cfg.params.J} makes the Wiener "
+                          f"path ({noise.q} increments per step) larger "
+                          f"than any array can be")
     ok, bound = check_theta_guard(cfg.params, h)
     if not ok:
         rule = ("h^2 for theta < 1/2" if cfg.params.theta < 0.5

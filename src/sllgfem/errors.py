@@ -1,11 +1,9 @@
 """Exception types shared across the package.
 
 Argument validation failures raise plain ValueError. The classes below mark
-failures that callers may want to catch and map to process exit codes:
-ConfigError -> 4 (the CLI raises it for its usage errors too),
-SolverFailure -> 3. Exit code 2 (invariant-suite failure) is not an
-exception: studies return the failures in their report. Assembly has no
-class: MeshError covers a cell whose stiffness block is not finite.
+failures that callers may want to catch; `cli.EXITS` maps them to process
+exit codes, which README's exit table documents. Assembly has no class:
+MeshError covers a cell whose stiffness block is not finite.
 """
 
 
@@ -26,13 +24,14 @@ class TimeMismatchError(SLLGError):
 
 
 class SolverFailure(SLLGError):
-    """Linear solve failed: a load whose norm is not finite, a singular
-    factorization, or a refinement of the single-precision LU that stopped
+    """A step failed: a load whose norm is not finite, a singular
+    factorization, a refinement of the single-precision LU that stopped
     contracting (a non-finite residual included) before it reached the
-    requested tolerance.
+    requested tolerance, or a rotation field that the step made not
+    finite.
 
     Carries the achieved relative residual (inf when no solution exists,
-    nan for a load that is not finite).
+    nan for a load or a field that is not finite).
     """
 
     def __init__(self, message, residual=None):

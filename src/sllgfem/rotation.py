@@ -87,8 +87,9 @@ def rodrigues_exp(w):
     v = w.reshape(-1, 3)
     theta2 = np.einsum("pa,pa->p", v, v)
     theta = np.sqrt(theta2)
-    cos = np.cos(theta)
+    # a w whose theta^2 overflows gives a NaN R, quietly
     with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.cos(theta)
         s = np.sin(theta) / theta
         c = (1.0 - cos) / theta2
     small = theta < 1e-4
@@ -156,6 +157,9 @@ class RotationField:
         n = s.mesh.n_cells * s.n_qp
         return self._cache["index"][:n].reshape(-1, s.n_qp)
 
+    # A may overflow on a finite xi, quietly: the step's load check
+    # catches it
+    @np.errstate(over="ignore", invalid="ignore")
     def invariants(self):
         """The (R (1 + dim), 9) stack [A; B] through which F reads the
         field (module docstring): row r holds row r's A, row R + dim r + d
@@ -217,7 +221,16 @@ def _coefficient_cache(space, coeffs):
     index, first = _group_points(g, jac)
     # np.take keeps C order, so each row's sums over the noise index read
     # their operands in the layout of a per-point evaluation
-    g, jac = np.take(g, first, axis=1), np.take(jac, first, axis=1)
+    return {**coefficient_terms(np.take(g, first, axis=1),
+                                np.take(jac, first, axis=1)),
+            "index": index}
+
+
+def coefficient_terms(g, jac):
+    """The cache's terms "g", "dg", "G2" and "H" (see _coefficient_cache)
+    from the values g (q, R, 3) and Jacobians jac (q, R, 3, dim) of the
+    noise components at R points; config's noise gate checks that they
+    are finite."""
     dg = np.moveaxis(jac, -1, 2)                    # (q, R, dim, 3)
     G2 = np.einsum("ipa,ipb->pab", g, g)
     gg = np.einsum("ipa,ipa->p", g, g)
@@ -229,7 +242,7 @@ def _coefficient_cache(space, coeffs):
     for a in range(3):
         G2[:, a, a] -= gg
         H[:, a, :, a] -= 2.0 * gdg
-    return {"g": g, "dg": dg, "G2": G2, "H": H, "index": index}
+    return {"g": g, "dg": dg, "G2": G2, "H": H}
 
 
 def _group_points(*values):
@@ -260,6 +273,8 @@ def init_rotation_field(space, coeffs):
     return RotationField(space, 0, Z, xi, cache)
 
 
+# a step may overflow, quietly: scheme.run checks the field it returns
+@np.errstate(over="ignore", invalid="ignore")
 def evolve_step(field, dW, k):
     """Advance Z by one exponential step and xi by one Euler-Maruyama step.
 

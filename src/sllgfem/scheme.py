@@ -306,6 +306,10 @@ def run(m0, params, path, coeffs, space, observers=()):
         later steps read them: observers must not mutate them, and may keep
         references to them. An observer's exception ends the run.
 
+    A step that makes the rotation field not finite (an overflow in its
+    update) raises SolverFailure naming the step, before the field's
+    orthogonality defect or any observer reads it.
+
     Returns
     -------
     Trajectory, whose diagnostics hold one DIAGNOSTICS_DTYPE row per step:
@@ -339,6 +343,11 @@ def run(m0, params, path, coeffs, space, observers=()):
         v = _update(m, field, params, space, row)
         m_next = advance(m, v, params)
         next_field = evolve_step(field, path.increments[j], k)
+        if not (np.isfinite(next_field.Z).all()
+                and np.isfinite(next_field.xi).all()):
+            raise SolverFailure(f"step {j} made the rotation field not "
+                                f"finite (at t = {(j + 1) * k:.6g})",
+                                residual=np.nan)
         row["orth_defect"] = next_field.orthogonality_defect()
         step = Step(j=j, m=m, v=v, m_next=m_next, field=field,
                     field_next=next_field)

@@ -181,32 +181,35 @@ def _trajectory(config, level, stream):
     invariants come from run's diagnostics; this function reduces them
     and applies INVARIANT_TOLS. Returns the run rows, the invariant
     failures and the diagnostics CSV text; the calling process writes all
-    files but the snapshots.
+    files but the snapshots. A SolverFailure or MemoryError is raised
+    again with the level and stream named.
     """
     factor = (2 ** (config.levels - 1 - level)
               if config.mode == "refinement" else 1)
     p_fine = config.params
     cfg = replace(config, divisions=config.divisions // factor)
     p = replace(p_fine, J=p_fine.J // factor)
-    space = cfg.build_space()
-    coeffs = cfg.build_noise()
-    m0 = cfg.initial_field(space)
-    offdiag = check_offdiag_condition(space)
-    path = sample_path(config.seed, coeffs.q, p_fine.J, p_fine.T,
-                       stream=stream)
-    path = coarsen(path, factor)
-
-    errs_obs, errs = interpolant_errors(space, p.k)
-    fields = [make_test_field(i) for i in range(_N_TEST_FIELDS)]
-    residual_obs, residuals = weak_residual(space, p, path, fields)
-    observers = [errs_obs, residual_obs]
-    if config.mode == "single" and config.snapshots > 0:
-        observers.append(_snapshot_writer(config, space, stream))
+    where = f"level {level} stream {stream} (base seed {config.seed})"
     try:
+        space = cfg.build_space()
+        coeffs = cfg.build_noise()
+        m0 = cfg.initial_field(space)
+        offdiag = check_offdiag_condition(space)
+        path = sample_path(config.seed, coeffs.q, p_fine.J, p_fine.T,
+                           stream=stream)
+        path = coarsen(path, factor)
+
+        errs_obs, errs = interpolant_errors(space, p.k)
+        fields = [make_test_field(i) for i in range(_N_TEST_FIELDS)]
+        residual_obs, residuals = weak_residual(space, p, path, fields)
+        observers = [errs_obs, residual_obs]
+        if config.mode == "single" and config.snapshots > 0:
+            observers.append(_snapshot_writer(config, space, stream))
         traj = run(m0, p, path, coeffs, space, observers=observers)
     except SolverFailure as e:
-        raise SolverFailure(f"level {level} stream {stream} (base seed "
-                            f"{config.seed}): {e}", residual=e.residual)
+        raise SolverFailure(f"{where}: {e}", residual=e.residual)
+    except MemoryError as e:
+        raise MemoryError(f"{where}: {e}")
 
     diag = traj.diagnostics
     q = {
@@ -265,18 +268,19 @@ def _summary_rows(quantities, kind, like):
 
 def _write(config, name, write):
     """Write run.out/`name` as `write(path)` does, to `name`.part, and move
-    it into place: a file named in run.out is only ever complete. An
-    OSError removes the .part and raises ConfigError naming run.out and
-    the file."""
+    it into place: a file named in run.out is only ever complete. Any
+    exception removes the .part; an OSError raises ConfigError naming
+    run.out and the file, and any other exception is raised again."""
     path = os.path.join(config.out, name)
     try:
         write(path + ".part")
         os.replace(path + ".part", path)
     except OSError as e:
-        with suppress(OSError):
-            os.remove(path + ".part")
         raise ConfigError(f"run.out = {config.out!r}: cannot write {name}: "
                           f"{e.strerror}") from e
+    finally:        # after os.replace there is no .part to remove
+        with suppress(OSError):
+            os.remove(path + ".part")
 
 
 def _text(text):

@@ -1,10 +1,10 @@
 """Config parsing, validation, echo round-trip, and the CLI wrapper.
 
 The CLI is driven in-process through main(argv) so exit codes and the
-stdout/stderr contract can be asserted without spawning interpreters; only
-a load that overflows, a step matrix beyond float32's range and the
-extreme-value property test run it in a child process, because numpy warns
-on the overflow paths and the suite makes its warnings errors.
+stdout/stderr contract can be asserted without spawning interpreters; the
+overflow paths, huge sizes, a pool worker that fails and the extreme-value
+property test run it in a child process, as `python -m sllgfem.cli` with
+numpy's warnings made errors.
 """
 
 import re
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sllgfem import (ConfigError, Mesh, build_structured_mesh, load_config,
@@ -590,22 +590,117 @@ out = {tmp_path / "out"}
     assert "solver failure:" in capsys.readouterr().err
 
 
+def noise_cfg(tmp_path, keys):
+    """A 2D 2^2, J = 2 single run of a spiral under linear-gradient noise,
+    with `keys` on top."""
+    return keyed_cfg(tmp_path, {"mesh.divisions": "2", "scheme.J": "2",
+                                "scheme.T": "0.02", "initial.preset": "spiral",
+                                "noise.preset": "linear-gradient", **keys})
+
+
 @pytest.mark.parametrize("keys", [
     {"noise.amplitude": "1e50"}, {"noise.amplitude": "1e100"},
-    {"noise.amplitude": "1e200"}, {"noise.vectors": "1e300 0 0"},
     {"scheme.lambda1": "1e100"},
-], ids=["amplitude-1e50", "amplitude-1e100", "amplitude-1e200",
-        "vectors-1e300", "lambda1-1e100"])
+], ids=["amplitude-1e50", "amplitude-1e100", "lambda1-1e100"])
 def test_cli_overflowing_load_exit_3_naming_the_load(tmp_path, keys):
     # the load's entries or only its norm overflow (1e50: entries up to
-    # about 1e195, a norm of inf)
-    cfg = keyed_cfg(tmp_path, {"mesh.divisions": "2", "scheme.J": "2",
-                               "scheme.T": "0.02", "initial.preset": "spiral",
-                               "noise.preset": "linear-gradient", **keys})
-    proc = child_python(["-m", "sllgfem.cli", cfg])
+    # about 1e195, a norm of inf; 1e100: the field's invariants overflow
+    # at t_1, which the load check catches)
+    proc = child_python(["-m", "sllgfem.cli", noise_cfg(tmp_path, keys)])
     assert proc.returncode == 3, proc.stderr[-2000:]
-    assert re.search(r"solver failure: .*: the step's load has a non-finite "
-                     r"norm \((inf|nan)\)", proc.stderr)
+    assert re.fullmatch(r"solver failure: .*: the step's load has a "
+                        r"non-finite norm \((inf|nan)\)\n", proc.stderr)
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"noise.amplitude": "1e200"}, r"noise\.amplitude = 1e\+200"),
+    ({"noise.vectors": "1e300 0 0"}, r"noise\.vectors = 1e\+300 0\.0 0\.0"),
+    ({"noise.vectors": "1e200 0 0", "scheme.J": "1"},
+     r"noise\.vectors = 1e\+200 0\.0 0\.0"),
+    ({"noise.vectors": "1e200 0 0"}, r"noise\.vectors = 1e\+200 0\.0 0\.0"),
+    ({"noise.preset": "constant-x", "noise.amplitude": "1e300",
+      "noise.vectors": "0 0 1; 1e10 0 0"},
+     r"noise\.vectors = 0\.0 0\.0 1\.0; 10000000000\.0 0\.0 0\.0"),
+], ids=["amplitude-1e200", "vectors-1e300", "vectors-1e200-J1",
+        "vectors-1e200-J2", "vectors-times-amplitude"])
+def test_cli_noise_whose_set_up_overflows_exit_4_naming_the_key(tmp_path,
+                                                               keys, message):
+    # |g|^2, sum G_i^2, sum H_i or g itself overflows at a corner of the
+    # unit square: rejected at the gate with one message, nothing written
+    proc = child_python(["-m", "sllgfem.cli", noise_cfg(tmp_path, keys)])
+    assert proc.returncode == 4, proc.stderr[-2000:]
+    assert re.fullmatch(rf"config error: {message} makes the noise's set-up "
+                        rf"terms overflow on the mesh \(.*\)\n", proc.stderr)
+    assert not (tmp_path / "out").exists()
+
+
+def test_noise_gate_uses_the_mesh_files_vertices(tmp_path, capsys):
+    # |g|^2 = 2e300 is finite on the unit square, but not at |x1| = 1e10
+    unit = build_structured_mesh(2, 1)
+    mesh = tmp_path / "wide.txt"
+    write_mesh_text(Mesh(unit.vertices * [1e10, 1.0], unit.cells), mesh)
+    noise = "[noise]\npreset = linear-gradient\namplitude = 1e150\n"
+    assert load_config(fast_single(tmp_path, noise)).amplitude == 1e150
+    cfg = write_cfg(tmp_path, f"[mesh]\nfile = {mesh}\n[run]\n"
+                              f"out = {tmp_path / 'out'}\n{noise}")
+    assert main([cfg]) == 4
+    assert re.search(r"noise\.amplitude = 1e\+150 makes the noise's set-up "
+                     r"terms overflow", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("J, code, message", [
+    ("100000000000", 5, r"out of memory: level 0 stream 0 \(base seed 0\): "
+                        r"Unable to allocate 745\. GiB .*"),
+    (str(2**62), 4, r"config error: scheme\.J = 4611686018427387904 makes "
+                    r"the Wiener path \(1 increments per step\) larger than "
+                    r"any array can be"),
+], ids=["J-1e11", "J-2**62"])
+def test_cli_huge_J_ends_at_its_documented_exit(tmp_path, J, code, message):
+    # J = 1e11: the Wiener path needs 745 GiB, and its allocation fails in
+    # the child's 2 GiB address space (exit 5, naming the trajectory).
+    # J = 2^62: no array can hold the path, so the gate rejects it before
+    # anything is written (exit 4)
+    proc = child_python(["-m", "sllgfem.cli",
+                         noise_cfg(tmp_path, {"scheme.J": J})])
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert re.fullmatch(message + r"\n", proc.stderr)
+    out = tmp_path / "out"
+    assert not (out / "report.csv").exists()
+    assert out.exists() == (code == 5)
+
+
+# Runs the CLI on argv with two pool workers, whatever the CPU count, and
+# with studies._trajectory replaced by the `trajectory` defined in the
+# code given as argv[1], if any; forked workers inherit it
+_CLI_POOL = """\
+import os, sys
+from sllgfem import studies
+from sllgfem.cli import main
+exec(sys.argv[1])
+if "trajectory" in globals():
+    studies._trajectory = trajectory
+os.environ[studies.WORKERS_ENV] = "2"
+studies._cpu_count = lambda: 2
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("", r"out of memory: level 0 stream 0 \(base seed 0\): Unable to "
+         r"allocate .*"),
+    ("def trajectory(config, level, stream):\n    os._exit(9)\n",
+     r"a worker process died: .*terminated abruptly.*"),
+], ids=["worker-memory-error", "worker-dies"])
+def test_cli_pool_worker_out_of_resources_exit_5(tmp_path, patch, message):
+    # a worker's MemoryError (J = 1e11 in a 2 GiB address space) or a
+    # worker that dies (BrokenProcessPool) ends the study at exit 5
+    cfg = noise_cfg(tmp_path, {"run.mode": "monte-carlo",
+                               "scheme.J": "100000000000"})
+    proc = child_python(["-c", _CLI_POOL, patch, cfg])
+    assert proc.returncode == 5, proc.stderr[-2000:]
+    assert re.fullmatch(message + r"\n", proc.stderr)
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 def test_cli_step_matrix_beyond_float32_range_is_factored_scaled(tmp_path):
@@ -655,7 +750,8 @@ print(*codes)
 
 # Extreme texts for a numeric key: subnormals, the largest doubles, int64's
 # edges and 10^400, which is an int but not a finite float; 1e100 overflows
-# the load
+# the load. The explicit examples below give the noise magnitudes the
+# random draws rarely reach
 _EXTREMES = ("5e-324", "-5e-324", "1e-310", "1e100", "1e308", "-1e308",
              "1.7976931348623157e308", str(2**63 - 1), str(2**63),
              str(2**63 + 1), str(-2**63 - 1), "1" + "0" * 400, "1e400", "0",
@@ -704,13 +800,22 @@ def _extreme_configs(draw):
     return keys
 
 
+_NOISE_MAGNITUDES = [
+    {**{name: "2" for name in _SIZE_KEYS}, "initial.preset": "spiral",
+     **noise}
+    for mag in ("1e100", "1e200", "1e300")
+    for noise in ({"noise.preset": "linear-gradient", "noise.amplitude": mag},
+                  {"noise.vectors": f"{mag} 0 0; 0 1 0"})]
+
+
 @settings(max_examples=4, deadline=None)
 @given(st.lists(_extreme_configs(), min_size=6, max_size=6))
+@example(batch=_NOISE_MAGNITUDES)
 def test_cli_exits_0_2_3_or_4_on_extreme_values(config_dir, batch):
-    # no config the grammar admits ends in a traceback (exit 1), a
-    # rejected one writes nothing, one that fails leaves no report.csv, and
-    # none leaves a partial file. Numpy warns on the overflow paths that
-    # end at exit 3, so the CLI runs in a child process
+    # no config the grammar admits ends in a traceback or a numpy warning
+    # (exit 1), a rejected one writes nothing, one that fails leaves no
+    # report.csv, and none leaves a partial file. The CLI runs in a child
+    # process, where numpy's warnings are errors
     work = Path(tempfile.mkdtemp(dir=config_dir))
     cfgs = []
     for i, keys in enumerate(batch):
@@ -786,6 +891,28 @@ def test_cli_failed_write_exit_4_naming_the_file(tmp_path, snapshots, name):
     assert not (out / name).exists()
     assert not (out / "report.csv").exists()
     assert not list(out.glob("*.part"))
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_exception_inside_a_write_leaves_no_part_file(tmp_path, monkeypatch,
+                                                      error):
+    # an exception that is not an OSError still removes the .part, and is
+    # raised again: a MemoryError ends at exit 5, a KeyboardInterrupt is
+    # not the CLI's to catch
+    def failing_write_vtk(path, *args, **kwargs):
+        with open(path, "w") as fh:
+            fh.write("# vtk DataFile Version 3.0\n")
+        raise error("inside write_vtk")
+
+    monkeypatch.setattr(studies, "write_vtk", failing_write_vtk)
+    cfg = keyed_cfg(tmp_path, {"run.snapshots": "2"})
+    if error is MemoryError:
+        assert main([cfg]) == 5
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main([cfg])
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["resolved.ini"]
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -1,5 +1,5 @@
-"""The README's Python examples run as written, and the schema it
-repeats is the one the code declares.
+"""The README's Python examples run as written, and the schema and exit
+codes it repeats are the ones the code declares.
 
 Every fenced ```python block of README.md runs in order, in one
 namespace, so a later block may use the names an earlier one defined.
@@ -8,6 +8,7 @@ namespace, so a later block may use the names an earlier one defined.
 import re
 from pathlib import Path
 
+from sllgfem.cli import EXITS
 from sllgfem.scheme import DIAGNOSTIC_COLUMNS
 
 README = Path(__file__).parents[1] / "README.md"
@@ -28,3 +29,11 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
 def test_readme_diagnostics_schema_is_the_declared_one():
     schema = ",".join(DIAGNOSTIC_COLUMNS)
     assert f"`{schema}`" in README.read_text()
+
+
+def test_readme_exit_table_lists_the_cli_exit_codes():
+    # README's table documents every code: 0 and 2, which the CLI returns
+    # without an exception, and each code of the CLI's table
+    codes = re.findall(r"^\| (\d+) +\|", README.read_text(), flags=re.M)
+    assert sorted(map(int, codes)) == sorted(
+        {0, 2} | {code for code, _ in EXITS.values()})

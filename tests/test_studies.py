@@ -383,10 +383,12 @@ out = {tmp_path / "out"}
     assert all(np.isfinite(r["value"]) for r in report.rows)
 
 
-def test_cli_nan_rotation_field_fails_the_orthogonality_invariant(tmp_path):
-    # theta^2 overflows in the one step's rotation update, so the field at
-    # t_1 is NaN; the step itself solves. Its defect is the run's last and
-    # only one, and must still reach the invariant suite
+def test_cli_rotation_field_that_overflows_in_a_step_exit_3(tmp_path):
+    # |g|^2 = 1e308 passes the noise gate, but with k = 1 and seed 5 the
+    # one increment is 1.44, so theta^2 overflows in the step's rotation
+    # update and the field at t_1 is NaN; the step itself solves. The run
+    # stops there, naming the step, before the field's orthogonality
+    # defect or any monitor reads it
     path = tmp_path / "nan.ini"
     path.write_text(f"""\
 [mesh]
@@ -394,25 +396,24 @@ divisions = 2
 
 [scheme]
 J = 1
-T = 0.02
+T = 1
 
 [noise]
-preset = linear-gradient
-vectors = 1e200 0 0
+vectors = 1e154 0 0
 
 [initial]
 preset = spiral
 
 [run]
+seed = 5
 out = {tmp_path / "out"}
 """)
-    proc = child_python(["-W", "ignore", "-m", "sllgfem.cli", str(path)])
-    assert proc.returncode == 2, proc.stderr[-2000:]
-    assert "invariant failure:" in proc.stderr
-    assert "max_orth_defect = nan" in proc.stderr
-    with open(tmp_path / "out" / "diagnostics_seed0.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1 and rows[0]["orth_defect"] == "nan"
+    proc = child_python(["-m", "sllgfem.cli", str(path)])
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr == ("solver failure: level 0 stream 0 (base seed 5): "
+                           "step 0 made the rotation field not finite (at "
+                           "t = 1)\n")
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
