@@ -7,8 +7,9 @@ noise component and prints the per-step diagnostics the library
 tracks: exchange energy, update size, the stochastic load correction
 (nonzero only because the coefficient field varies in space), and the
 constraint defects. The final state is written as a
-legacy VTK snapshot (both the rotated frame m and the physical field
-M = Z m) into demo_out/.
+legacy VTK 3.0 BINARY snapshot (both the rotated frame m and the physical
+field M = Z m, as big-endian float64 point vectors) into demo_out/;
+ParaView, VisIt and meshio read it, and `head -4` shows its header.
 """
 
 import os

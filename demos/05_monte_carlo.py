@@ -4,9 +4,10 @@ Monte Carlo over independent paths
 
 Runs the same configuration over several independent Brownian streams
 and reports sample means and standard errors of the headline energy
-quantities. Setting the SLLGFEM_WORKERS environment variable runs the
-streams in parallel processes; the aggregation is order-independent, so
-the report is bit-identical either way.
+quantities. The streams run in parallel processes, one per usable CPU
+unless the SLLGFEM_WORKERS environment variable sets the count; the
+aggregation is order-independent, so the report is bit-identical either
+way.
 """
 
 import os
@@ -54,4 +55,4 @@ for name in ("final_energy", "sup_energy", "v_time_sum"):
 
 print()
 print(f"report rows: {len(report.rows)}, artifacts in demo_out/mc/")
-print("rerun with SLLGFEM_WORKERS=4 and diff the reports: identical.")
+print("rerun with SLLGFEM_WORKERS=1 and diff the reports: identical.")

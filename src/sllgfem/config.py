@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from operator import attrgetter
 
@@ -222,8 +223,8 @@ def load_config(path, overrides=None):
     before validation, so overridden values face the same checks). Raises
     ConfigError on parse errors (with line information), unknown sections
     or keys, bad values, cross-key violations (a spiral angle, a noise's
-    set-up terms or a Wiener path that overflows among them) and
-    step-size guard violations.
+    set-up terms, a Wiener path or a mesh's per-cell arrays that overflow
+    among them) and step-size guard violations.
     """
     # ";" separates noise vectors, so only "#" starts an inline comment;
     # whole-line ";" comments still parse
@@ -334,6 +335,15 @@ def load_config(path, overrides=None):
         raise ConfigError(f"scheme.J = {cfg.params.J} makes the Wiener "
                           f"path ({noise.q} increments per step) larger "
                           f"than any array can be")
+    # the largest per-cell array is the build of KZ's operator: (dim+1)^2
+    # node pairs, dim+1 quadrature points and dim+1 columns of float64 on
+    # each of the dim! n^dim cells of the structured mesh
+    if not cfg.mesh_file and (math.factorial(cfg.dim)
+                              * cfg.divisions ** cfg.dim * (cfg.dim + 1) ** 4
+                              * 8 > np.iinfo(np.intp).max):
+        raise ConfigError(f"mesh.divisions = {cfg.divisions} makes the "
+                          f"mesh's per-cell arrays larger than any array "
+                          f"can be")
     ok, bound = check_theta_guard(cfg.params, h)
     if not ok:
         rule = ("h^2 for theta < 1/2" if cfg.params.theta < 0.5

@@ -179,9 +179,10 @@ def assemble_lumped_mass(space: P1Space):
 
 
 # SuperLU's supernode relaxation and panel size for every factorization
-# (_splu). On step matrices in the layout's order (2D 32^2 and 96^2, 3D 8^3
-# and 10^3, one BLAS thread) they factored faster than its defaults at
-# every size, by 4-31%, with the same nnz(L+U); CHANGES.md has the table.
+# (_splu) and for the layout's ordering. On step matrices in the layout's
+# order (2D 32^2 and 96^2, 3D 8^3 and 10^3, one BLAS thread) they factored
+# faster than its defaults at every size, by 4-31%, with the same
+# nnz(L+U); CHANGES.md has the table.
 # relax <= panel_size: relax=32 with panel_size=16 crashed scipy 1.17.1.
 SUPERLU_RELAX = 1
 SUPERLU_PANEL_SIZE = 1
@@ -209,8 +210,9 @@ class StepLayout:
     diagonal : (N,) the slot of (n, n), node by node.
     order : (2N,) the fill-reducing order p. It is the minimum-degree
         order of the scalar K + diag(L), L the lumped mass (SuperLU's MMD
-        on its A^T + A), with each node's two unknowns kept side by side.
-        The pattern is fixed, so the order is too.
+        on its A^T + A, the perm_c a full LU of it would report), with
+        each node's two unknowns kept side by side. The pattern is fixed,
+        so the order is too.
     inverse : (2N,) argsort(order), each unknown's place in the order;
         x[inverse] takes an ordered x back to node-major.
     shape : (2N, 2N).
@@ -228,11 +230,16 @@ class StepLayout:
 
         scalar = self.values.copy()
         scalar[self.diagonal] += space.lumped_mass_diagonal()
-        # K's pattern is symmetric, so its CSR arrays are a CSC matrix too;
-        # only the order is kept: perm_c is each node's rank in it
+        # K's pattern is symmetric, so its CSR arrays are a CSC matrix too.
+        # Only the order is kept: perm_c is each node's rank in it. An
+        # incomplete LU that drops every entry it may runs the same
+        # ordering (and postorder) as a full LU, at a fraction of its cost
         row_ptr = np.searchsorted(self.rows, np.arange(N + 1))
-        rank = _splu(sp.csc_matrix((scalar, self.cols, row_ptr), shape=(N, N)),
-                     "MMD_AT_PLUS_A").perm_c.astype(np.int64)
+        rank = spla.spilu(
+            sp.csc_matrix((scalar, self.cols, row_ptr), shape=(N, N)),
+            drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+            relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE,
+        ).perm_c.astype(np.int64)
         self.inverse = (2 * rank[:, None] + np.arange(2)).ravel()
         self.order = np.argsort(self.inverse)
         # blocks[s, a, b] is entry (2 rank[rows[s]] + a, 2 rank[cols[s]] + b);

@@ -391,14 +391,17 @@ def assemble_rotated_stiffness(field):
     of the third with l and m swapped. So Kxi = D + D^T, which makes KZ
     exactly symmetric. D is linear in the invariants, with coefficients
     fixed by the mesh and the field's row index, so D = W [A; B], the
-    run's operator W (_kz_operator) times the stack of the invariants. K
-    is assembled on the pattern of cell_pair_pattern, so its data add to
+    run's operator W (_kz_operator) times the stack of the invariants,
+    and D^T is one gather of D's entries (its index swap). K is
+    assembled on the pattern of cell_pair_pattern, so its data add to
     the diagonals of the 3x3 blocks slot by slot.
     """
     space = field.space
-    indptr, indices, _, transpose = space.cell_pair_pattern()
-    D = (_kz_operator(field) @ field.invariants()).reshape(-1, 3, 3)
-    data = D + np.swapaxes(D[transpose], 1, 2)
+    indptr, indices, _, _ = space.cell_pair_pattern()
+    W, swap = _kz_operator(field)
+    flat = (W @ field.invariants()).ravel()
+    data = np.take(flat, swap).reshape(-1, 3, 3)
+    data += flat.reshape(-1, 3, 3)
     K = space.stiffness().data
     for a in range(3):
         data[:, a, a] += K
@@ -407,46 +410,59 @@ def assemble_rotated_stiffness(field):
 
 
 def _kz_operator(field):
-    """The sparse W with W [A; B] the slot blocks D of KZ (see
-    assemble_rotated_stiffness), shared by all fields of a run.
+    """(W, swap): the sparse W with W [A; B] the slot blocks D of KZ (see
+    assemble_rotated_stiffness), and the flat index with D.ravel()[swap]
+    the blocks D^T of the transposed slots, shared by all fields of a run.
 
     W has one row per cell_pair_pattern slot. Column r takes row r's A,
     column R + dim r + d its B_d. It depends only on the mesh and the row
     index, so it is built on the first call of a run and kept in the
     cache the run's fields share; the steps then form no per-point array.
-    Built as scatter @ Wc. The 0/1 scatter puts each local node pair
-    (c, l, m), flattened c-major, on its cell_pair_pattern slot. Wc has
-    one row per local node pair and, per quadrature point q of cell c with
-    row r, the entries 1/2 w phi_l phi_m in column r and w phi_m d_d phi_l
-    in column R + dim r + d.
+    swap takes entry (a, b) of slot s from entry (b, a) of slot
+    transpose[s]. It is formed after W's build has freed its arrays, the
+    largest a run forms, so that it does not add to their peak.
     """
     cache = field._cache
     if "kz" not in cache:
-        space = field.space
-        n_c, n_q, dim = space.mesh.n_cells, space.n_qp, space.mesh.dim
-        d1, R = dim + 1, len(field.Z)
-        rows = field.qp_rows().astype(np.intc)[:, None, None, :]
-        shape = (n_c, d1, d1, n_q, 1 + dim)           # (c, l, m, q, column)
-        cols = np.empty(shape, dtype=np.intc)
-        cols[..., 0] = rows
-        cols[..., 1:] = R + dim * rows[..., None] + np.arange(dim)
-        wphi = (space.quad_weights[:, :, None] * space.phi_qp).transpose(
-            0, 2, 1)[:, None, :, :]                     # (c, 1, m, q)
-        vals = np.empty(shape)
-        np.multiply(wphi, 0.5 * space.phi_qp.T[:, None, :], out=vals[..., 0])
-        np.multiply(wphi[..., None], space.grad_phi[:, :, None, None, :],
-                    out=vals[..., 1:])
-        n_row = n_q * (1 + dim)
-        Wc = sp.csr_matrix(
-            (vals.reshape(-1), cols.reshape(-1),
-             np.arange(0, vals.size + 1, n_row)),
-            shape=(n_c * d1 * d1, R * (1 + dim)))
-        _, indices, slots, _ = space.cell_pair_pattern()
-        n = len(slots)
-        scatter = sp.csr_matrix((np.ones(n), (slots, np.arange(n))),
-                                shape=(len(indices), n))
-        cache["kz"] = scatter @ Wc
+        W = _kz_matrix(field)
+        transpose = field.space.cell_pair_pattern()[3]
+        swap = (transpose[:, None] * 9 + [0, 3, 6, 1, 4, 7, 2, 5, 8]).ravel()
+        cache["kz"] = (W, swap)
     return cache["kz"]
+
+
+def _kz_matrix(field):
+    """_kz_operator's W, built as scatter @ Wc. The 0/1 scatter puts each
+    local node pair (c, l, m), flattened c-major, on its
+    cell_pair_pattern slot. Wc has one row per local node pair and, per
+    quadrature point q of cell c with row r, the entries
+    1/2 w phi_l phi_m in column r and w phi_m d_d phi_l in column
+    R + dim r + d.
+    """
+    space = field.space
+    n_c, n_q, dim = space.mesh.n_cells, space.n_qp, space.mesh.dim
+    d1, R = dim + 1, len(field.Z)
+    rows = field.qp_rows().astype(np.intc)[:, None, None, :]
+    shape = (n_c, d1, d1, n_q, 1 + dim)           # (c, l, m, q, column)
+    cols = np.empty(shape, dtype=np.intc)
+    cols[..., 0] = rows
+    cols[..., 1:] = R + dim * rows[..., None] + np.arange(dim)
+    wphi = (space.quad_weights[:, :, None] * space.phi_qp).transpose(
+        0, 2, 1)[:, None, :, :]                     # (c, 1, m, q)
+    vals = np.empty(shape)
+    np.multiply(wphi, 0.5 * space.phi_qp.T[:, None, :], out=vals[..., 0])
+    np.multiply(wphi[..., None], space.grad_phi[:, :, None, None, :],
+                out=vals[..., 1:])
+    n_row = n_q * (1 + dim)
+    Wc = sp.csr_matrix(
+        (vals.reshape(-1), cols.reshape(-1),
+         np.arange(0, vals.size + 1, n_row)),
+        shape=(n_c * d1 * d1, R * (1 + dim)))
+    _, indices, slots, _ = space.cell_pair_pattern()
+    n = len(slots)
+    scatter = sp.csr_matrix((np.ones(n), (slots, np.arange(n))),
+                            shape=(len(indices), n))
+    return scatter @ Wc
 
 
 def compute_F_direct(path, coeffs, u, v, j_end, space):

@@ -28,11 +28,11 @@ Refinement studies draw the finest-level path once per stream and coarsen
 it for the coarser levels (common random numbers), then tabulate observed
 convergence orders of the interpolant errors and the weak-form residual.
 In every mode the worker count comes from the SLLGFEM_WORKERS environment
-variable (a positive integer, capped at the task count and the count of
-CPUs the process may run on), and rows and files are formed in task
-order after all tasks have run, so parallel and sequential runs emit
-identical reports. Every monitor is an observer of the one pass `run`
-makes over a trajectory.
+variable (a positive integer; when unset, the count of CPUs the process
+may run on), capped at the task count and that CPU count, and rows and
+files are formed in task order after all tasks have run, so parallel and
+sequential runs emit identical reports. Every monitor is an observer of
+the one pass `run` makes over a trajectory.
 """
 
 from __future__ import annotations
@@ -96,8 +96,11 @@ class StudyReport:
 
 
 def _worker_count():
-    """The requested worker count; ConfigError unless a positive integer."""
-    raw = os.environ.get(WORKERS_ENV, "1")
+    """The requested worker count: SLLGFEM_WORKERS, or _cpu_count() when
+    it is unset; ConfigError unless a positive integer."""
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is None:
+        return _cpu_count()
     try:
         n = int(raw)
     except ValueError:
@@ -150,7 +153,7 @@ def _rows_from(quantities, kind, mode, level, h, k, theta, seed):
 def _snapshot_writer(config, space, stream):
     """Observer writing M = Z m as VTK in run.out at j = 0, every
     config.snapshots steps and at j = J; the mesh's part of the files is
-    formatted once."""
+    built once."""
     stride, J = config.snapshots, config.params.J
     geometry = vtk_geometry(space.mesh)
 
@@ -317,8 +320,9 @@ def run_study(config):
     """Run the study config.mode describes, write its artifacts and
     return its report.
 
-    The tasks run in a process pool when SLLGFEM_WORKERS, the task count
-    and _cpu_count() all exceed 1, and in this process otherwise, finest
+    The tasks run in a process pool when the worker count
+    (SLLGFEM_WORKERS, _cpu_count() when unset), the task count and
+    _cpu_count() all exceed 1, and in this process otherwise, finest
     level first; each trajectory's monitors run inline in its process,
     after every step. Rows and files follow task order: each level's run
     rows, then its aggregate rows (not in single mode), then the

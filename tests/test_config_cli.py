@@ -670,6 +670,32 @@ def test_cli_huge_J_ends_at_its_documented_exit(tmp_path, J, code, message):
     assert out.exists() == (code == 5)
 
 
+@pytest.mark.parametrize("dim, divisions, code, message", [
+    (2, "1000000", 5, r"out of memory: level 0 stream 0 \(base seed 0\): "
+                      r"Unable to allocate .*"),
+    (2, "3037000499", 4, None), (2, str(2**62), 4, None),
+    (3, "100000", 4, None),
+], ids=["2D-1e6", "2D-3037000499", "2D-2**62", "3D-1e5"])
+def test_cli_huge_divisions_end_at_their_documented_exit(tmp_path, dim,
+                                                         divisions, code,
+                                                         message):
+    # 2D 1e6: KZ's operator build would take 1.3e15 bytes, which an array
+    # may hold, so the first allocation of the mesh build fails in the
+    # child's 2 GiB address space (exit 5, naming the trajectory). The
+    # others ask for more than intp's maximum, and the gate rejects them
+    # before anything is written (exit 4)
+    proc = child_python(["-m", "sllgfem.cli", noise_cfg(
+        tmp_path, {"mesh.dim": str(dim), "mesh.divisions": divisions})])
+    assert proc.returncode == code, proc.stderr[-2000:]
+    message = message or (rf"config error: mesh\.divisions = {divisions} "
+                          rf"makes the mesh's per-cell arrays larger than "
+                          rf"any array can be")
+    assert re.fullmatch(message + r"\n", proc.stderr)
+    out = tmp_path / "out"
+    assert not (out / "report.csv").exists()
+    assert out.exists() == (code == 5)
+
+
 # Runs the CLI on argv with two pool workers, whatever the CPU count, and
 # with studies._trajectory replaced by the `trajectory` defined in the
 # code given as argv[1], if any; forked workers inherit it
@@ -766,7 +792,7 @@ _REJECTED_SIZES = st.sampled_from(("0", "-1", str(2**63), str(-2**63 - 1),
                                    "1" + "0" * 400, "5e-324", "1e308",
                                    "1e400", "0.5"))
 # In range, but more than refinement mode's 63 levels; unused in the other
-# modes. Not a rejected size: mesh.divisions = 2^62 would be accepted
+# modes. Not a rejected size: the parser accepts 2^62 for any size key
 _LEVELS_ABOVE_63 = ("64", str(2**62), str(2**63 - 1))
 _TRIPLES = st.lists(_NUMBERS, min_size=3, max_size=3).map(" ".join)
 

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import bsr_matrix
+from scipy.sparse import bsr_matrix, coo_matrix
 
 from sllgfem import (Mesh, NormalizationError, P1Space, assemble_lumped_mass,
                      assemble_stiffness, build_structured_mesh,
                      check_offdiag_condition, interpolate_nodal,
                      normalize_nodal)
-from sllgfem.fem import SUPERLU_PANEL_SIZE, SUPERLU_RELAX
-from sllgfem.mesh import edge_determinants
+from sllgfem.fem import SUPERLU_PANEL_SIZE, SUPERLU_RELAX, _splu
+from sllgfem.mesh import edge_determinants, read_mesh_text, write_mesh_text
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,41 @@ def test_step_layout_matches_block_matrix_in_csc(dim, divisions):
     assert A.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(A, name), getattr(ref, name))
+
+
+def _relabelled_mesh_file(tmp_path):
+    """A 2D mesh read from a mesh file: 7^2 squares, vertices renumbered
+    at random and interior ones moved off the grid."""
+    base = build_structured_mesh(2, 7)
+    rng = np.random.default_rng(5)
+    x = base.vertices.copy()
+    inner = ((x > 0) & (x < 1)).all(axis=1)
+    x[inner] += rng.uniform(-0.02, 0.02, (inner.sum(), 2))
+    perm = rng.permutation(base.n_vertices)
+    path = tmp_path / "relabelled.txt"
+    write_mesh_text(Mesh(x[perm], np.argsort(perm)[base.cells]), path)
+    return read_mesh_text(path)
+
+
+@pytest.mark.parametrize("mesh", ["2-12", "2-32", "3-3", "3-6", "file"])
+def test_step_layout_order_is_the_full_lus_order(tmp_path, mesh):
+    # the oracle behind the byte-identical outputs: the order the layout
+    # reads off SuperLU without a factorization is the perm_c of the full
+    # LU of K + diag(L) that earlier versions ran
+    if mesh == "file":
+        space = P1Space(_relabelled_mesh_file(tmp_path))
+    else:
+        dim, divisions = map(int, mesh.split("-"))
+        space = P1Space(build_structured_mesh(dim, divisions))
+    layout = space.step_layout()
+    scalar = layout.values.copy()
+    scalar[layout.diagonal] += space.lumped_mass_diagonal()
+    A = coo_matrix((scalar, (layout.rows, layout.cols)),
+                   shape=(space.N, space.N)).tocsc()
+    rank = _splu(A, "MMD_AT_PLUS_A").perm_c
+    inverse = (2 * rank[:, None] + np.arange(2)).ravel()
+    np.testing.assert_array_equal(layout.inverse, inverse)
+    np.testing.assert_array_equal(layout.order, np.argsort(inverse))
 
 
 def test_stiffness_positive_semidefinite(space2):

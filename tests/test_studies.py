@@ -134,11 +134,34 @@ def test_aggregate_rows_are_exact_means(tmp_path):
 
 @pytest.mark.parametrize("mode", ["monte-carlo", "refinement"])
 def test_parallel_matches_sequential(tmp_path, monkeypatch, mode):
+    # two CPUs whatever the host has, so that a pool of two really runs
+    pools = []
+
+    class Pool(studies.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(studies, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(studies, "_cpu_count", lambda: 2)
     monkeypatch.setenv(WORKERS_ENV, "1")
     seq = run_study(tiny_config(tmp_path, "seq", mode))
+    assert pools == []
     monkeypatch.setenv(WORKERS_ENV, "2")
     par = run_study(tiny_config(tmp_path, "par", mode))
+    assert pools == [2]
     assert par.csv_text() == seq.csv_text()
+    # every file but the config echo, which names run.out, byte for byte
+    files = {name: [(tmp_path / out / name).read_bytes()
+                    for out in ("seq", "par")]
+             for name in os.listdir(tmp_path / "seq")
+             if name != "resolved.ini"}
+    assert sorted(os.listdir(tmp_path / "par")) == sorted(
+        [*files, "resolved.ini"])
+    assert sum(name.startswith("diagnostics_") for name in files) == (
+        3 if mode == "monte-carlo" else 6)
+    for name, (seq_bytes, par_bytes) in files.items():
+        assert par_bytes == seq_bytes, name
 
 
 def test_tasks_run_largest_first_and_rows_stay_in_task_order(tmp_path,
@@ -203,14 +226,9 @@ def test_bad_worker_count_fails_before_writing(tmp_path, monkeypatch, mode):
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("mode, affinity, cpus, expected, trajectories", [
-    ("monte-carlo", range(8), 8, 3, 3), ("monte-carlo", range(2), 2, 2, 3),
-    ("monte-carlo", None, None, None, 3),
-    ("refinement", range(8), 8, 6, 6), ("monte-carlo", {0}, 8, None, 3)],
-    ids=["8-3", "2-2", "None-None", "refinement-8-6", "affinity-1-of-8"])
-def test_pool_size_is_clamped(tmp_path, monkeypatch, mode, affinity, cpus,
-                              expected, trajectories):
-    # a stand-in pool that records its size and maps in this process
+def _record_pool_sizes(monkeypatch):
+    """Replace the process pool by a stand-in that maps in this process;
+    returns the list it appends each pool's size to."""
     sizes = []
 
     class RecordingPool:
@@ -227,6 +245,32 @@ def test_pool_size_is_clamped(tmp_path, monkeypatch, mode, affinity, cpus,
             return map(fn, *iterables)
 
     monkeypatch.setattr(studies, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("mode, cpus, expected", [
+    ("monte-carlo", 8, [3]), ("monte-carlo", 2, [2]), ("monte-carlo", 1, []),
+    ("refinement", 4, [4]), ("single", 8, [])])
+def test_default_worker_count_is_the_cpu_count(tmp_path, monkeypatch, mode,
+                                               cpus, expected):
+    # SLLGFEM_WORKERS unset: one worker per usable CPU, capped by the
+    # task count; a single run stays in this process
+    sizes = _record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(studies, "_cpu_count", lambda: cpus)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    assert studies._worker_count() == cpus
+    run_study(tiny_config(tmp_path, "default", mode))
+    assert sizes == expected
+
+
+@pytest.mark.parametrize("mode, affinity, cpus, expected, trajectories", [
+    ("monte-carlo", range(8), 8, 3, 3), ("monte-carlo", range(2), 2, 2, 3),
+    ("monte-carlo", None, None, None, 3),
+    ("refinement", range(8), 8, 6, 6), ("monte-carlo", {0}, 8, None, 3)],
+    ids=["8-3", "2-2", "None-None", "refinement-8-6", "affinity-1-of-8"])
+def test_pool_size_is_clamped(tmp_path, monkeypatch, mode, affinity, cpus,
+                              expected, trajectories):
+    sizes = _record_pool_sizes(monkeypatch)
     monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
     if affinity is None:            # a platform without CPU affinity
         monkeypatch.delattr(studies.os, "sched_getaffinity", raising=False)
